@@ -1,15 +1,18 @@
 """Exact arithmetic for multitwist pseudo-Anosov dilatations.
 
-Words in the two multitwist generators, their PSL2(R) images over
-Z[sqrt(mu)], Perron-Frobenius certificates for the built-in multicurve
-families, every closed-form dilatation/translation-length bound, and the
-Johnson homomorphism on bounding-pair maps.
+Words in the two multitwist generators and their PSL2(R) images, evaluated
+as plain-int 2x2 matrices in the conjugate representation
+T_A -> [[1, 1], [0, 1]], T_B -> [[1, 0], [-mu, 1]] (conjugate to the
+sqrt(mu) one, so traces agree and every word trace is an integer);
+Perron-Frobenius certificates for the built-in multicurve families, every
+closed-form dilatation/translation-length bound, and the Johnson
+homomorphism on bounding-pair maps.
 """
 
 from .intervals import Interval
-from .quadratic import QuadReal, qr_arith, qr_compare
+from .quadratic import QuadReal
 from .words import Word, commutator, cyclic_reduce, nested_commutator, reduce
-from .rep import (TwistMatrix, DilatationReport, generator_images, evaluate,
+from .rep import (IntMatrix, DilatationReport, generator_images, evaluate,
                   classify, dilatation)
 from .families import (IntersectionFamily, PFResult, torelli_family,
                        braid_family, nnt, pf_eigenvalue)

@@ -13,12 +13,31 @@ import sys
 from fractions import Fraction
 
 from . import bounds, families, johnson, rep, search, verify
-from .intervals import Interval
+from .intervals import Interval, PrecisionError
 from .words import Word
 
 
 class ComputationError(Exception):
     pass
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _symplectic_pairs(text: str) -> list[tuple[str, str]]:
+    """'x2,y2;x3,y3' -> [('x2', 'y2'), ('x3', 'y3')]; '' -> []."""
+    if not text:
+        return []
+    pairs = [tuple(chunk.split(",")) for chunk in text.split(";")]
+    for pair in pairs:
+        if len(pair) != 2:
+            raise argparse.ArgumentTypeError(
+                f"expected two classes joined by ',', got {','.join(pair)!r}")
+    return pairs
 
 
 def _emit(args, payload: dict, text_fn=None):
@@ -112,12 +131,9 @@ def _cmd_lcs_table(args) -> int:
 def _cmd_johnson_tau(args) -> int:
     g = args.genus
     a = johnson.HomologyClass.parse(args.a, g)
-    pairs = []
-    if args.pairs:
-        for chunk in args.pairs.split(";"):
-            u_text, v_text = chunk.split(",")
-            pairs.append((johnson.HomologyClass.parse(u_text, g),
-                          johnson.HomologyClass.parse(v_text, g)))
+    pairs = [(johnson.HomologyClass.parse(u_text, g),
+              johnson.HomologyClass.parse(v_text, g))
+             for u_text, v_text in args.pairs]
     coset = johnson.tau_bounding_pair(g, pairs, a)
     _emit(args, coset.to_json_dict())
     return 0
@@ -159,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["json", "csv", "text"],
                        default="json")
-        p.add_argument("--precision-bits", type=int, default=60,
+        p.add_argument("--precision-bits", type=_positive_int, default=60,
                        dest="precision_bits")
 
     p = sub.add_parser("dilatation", help="certified dilatation of a word")
@@ -201,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("johnson-tau",
                        help="Johnson image of a bounding-pair map")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--pairs", default="",
+    p.add_argument("--pairs", type=_symplectic_pairs, default="",
                    help='symplectic pairs, e.g. "x2,y2;x3,y3"')
     p.add_argument("--a", required=True, help='class of the pair, e.g. "x1"')
     common(p)
@@ -229,7 +245,8 @@ def run(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, RuntimeError, ComputationError) as exc:
+    except (ValueError, ZeroDivisionError, RuntimeError, ComputationError,
+            PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

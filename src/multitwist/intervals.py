@@ -185,11 +185,3 @@ def cbrt(x: Interval, bits: int) -> Interval:
     # d/dx x^(1/3) = 1/(3 x^(2/3)) <= max(1, 1/(3*x.lo)) for x > 0
     slope = Fraction(1) if x.lo == 0 else max(Fraction(1), 1 / (3 * x.lo))
     return _monotone_via_mpmath("cbrt", x, bits, check, slope)
-
-
-def exp_upper_exceeds(x: Interval, threshold: Fraction, bits: int = 60) -> bool:
-    """Certified test exp(x.hi) > threshold, threshold > 0."""
-    if threshold <= 0:
-        return True
-    log_t = log(Interval.point(threshold), bits)
-    return x.hi > log_t.hi

@@ -152,19 +152,3 @@ class QuadReal:
         if self.b == 0:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.mu})"
-
-
-def qr_arith(x: QuadReal, y: QuadReal, op: str) -> QuadReal:
-    """Functional front end: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def qr_compare(x: QuadReal, r) -> int:
-    """-1, 0, or 1 as x is less than, equal to, or greater than rational r."""
-    return x.compare(Fraction(r))

@@ -4,6 +4,13 @@ T_A maps to [[1, sqrt(mu)], [0, 1]] and T_B to [[1, 0], [-sqrt(mu), 1]],
 where mu is the Perron-Frobenius eigenvalue of N*N^t for the intersection
 matrix N of the two multicurves.  Hyperbolic images are pseudo-Anosov and
 the dilatation is the absolute value of the leading eigenvalue.
+
+Images are evaluated in the conjugate representation M -> D M D^-1 with
+D = diag(1, sqrt(mu)), where T_A -> [[1, 1], [0, 1]] and
+T_B -> [[1, 0], [-mu, 1]].  Conjugation keeps traces and the
+identity, so every word is evaluated, classified and certified with
+plain Python ints; the conjugate of a matrix (a, b, c, d) in the
+original representation is (a, b / sqrt(mu), c * sqrt(mu), d).
 """
 
 from __future__ import annotations
@@ -11,11 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import intervals
 from .intervals import Interval
-from .quadratic import QuadReal
 from .words import Word
 
 IDENTITY_CLASS = "identity"
@@ -24,109 +30,90 @@ PARABOLIC = "parabolic"
 HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class TwistMatrix:
-    """2x2 matrix with QuadReal entries over a common radicand, det = 1."""
+class IntMatrix(NamedTuple):
+    """Integer 2x2 matrix [[a, b], [c, d]]."""
 
-    a: QuadReal
-    b: QuadReal
-    c: QuadReal
-    d: QuadReal
+    a: int
+    b: int
+    c: int
+    d: int
 
-    @property
-    def mu(self) -> int:
-        return self.a.mu
-
-    def __matmul__(self, other: "TwistMatrix") -> "TwistMatrix":
-        return TwistMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self) -> QuadReal:
+    def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> QuadReal:
+    def trace(self) -> int:
         return self.a + self.d
 
-    def is_plus_minus_identity(self) -> bool:
-        zero = QuadReal.rational(0, self.mu)
-        if self.b != zero or self.c != zero:
-            return False
-        one = QuadReal.rational(1, self.mu)
-        return (self.a == one and self.d == one) or \
-               (self.a == -one and self.d == -one)
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    @classmethod
-    def identity(cls, mu: int) -> "TwistMatrix":
-        one = QuadReal.rational(1, mu)
-        zero = QuadReal.rational(0, mu)
-        return cls(one, zero, zero, one)
-
-
-def generator_images(mu: int) -> tuple[TwistMatrix, TwistMatrix]:
-    """Images of T_A and T_B; entries are +-sqrt(mu)."""
+def generator_images(mu: int) -> tuple[IntMatrix, IntMatrix]:
+    """Conjugate images of T_A and T_B."""
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    one = QuadReal.rational(1, mu)
-    zero = QuadReal.rational(0, mu)
-    root = QuadReal.root(mu)
-    mat_a = TwistMatrix(one, root, zero, one)
-    mat_b = TwistMatrix(one, zero, -root, one)
-    return mat_a, mat_b
+    return IntMatrix(1, 1, 0, 1), IntMatrix(1, 0, -mu, 1)
 
 
-def evaluate(w: Word, mu: int) -> TwistMatrix:
-    """Image of a word, multiplying letter images left to right."""
-    mat_a, mat_b = generator_images(mu)
-    one = QuadReal.rational(1, mu)
-    zero = QuadReal.rational(0, mu)
-    root = QuadReal.root(mu)
-    images = {
-        "a": mat_a,
-        "b": mat_b,
-        "A": TwistMatrix(one, -root, zero, one),
-        "B": TwistMatrix(one, zero, root, one),
-    }
-    result = TwistMatrix.identity(mu)
-    for c in w.letters:
-        result = result @ images[c]
-    return result
+def evaluate(w: Word, mu: int) -> IntMatrix:
+    """Conjugate image of a word, multiplying letter images left to right.
+
+    Right multiplication by a letter image is a column operation: a^+-1
+    adds +-(column 1) to column 2, b^+-1 adds -+mu*(column 2) to column 1.
+    """
+    if mu < 1:
+        raise ValueError("mu must be >= 1")
+    a, b, c, d = 1, 0, 0, 1
+    for letter in w.letters:
+        if letter == "a":
+            b += a
+            d += c
+        elif letter == "A":
+            b -= a
+            d -= c
+        elif letter == "b":
+            a -= mu * b
+            c -= mu * d
+        else:
+            a += mu * b
+            c += mu * d
+    return IntMatrix(a, b, c, d)
 
 
-def classify(m: TwistMatrix) -> str:
-    """Isometry type in PSL2, decided by exact comparisons."""
-    if m.is_plus_minus_identity():
+def classify(m: IntMatrix) -> str:
+    """Isometry type in PSL2, decided by exact integer comparisons."""
+    if m.b == 0 and m.c == 0 and m.a == m.d and abs(m.a) == 1:
         return IDENTITY_CLASS
     t = abs(m.trace())
-    cmp2 = t.compare(2)
-    if cmp2 < 0:
+    if t < 2:
         return ELLIPTIC
-    if cmp2 == 0:
+    if t == 2:
         return PARABOLIC
     return HYPERBOLIC
+
+
+def trace_json(trace: int, mu: int) -> dict:
+    """The trace as a + b*sqrt(mu) with b = 0, the report's JSON form."""
+    return {"a": str(trace), "b": "0", "mu": mu}
 
 
 @dataclass(frozen=True)
 class DilatationReport:
     word: Word
     mu: int
-    trace: QuadReal
+    trace: int
     isometry_class: str
     dilatation_interval: Optional[Interval]
     log_dilatation_interval: Optional[Interval]
-    char_poly: Optional[tuple[Fraction, Fraction, Fraction]]
+
+    @property
+    def char_poly(self) -> tuple[int, int, int]:
+        """x^2 - |trace| x + 1: under the PSL2 sign normalization the
+        dilatation is its largest root."""
+        return (1, -abs(self.trace), 1)
 
     def to_json_dict(self) -> dict:
         d = {
             "word": str(self.word),
             "mu": self.mu,
-            "trace": self.trace.to_json_dict(),
+            "trace": trace_json(self.trace, self.mu),
             "class": self.isometry_class,
         }
         if self.dilatation_interval is not None:
@@ -134,23 +121,20 @@ class DilatationReport:
                            str(self.dilatation_interval.hi)]
             d["log_lambda"] = [str(self.log_dilatation_interval.lo),
                                str(self.log_dilatation_interval.hi)]
-        if self.char_poly is not None:
-            d["char_poly"] = [str(c) for c in self.char_poly]
+        d["char_poly"] = [str(c) for c in self.char_poly]
         return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
 
-def hyperbolic_dilatation(trace: QuadReal, precision_bits: int) -> tuple[Interval, Interval]:
+def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, Interval]:
     """lambda = (|t| + sqrt(t^2 - 4))/2 and log(lambda), both certified."""
     t = abs(trace)
-    disc = t * t - QuadReal.rational(4, trace.mu)
     bits = precision_bits + 8
     while True:
-        t_iv = t.to_interval(bits)
-        disc_iv = disc.to_interval(2 * bits)
-        lam = (t_iv + intervals.sqrt(disc_iv, bits)) * Fraction(1, 2)
+        root = intervals.sqrt_fraction(Fraction(t * t - 4), bits + 1)
+        lam = Interval(Fraction(t + root.lo, 2), Fraction(t + root.hi, 2))
         log_lam = intervals.log(lam, bits)
         if (lam.relative_width() <= Fraction(1, 2 ** precision_bits)
                 and log_lam.relative_width() <= Fraction(1, 2 ** precision_bits)):
@@ -166,7 +150,4 @@ def dilatation(w: Word, mu: int, precision_bits: int = 60) -> DilatationReport:
     lam = log_lam = None
     if cls == HYPERBOLIC:
         lam, log_lam = hyperbolic_dilatation(t, precision_bits)
-    # PSL2 sign normalization: the dilatation is the largest root of
-    # x^2 - |trace| x + 1, so the |trace| representative is reported
-    poly = (Fraction(1), -abs(t).a, Fraction(1)) if t.is_rational() else None
-    return DilatationReport(w, mu, t, cls, lam, log_lam, poly)
+    return DilatationReport(w, mu, t, cls, lam, log_lam)

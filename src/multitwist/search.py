@@ -18,7 +18,6 @@ from typing import Iterator, Optional
 
 from . import rep, words
 from .intervals import Interval
-from .quadratic import QuadReal
 from .words import Word
 
 ALPHABET = "abAB"
@@ -96,7 +95,7 @@ class SearchReport:
         return json.dumps(self.to_json_dict())
 
 
-def _trace_of(args) -> tuple[str, QuadReal, str]:
+def _trace_of(args) -> tuple[str, int, str]:
     word_str, mu = args
     w = Word(word_str)
     m = rep.evaluate(w, mu)
@@ -118,7 +117,7 @@ def min_dilatation_search(max_length: int, mu: int, jobs: int = 1,
     else:
         results = [_trace_of(t) for t in tasks]
 
-    best_abs: Optional[QuadReal] = None
+    best_abs: Optional[int] = None
     minima: list[str] = []
     for word_str, trace, cls in results:
         if cls != rep.HYPERBOLIC:
@@ -142,7 +141,8 @@ class LcsRow:
     depth: int
     word: Word
     word_length: int
-    trace: QuadReal
+    mu: int
+    trace: int
     log_dilatation: Interval
 
     def to_json_dict(self) -> dict:
@@ -150,7 +150,7 @@ class LcsRow:
             "k": self.depth,
             "word": str(self.word),
             "length": self.word_length,
-            "trace": self.trace.to_json_dict(),
+            "trace": rep.trace_json(self.trace, self.mu),
             "log_lambda": [str(self.log_dilatation.lo),
                            str(self.log_dilatation.hi)],
         }
@@ -170,7 +170,7 @@ def lcs_table(k_max: int, mu: int, precision_bits: int = 60) -> list[LcsRow]:
         report = rep.dilatation(w, mu, precision_bits)
         if report.isometry_class != rep.HYPERBOLIC:
             raise RuntimeError(f"nested commutator at k={k} is not hyperbolic")
-        table.append(LcsRow(k, w, len(w), report.trace,
+        table.append(LcsRow(k, w, len(w), mu, report.trace,
                             report.log_dilatation_interval))
     return table
 
@@ -179,7 +179,7 @@ def lcs_csv(rows: list[LcsRow]) -> str:
     out = io.StringIO()
     out.write("k,word,length,trace,log_lambda_lo,log_lambda_hi\n")
     for r in rows:
-        out.write(f"{r.depth},{r.word},{r.word_length},{r.trace.a},"
+        out.write(f"{r.depth},{r.word},{r.word_length},{r.trace},"
                   f"{float(r.log_dilatation.lo)!r},"
                   f"{float(r.log_dilatation.hi)!r}\n")
     return out.getvalue()

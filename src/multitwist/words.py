@@ -85,9 +85,6 @@ class Word:
         s = self.letters
         return [Word(s[i:] + s[:i]) for i in range(max(len(s), 1))]
 
-    def to_letters(self) -> list[Letter]:
-        return [Letter.from_char(c) for c in self.letters]
-
 
 IDENTITY = Word()
 

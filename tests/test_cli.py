@@ -1,7 +1,11 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from multitwist import rep
 from multitwist.cli import run
+from multitwist.intervals import PrecisionError
 from multitwist.words import Word
 
 
@@ -132,3 +136,35 @@ def test_computation_error_exit_code(capsys):
     assert run(["dilatation", "--word", "ab", "--mu", "0"]) == 1
     assert run(["family", "--genus", "1", "--kind", "torelli"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("pairs", ["x2", "x2,y2;x3", "x2,y2,x3"])
+def test_johnson_tau_malformed_pair_is_usage_error(capsys, pairs):
+    code = run(["johnson-tau", "--genus", "3", "--pairs", pairs,
+                "--a", "x1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err and "--pairs" in captured.err
+
+
+@pytest.mark.parametrize("bits", ["0", "-5"])
+def test_precision_bits_below_one_is_usage_error(capsys, bits):
+    code = run(["dilatation", "--word", "ab", "--mu", "64",
+                "--precision-bits", bits])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--precision-bits" in captured.err
+
+
+def test_precision_error_exit_code(capsys, monkeypatch):
+    def fail(*_args):
+        raise PrecisionError("log enclosure did not converge at 60 bits")
+
+    monkeypatch.setattr(rep, "dilatation", fail)
+    code = run(["dilatation", "--word", "ab", "--mu", "64"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: log enclosure did not converge")

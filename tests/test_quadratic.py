@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multitwist.quadratic import QuadReal, RadicandMismatch, qr_arith, qr_compare
+from multitwist.quadratic import QuadReal, RadicandMismatch
 
 small_fracs = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                            max_denominator=1000)
@@ -31,19 +31,10 @@ def test_radicand_mismatch():
         QuadReal.root(2) + QuadReal.root(3)
 
 
-def test_qr_arith_front_end():
-    x, y = QuadReal(1, 2, 5), QuadReal(3, -1, 5)
-    assert qr_arith(x, y, "add") == x + y
-    assert qr_arith(x, y, "sub") == x - y
-    assert qr_arith(x, y, "mul") == x * y
-    with pytest.raises(ValueError):
-        qr_arith(x, y, "div")
-
-
 def test_compare_examples():
-    assert qr_compare(QuadReal.root(2), 1) > 0
-    assert qr_compare(QuadReal.rational(3, 5), 3) == 0
-    assert qr_compare(QuadReal.rational(-62, 64), -2) < 0
+    assert QuadReal.root(2).compare(1) > 0
+    assert QuadReal.rational(3, 5).compare(3) == 0
+    assert QuadReal.rational(-62, 64).compare(-2) < 0
 
 
 def test_compare_negative_radical():
@@ -88,10 +79,10 @@ def test_compare_agrees_with_interval():
         r = Fraction(rng.randint(-300, 300), rng.randint(1, 10))
         iv = x.to_interval(64)
         if iv.hi < r:
-            assert qr_compare(x, r) < 0
+            assert x.compare(r) < 0
             agreements += 1
         elif iv.lo > r:
-            assert qr_compare(x, r) > 0
+            assert x.compare(r) > 0
             agreements += 1
     assert agreements > 9000  # the interval almost always excludes r
 
@@ -102,8 +93,7 @@ def test_perfect_square_stays_rational():
         x = QuadReal(1, 1, mu)
         y = QuadReal(Fraction(-3, 2), Fraction(5, 7), mu)
         for _ in range(20):
-            op = rng.choice(["add", "sub", "mul"])
-            x = qr_arith(x, y, op)
+            x = rng.choice([x + y, x - y, x * y])
             assert x.b == 0
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from multitwist import rep
-from multitwist.quadratic import QuadReal
 from multitwist.search import _cyclically_reduced_strings
 from multitwist.words import Word
 
 
 def _int_matrix_oracle(word: str, root: int) -> np.ndarray:
-    """Independent image computation for perfect-square radicands."""
+    """Independent image computation for perfect-square radicands, in the
+    original generators with entries +-sqrt(mu)."""
     images = {
         "a": np.array([[1, root], [0, 1]], dtype=object),
         "A": np.array([[1, -root], [0, 1]], dtype=object),
@@ -23,27 +23,40 @@ def _int_matrix_oracle(word: str, root: int) -> np.ndarray:
     return m
 
 
+def _conjugate_of_oracle(oracle: np.ndarray, root: int) -> tuple:
+    """(a, b/sqrt(mu), c*sqrt(mu), d), requiring the division to be exact."""
+    assert oracle[0, 1] % root == 0
+    return (oracle[0, 0], oracle[0, 1] // root, oracle[1, 0] * root,
+            oracle[1, 1])
+
+
 def test_generator_images():
+    # conjugates of [[1, sqrt(mu)], [0, 1]] and [[1, 0], [-sqrt(mu), 1]]
     for mu, entry in ((64, 8), (16, 4)):
         mat_a, mat_b = rep.generator_images(mu)
-        assert mat_a.b == QuadReal.rational(entry, mu)
-        assert mat_b.c == QuadReal.rational(-entry, mu)
-    mat_a, _ = rep.generator_images(2)
-    assert mat_a.b == QuadReal.root(2)
+        assert mat_a == _conjugate_of_oracle(_int_matrix_oracle("a", entry),
+                                             entry)
+        assert mat_b == _conjugate_of_oracle(_int_matrix_oracle("b", entry),
+                                             entry)
+        assert mat_b.c == -entry * entry
+    mat_a, mat_b = rep.generator_images(2)
+    assert mat_a == (1, 1, 0, 1)
+    assert mat_b == (1, 0, -2, 1)
     with pytest.raises(ValueError):
         rep.generator_images(0)
 
 
 def test_evaluate_ab_mu64():
     m = rep.evaluate(Word("ab"), 64)
-    assert [x.a for x in m.entries()] == [-63, 8, -8, 1]
-    assert m.trace() == QuadReal.rational(-62, 64)
+    # original entries [-63, 8, -8, 1], conjugated by diag(1, 8)
+    assert m == (-63, 1, -64, 1)
+    assert m.trace() == -62
 
 
 def test_evaluate_identity():
     m = rep.evaluate(Word(""), 64)
-    assert m.is_plus_minus_identity()
-    assert m.trace() == QuadReal.rational(2, 64)
+    assert m == (1, 0, 0, 1)
+    assert m.trace() == 2
 
 
 def test_evaluate_against_integer_oracle():
@@ -51,12 +64,18 @@ def test_evaluate_against_integer_oracle():
         reduced = Word.parse(word)
         m = rep.evaluate(reduced, 64)
         oracle = _int_matrix_oracle(reduced.letters, 8)
-        assert [x.a for x in m.entries()] == [oracle[0, 0], oracle[0, 1],
-                                              oracle[1, 0], oracle[1, 1]]
+        assert m == _conjugate_of_oracle(oracle, 8)
 
 
 def test_abAB_trace():
-    assert rep.evaluate(Word("abAB"), 64).trace() == QuadReal.rational(4098, 64)
+    assert rep.evaluate(Word("abAB"), 64).trace() == 4098
+
+
+def test_fricke_identities():
+    # tr(ab) = 2 - mu and tr[a, b] = 2 + mu^2 for every mu, square or not
+    for mu in range(1, 101):
+        assert rep.evaluate(Word("ab"), mu).trace() == 2 - mu
+        assert rep.evaluate(Word("abAB"), mu).trace() == 2 + mu * mu
 
 
 def test_classify():
@@ -78,7 +97,7 @@ def test_dilatation_examples():
     assert r.log_dilatation_interval.hi < Fraction("4.1269")
 
     r16 = rep.dilatation(Word("ab"), 16)
-    assert r16.trace == QuadReal.rational(-14, 16)
+    assert r16.trace == -14
     assert r16.log_dilatation_interval.hi < Fraction("2.634")
 
     rb = rep.dilatation(Word("b"), 64)
@@ -94,10 +113,9 @@ def test_char_poly_normalized_to_dilatation():
 
 def test_det_one_exhaustive():
     for mu in (2, 16, 64):
-        one = QuadReal.rational(1, mu)
         for length in range(1, 7):
             for s in _cyclically_reduced_strings(length):
-                assert rep.evaluate(Word(s), mu).det() == one
+                assert rep.evaluate(Word(s), mu).det() == 1
 
 
 def test_trace_invariances():
