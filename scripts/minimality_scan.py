@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Scan minimal |trace| classes by word length and print a small table.
 
+Each row is one exhaustive search over the canonical class words of
+length <= max_len; --jobs J splits each enumeration over J worker
+processes (at most one per core).
+
 Usage: python scripts/minimality_scan.py [--max-len N] [--mu M] [--jobs J]
 """
 
@@ -16,6 +20,8 @@ def main() -> None:
     parser.add_argument("--mu", type=int, default=64)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
 
     print(f"mu = {args.mu}")
     print("max_len  classes  min|trace|  minima")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intervals
-from .intervals import Interval
+from .intervals import Interval, decimal_str
 
 LOWER_LOG_DILATATION = "lower_bound_on_log_dilatation"
 UPPER_LOG_DILATATION = "upper_bound_on_log_dilatation"
@@ -41,7 +41,7 @@ class BoundResult:
 
     def to_json_dict(self) -> dict:
         d = {
-            "bound": [str(self.value.lo), str(self.value.hi)],
+            "bound": [decimal_str(self.value.lo), decimal_str(self.value.hi)],
             "bound_float": self.value.as_floats(),
             "direction": self.direction,
             "validity_note": self.validity_note,

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, families, johnson, rep, search, verify
-from .intervals import Interval, PrecisionError
+from .intervals import Interval, PrecisionError, decimal_str
 from .words import Word
 
 
@@ -40,30 +40,24 @@ def _symplectic_pairs(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _emit(args, payload: dict, text_fn=None):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "text" and text_fn is not None:
-        print(text_fn(payload))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload):
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_dilatation(args) -> int:
     w = Word.parse(args.word)
     report = rep.dilatation(w, args.mu, args.precision_bits)
-    payload = report.to_json_dict()
-
-    def text(p):
-        if report.isometry_class != rep.HYPERBOLIC:
-            return f"{report.isometry_class}; no dilatation"
+    if args.format == "json":
+        _emit(report.to_json_dict())
+    elif report.isometry_class != rep.HYPERBOLIC:
+        print(f"{report.isometry_class}; no dilatation")
+    else:
         lam = report.dilatation_interval
-        return (f"word {w or '1'}: hyperbolic, |trace| = {abs(report.trace)}, "
-                f"lambda in [{float(lam.lo)!r}, {float(lam.hi)!r}], "
-                f"log(lambda) in [{float(report.log_dilatation_interval.lo)!r}, "
-                f"{float(report.log_dilatation_interval.hi)!r}]")
-
-    _emit(args, payload, text)
+        log_lam = report.log_dilatation_interval
+        print(f"word {w or '1'}: hyperbolic, "
+              f"|trace| = {decimal_str(abs(report.trace))}, "
+              f"lambda in [{float(lam.lo)!r}, {float(lam.hi)!r}], "
+              f"log(lambda) in [{float(log_lam.lo)!r}, {float(log_lam.hi)!r}]")
     return 0
 
 
@@ -90,7 +84,7 @@ def _cmd_family(args) -> int:
             "eigenvector": [str(x) for x in pf.eigenvector],
         },
     }
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
@@ -107,7 +101,7 @@ def _cmd_bounds(args) -> int:
         if args.p is None:
             raise ComputationError("--p is required for --group brunnian")
         result = bounds.brunnian_lower(args.p)
-    _emit(args, result.to_json_dict())
+    _emit(result.to_json_dict())
     return 0
 
 
@@ -115,14 +109,14 @@ def _cmd_search(args) -> int:
     report = search.min_dilatation_search(args.max_len, args.mu,
                                           jobs=args.jobs,
                                           precision_bits=args.precision_bits)
-    _emit(args, report.to_json_dict())
+    _emit(report.to_json_dict())
     return 0
 
 
 def _cmd_lcs_table(args) -> int:
     rows = search.lcs_table(args.max_k, args.mu, args.precision_bits)
     if args.format == "json":
-        _emit(args, {"rows": [r.to_json_dict() for r in rows]})
+        _emit({"rows": [r.to_json_dict() for r in rows]})
     else:
         sys.stdout.write(search.lcs_csv(rows))
     return 0
@@ -135,7 +129,7 @@ def _cmd_johnson_tau(args) -> int:
               johnson.HomologyClass.parse(v_text, g))
              for u_text, v_text in args.pairs]
     coset = johnson.tau_bounding_pair(g, pairs, a)
-    _emit(args, coset.to_json_dict())
+    _emit(coset.to_json_dict())
     return 0
 
 
@@ -145,20 +139,23 @@ def _cmd_tau_cc(args) -> int:
     else:
         result = bounds.tau_cc_upper(args.genus,
                                      Interval.point(Fraction(args.log_lambda)))
-    _emit(args, result.to_json_dict())
+    _emit(result.to_json_dict())
     return 0
 
 
 def _cmd_verify_paper(args) -> int:
     results = verify.run_all()
+    failed = sum(not r.ok for r in results)
+    if args.format == "json":
+        _emit([{"key": r.key, "ok": r.ok, "seconds": r.seconds,
+                "error": r.error} for r in results])
+        return 0 if failed == 0 else 1
     width = max(len(r.key) for r in results)
-    failed = 0
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         line = f"{status}  {r.key.ljust(width)}  {r.seconds:8.3f}s  {r.description}"
         print(line)
         if not r.ok:
-            failed += 1
             print(f"      {r.error}")
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
@@ -172,9 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "bounding pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default="json")
+    def output_format(p, *choices):
+        p.add_argument("--format", choices=choices, default=choices[0])
+
+    def precision_bits(p):
         p.add_argument("--precision-bits", type=_positive_int, default=60,
                        dest="precision_bits")
 
@@ -182,37 +180,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True,
                    help="word in a/b/A/B (empty string for the identity)")
     p.add_argument("--mu", type=int, required=True)
-    common(p)
+    output_format(p, "json", "text")
+    precision_bits(p)
     p.set_defaults(func=_cmd_dilatation)
 
     p = sub.add_parser("family", help="built-in intersection family and PF data")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--kind", choices=["torelli", "braid"], required=True)
-    common(p)
+    output_format(p, "json", "csv")
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("bounds", help="closed-form lower bounds by subgroup")
     p.add_argument("--group", choices=["torelli", "johnson", "congruence",
                                        "brunnian"], required=True)
-    p.add_argument("--genus", type=int, default=2)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
-    common(p)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=int, required=True, dest="max_len")
     p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes for the class enumeration "
+                        "(at most one per core)")
+    precision_bits(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
     p.add_argument("--max-k", type=int, required=True, dest="max_k")
     p.add_argument("--mu", type=int, required=True)
-    common(p)
+    output_format(p, "csv", "json")
+    precision_bits(p)
     p.set_defaults(func=_cmd_lcs_table)
-    p.set_defaults(format="csv")
 
     p = sub.add_parser("johnson-tau",
                        help="Johnson image of a bounding-pair map")
@@ -220,18 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_symplectic_pairs, default="",
                    help='symplectic pairs, e.g. "x2,y2;x3,y3"')
     p.add_argument("--a", required=True, help='class of the pair, e.g. "x1"')
-    common(p)
     p.set_defaults(func=_cmd_johnson_tau)
 
     p = sub.add_parser("tau-cc", help="curve-complex translation-length bound")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--log-lambda", default=None, dest="log_lambda",
                    help="exact rational, e.g. 6931/10000")
-    common(p)
     p.set_defaults(func=_cmd_tau_cc)
 
     p = sub.add_parser("verify-paper", help="reproduce every headline constant")
-    common(p)
+    output_format(p, "text", "json")
     p.set_defaults(func=_cmd_verify_paper)
 
     return parser

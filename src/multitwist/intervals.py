@@ -10,6 +10,7 @@ endpoints pulled back to exact Fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -20,19 +21,43 @@ class PrecisionError(Exception):
     """Raised when a requested enclosure width cannot be met."""
 
 
+def decimal_str(x) -> str:
+    """str(x) of an int or Fraction, at any number of digits.
+
+    str() refuses ints beyond sys.get_int_max_str_digits(); converting
+    through Decimal, which is exact for ints, leaves that process-wide
+    limit alone.
+    """
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return str(Decimal(x.numerator))
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    return str(Decimal(x))
+
+
 @dataclass(frozen=True)
 class Interval:
+    """Closed interval with exact endpoints: Fractions, or ints, which are
+    converted to Fractions.  Floats are refused."""
+
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            x = getattr(self, name)
+            if isinstance(x, Fraction):
+                continue
+            if not isinstance(x, int):
+                raise TypeError(f"interval endpoint {x!r} is not an int "
+                                f"or a Fraction")
+            object.__setattr__(self, name, Fraction(x))
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
     def point(cls, x) -> "Interval":
-        f = Fraction(x)
-        return cls(f, f)
+        return cls(x, x)
 
     @property
     def width(self) -> Fraction:

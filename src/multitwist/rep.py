@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import intervals
-from .intervals import Interval
+from .intervals import Interval, decimal_str
 from .words import Word
 
 IDENTITY_CLASS = "identity"
@@ -91,7 +91,7 @@ def classify(m: IntMatrix) -> str:
 
 def trace_json(trace: int, mu: int) -> dict:
     """The trace as a + b*sqrt(mu) with b = 0, the report's JSON form."""
-    return {"a": str(trace), "b": "0", "mu": mu}
+    return {"a": decimal_str(trace), "b": "0", "mu": mu}
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,11 @@ class DilatationReport:
             "class": self.isometry_class,
         }
         if self.dilatation_interval is not None:
-            d["lambda"] = [str(self.dilatation_interval.lo),
-                           str(self.dilatation_interval.hi)]
-            d["log_lambda"] = [str(self.log_dilatation_interval.lo),
-                               str(self.log_dilatation_interval.hi)]
-        d["char_poly"] = [str(c) for c in self.char_poly]
+            d["lambda"] = [decimal_str(self.dilatation_interval.lo),
+                           decimal_str(self.dilatation_interval.hi)]
+            d["log_lambda"] = [decimal_str(self.log_dilatation_interval.lo),
+                               decimal_str(self.log_dilatation_interval.hi)]
+        d["char_poly"] = [decimal_str(c) for c in self.char_poly]
         return d
 
     def to_json(self) -> str:

@@ -5,6 +5,15 @@ Conjugacy classes of cyclically reduced words are deduplicated under
 cyclic rotation, inversion, and the a<->b swap; all three leave the trace
 of the PSL2 image unchanged.  Minimization is on |trace|, an exact and
 strictly monotone proxy for the dilatation of hyperbolic elements.
+
+Each class is represented by the least word of its orbit in the letter
+order a < b < A < B.  enumerate_classes generates exactly those words: a
+depth-first search over freely reduced words with the FKM prenecklace
+rule (Ruskey, Savage and Wang, "Generating necklaces", J. Algorithms
+1992) visits only words that can start a least rotation, and each word
+that is a cyclically reduced necklace is kept when no rotation of its
+inverse, swap or swapped inverse is smaller.  orbit_representative is the
+definitional canonical form that the tests check this against.
 """
 
 from __future__ import annotations
@@ -12,15 +21,15 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import rep, words
-from .intervals import Interval
+from .intervals import Interval, decimal_str
 from .words import Word
-
-ALPHABET = "abAB"
 
 
 class NoHyperbolicClassError(RuntimeError):
@@ -29,16 +38,28 @@ class NoHyperbolicClassError(RuntimeError):
 
 def _cyclically_reduced_strings(length: int) -> Iterator[str]:
     if length == 1:
-        yield from ALPHABET
+        yield from words.ALPHABET
         return
-    for chars in itertools.product(ALPHABET, repeat=length):
+    for chars in itertools.product(words.ALPHABET, repeat=length):
         ok = all(chars[i] != chars[i - 1].swapcase() for i in range(length))
         if ok:
             yield "".join(chars)
 
 
-# letter order a < b < A < B for canonical representatives
+# letter order a < b < A < B for canonical representatives; the keys
+# 0 1 2 3 compare in that order
 _LEX_KEY = str.maketrans("abAB", "0123")
+_FROM_KEY = str.maketrans("0123", "abAB")
+# keys that may follow each key in a freely reduced word
+_FOLLOWERS = {"0": "013", "1": "012", "2": "123", "3": "023"}
+# letter maps that, applied to a reversed key, give the inverse word and
+# the swapped inverse word; _SWAP_KEYS alone gives the swapped word
+_INVERT_KEYS = str.maketrans("0123", "2301")
+_SWAP_KEYS = str.maketrans("0123", "1032")
+_SWAP_INVERT_KEYS = str.maketrans("0123", "3210")
+# depth of the roots of the subtrees that min_dilatation_search hands to
+# worker processes
+_SPLIT_DEPTH = 4
 
 
 def _word_key(s: str) -> str:
@@ -57,18 +78,80 @@ def orbit_representative(w: Word) -> Word:
     return Word(min(candidates, key=_word_key))
 
 
+def _least_in_orbit(key: str) -> bool:
+    """Whether a necklace key starting with 0 is no greater than any
+    rotation of its inverse, swap and swapped inverse."""
+    reverse = key[::-1]
+    for variant in (reverse.translate(_INVERT_KEYS), key.translate(_SWAP_KEYS),
+                    reverse.translate(_SWAP_INVERT_KEYS)):
+        # only a rotation that starts with 0 can be smaller than key
+        i = variant.find("0")
+        while i != -1:
+            if variant[i:] + variant[:i] < key:
+                return False
+            i = variant.find("0", i + 1)
+    return True
+
+
+def _class_keys(max_length: int, root: tuple[str, int] = ("0", 1),
+                split_at: int = 0):
+    """Keys of the canonical class words in the search tree below root.
+
+    root is a prenecklace key with its FKM period.  Returns (keys,
+    frontier): keys[n] lists the keys of length n in increasing order;
+    when split_at > 0, the nodes at that depth are neither tested nor
+    expanded but returned in increasing order as frontier roots.
+    """
+    keys: list[list[str]] = [[] for _ in range(max_length + 1)]
+    frontier: list[tuple[str, int]] = []
+
+    def grow(key: str, period: int) -> None:
+        n = len(key)
+        if n == split_at:
+            frontier.append((key, period))
+            return
+        # every key starts with 0, so it is cyclically reduced unless it
+        # ends with 2 (a word ending in A)
+        if n % period == 0 and key[-1] != "2" and _least_in_orbit(key):
+            keys[n].append(key)
+        if n == max_length:
+            return
+        ref = key[n - period]
+        for c in _FOLLOWERS[key[-1]]:
+            if c > ref:
+                grow(key + c, n + 1)
+            elif c == ref:
+                grow(key + c, period)
+
+    grow(*root)
+    return keys, frontier
+
+
 def enumerate_classes(max_length: int) -> Iterator[Word]:
     """One representative per symmetry orbit of cyclically reduced words
-    of length <= max_length, in deterministic order."""
+    of length <= max_length: the least word of the orbit, by length and
+    then in the letter order a < b < A < B."""
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    for length in range(1, max_length + 1):
-        seen = set()
-        for s in _cyclically_reduced_strings(length):
-            canonical = orbit_representative(Word(s))
-            if canonical.letters not in seen:
-                seen.add(canonical.letters)
-                yield canonical
+    # every orbit has a word starting with a, so the tree has one root
+    keys, _ = _class_keys(max_length)
+    for bucket in keys:
+        for key in bucket:
+            yield Word(key.translate(_FROM_KEY))
+
+
+def _parallel_classes(max_length: int, jobs: int) -> list[Word]:
+    """enumerate_classes(max_length) as a list, its subtrees below depth
+    _SPLIT_DEPTH spread over jobs worker processes."""
+    keys, frontier = _class_keys(max_length, split_at=_SPLIT_DEPTH)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        # subtrees come back in root order, so each length stays sorted
+        for subtree, _ in pool.map(_class_keys, itertools.repeat(max_length),
+                                   frontier):
+            for bucket, more in zip(keys, subtree):
+                bucket.extend(more)
+    return [Word(key.translate(_FROM_KEY)) for bucket in keys for key in bucket]
 
 
 @dataclass(frozen=True)
@@ -95,45 +178,42 @@ class SearchReport:
         return json.dumps(self.to_json_dict())
 
 
-def _trace_of(args) -> tuple[str, int, str]:
-    word_str, mu = args
-    w = Word(word_str)
-    m = rep.evaluate(w, mu)
-    return word_str, m.trace(), rep.classify(m)
-
-
 def min_dilatation_search(max_length: int, mu: int, jobs: int = 1,
                           precision_bits: int = 60) -> SearchReport:
-    """Exact minimum of |trace| over hyperbolic classes up to max_length."""
+    """Exact minimum of |trace| over hyperbolic classes up to max_length.
+
+    With jobs > 1 the class enumeration is split over that many worker
+    processes, at most one per core."""
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    class_words = [w.letters for w in enumerate_classes(max_length)]
-    tasks = [(s, mu) for s in class_words]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_trace_of, tasks, chunksize=64))
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1 and max_length > _SPLIT_DEPTH:
+        classes = _parallel_classes(max_length, jobs)
     else:
-        results = [_trace_of(t) for t in tasks]
+        classes = list(enumerate_classes(max_length))
 
     best_abs: Optional[int] = None
-    minima: list[str] = []
-    for word_str, trace, cls in results:
-        if cls != rep.HYPERBOLIC:
+    minima: list[Word] = []
+    for w in classes:
+        m = rep.evaluate(w, mu)
+        if rep.classify(m) != rep.HYPERBOLIC:
             continue
-        t = abs(trace)
+        t = abs(m.trace())
         if best_abs is None or t < best_abs:
-            best_abs, minima = t, [word_str]
+            best_abs, minima = t, [w]
         elif t == best_abs:
-            minima.append(word_str)
+            minima.append(w)
     if best_abs is None:
         raise NoHyperbolicClassError(
             f"no hyperbolic class with word length <= {max_length} at mu={mu}")
-    minima.sort(key=_word_key)
-    report = rep.dilatation(Word(minima[0]), mu, precision_bits)
-    return SearchReport(mu, max_length, len(results), report,
-                        tuple(Word(s) for s in minima), max_length)
+    minima.sort(key=lambda w: _word_key(w.letters))
+    report = rep.dilatation(minima[0], mu, precision_bits)
+    return SearchReport(mu, max_length, len(classes), report,
+                        tuple(minima), max_length)
 
 
 @dataclass(frozen=True)
@@ -151,8 +231,8 @@ class LcsRow:
             "word": str(self.word),
             "length": self.word_length,
             "trace": rep.trace_json(self.trace, self.mu),
-            "log_lambda": [str(self.log_dilatation.lo),
-                           str(self.log_dilatation.hi)],
+            "log_lambda": [decimal_str(self.log_dilatation.lo),
+                           decimal_str(self.log_dilatation.hi)],
         }
 
 
@@ -179,7 +259,8 @@ def lcs_csv(rows: list[LcsRow]) -> str:
     out = io.StringIO()
     out.write("k,word,length,trace,log_lambda_lo,log_lambda_hi\n")
     for r in rows:
-        out.write(f"{r.depth},{r.word},{r.word_length},{r.trace},"
+        out.write(f"{r.depth},{r.word},{r.word_length},"
+                  f"{decimal_str(r.trace)},"
                   f"{float(r.log_dilatation.lo)!r},"
                   f"{float(r.log_dilatation.hi)!r}\n")
     return out.getvalue()

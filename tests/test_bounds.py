@@ -172,3 +172,23 @@ def test_bound_result_rejects_wide_interval():
     with pytest.raises(ValueError):
         bounds.BoundResult(Interval(Fraction(0), Fraction(1)),
                            bounds.LOWER_LOG_DILATATION, "too wide")
+
+
+def test_interval_endpoints_are_exact():
+    iv = Interval(1, 2)
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    assert Interval.point(3) == Interval(Fraction(3), Fraction(3))
+    with pytest.raises(TypeError):
+        Interval(0.1, 0.2)
+    with pytest.raises(TypeError):
+        Interval(Fraction(0), 0.5)
+    with pytest.raises(TypeError):
+        Interval.point(0.5)
+    with pytest.raises(TypeError):
+        Interval(1, 2) * 0.5
+
+
+@pytest.mark.parametrize("x", [0, 7, -62, 10 ** 40, Fraction(-3, 7),
+                               Fraction(2 ** 100 + 1, 3 ** 50), Fraction(5)])
+def test_decimal_str_matches_str(x):
+    assert intervals.decimal_str(x) == str(x)

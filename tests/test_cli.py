@@ -1,9 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from multitwist import rep
+from multitwist import rep, verify, words
 from multitwist.cli import run
 from multitwist.intervals import PrecisionError
 from multitwist.words import Word
@@ -168,3 +169,94 @@ def test_precision_error_exit_code(capsys, monkeypatch):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: log enclosure did not converge")
+
+
+def _int_beyond_limit(text):
+    """int(text) for a numeral longer than the int-to-str digit limit; the
+    limit is lifted only inside this call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_lcs_table_prints_traces_beyond_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code = run(["lcs-table", "--max-k", "13", "--mu", "64"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert sys.get_int_max_str_digits() == limit
+    k, word, length, trace = captured.out.split("\n")[13].split(",")[:4]
+    assert (k, length) == ("13", "8192")
+    assert limit == 0 or len(trace) > limit
+    expected = rep.evaluate(words.nested_commutator(13), 64).trace()
+    assert _int_beyond_limit(trace) == expected
+
+
+def test_dilatation_prints_endpoints_beyond_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, payload = _run_json(capsys, ["dilatation", "--word", "ab",
+                                       "--mu", "64",
+                                       "--precision-bits", "16384"])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    report = rep.dilatation(Word("ab"), 64, 16384)
+    for key, iv in (("lambda", report.dilatation_interval),
+                    ("log_lambda", report.log_dilatation_interval)):
+        for text, end in zip(payload[key], (iv.lo, iv.hi)):
+            numerator, denominator = text.split("/")
+            assert Fraction(_int_beyond_limit(numerator),
+                            _int_beyond_limit(denominator)) == end
+    assert limit == 0 or len(payload["lambda"][0]) > limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["dilatation", "--word", "ab", "--mu", "64", "--format", "csv"],
+    ["family", "--genus", "5", "--kind", "braid", "--format", "text"],
+    ["family", "--genus", "5", "--kind", "braid", "--precision-bits", "7"],
+    ["bounds", "--group", "torelli", "--genus", "99"],
+    ["bounds", "--group", "torelli", "--precision-bits", "7"],
+    ["bounds", "--group", "torelli", "--format", "json"],
+    ["search", "--max-len", "4", "--mu", "64", "--format", "json"],
+    ["lcs-table", "--max-k", "3", "--mu", "64", "--format", "text"],
+    ["johnson-tau", "--genus", "3", "--pairs", "x2,y2", "--a", "x1",
+     "--format", "json"],
+    ["johnson-tau", "--genus", "3", "--pairs", "x2,y2", "--a", "x1",
+     "--precision-bits", "7"],
+    ["tau-cc", "--genus", "3", "--format", "json"],
+    ["tau-cc", "--genus", "3", "--precision-bits", "7"],
+    ["verify-paper", "--format", "csv"],
+    ["verify-paper", "--precision-bits", "7"],
+])
+def test_unhonoured_flag_is_usage_error(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    code = run(["search", "--max-len", "4", "--mu", "64", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--jobs" in captured.err
+
+
+def test_verify_paper_json(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("off by one")
+
+    monkeypatch.setattr(verify, "CHECKS", [
+        ("fine", "always passes", lambda: None),
+        ("broken", "always fails", broken)])
+    code, payload = _run_json(capsys, ["verify-paper", "--format", "json"])
+    assert code == 1
+    assert [(r["key"], r["ok"], r["error"]) for r in payload] == [
+        ("fine", True, ""), ("broken", False, "AssertionError: off by one")]
+    assert all(set(r) == {"key", "ok", "seconds", "error"} for r in payload)
+    assert all(r["seconds"] >= 0 for r in payload)

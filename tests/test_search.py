@@ -44,9 +44,34 @@ def test_enumerate_count_matches_brute_force():
 
 def test_enumerate_reps_are_canonical():
     from multitwist import words as words_mod
-    for w in enumerate_classes(5):
+    for w in enumerate_classes(8):
+        assert w.letters.startswith("a")
         assert words_mod.is_cyclically_reduced(w)
         assert orbit_representative(w) == w
+
+
+def test_enumerate_matches_definitional_pipeline():
+    # first appearances of orbit representatives in product order
+    expected = []
+    for length in range(1, 9):
+        seen = set()
+        for s in search._cyclically_reduced_strings(length):
+            canonical = orbit_representative(Word(s)).letters
+            if canonical not in seen:
+                seen.add(canonical)
+                expected.append(canonical)
+    assert [w.letters for w in enumerate_classes(8)] == expected
+
+
+# classes of length <= n for n = 1..10; the length-10 count was checked
+# once against the definitional pipeline above, which takes about 20 s there
+CLASS_COUNTS = (1, 4, 7, 16, 29, 68, 147, 373, 922, 2453)
+
+
+@pytest.mark.parametrize("max_length", range(1, 11))
+def test_enumerate_class_counts(max_length):
+    produced = sum(1 for _ in enumerate_classes(max_length))
+    assert produced == CLASS_COUNTS[max_length - 1]
 
 
 def test_search_examples():
@@ -104,9 +129,29 @@ def test_search_monotone_in_max_length():
 
 
 def test_jobs_do_not_change_report():
-    a = min_dilatation_search(5, 64, jobs=1)
-    b = min_dilatation_search(5, 64, jobs=2)
-    assert a.to_json_dict() == b.to_json_dict()
+    for mu in (5, 64):
+        a = min_dilatation_search(9, mu, jobs=1)
+        b = min_dilatation_search(9, mu, jobs=2)
+        assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_parallel_classes_keep_order():
+    assert search._parallel_classes(9, 2) == list(enumerate_classes(9))
+
+
+def test_jobs_clamped_to_cores(monkeypatch):
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    report = min_dilatation_search(9, 64, jobs=10 ** 6)
+    assert report.to_json_dict() == min_dilatation_search(9, 64).to_json_dict()
+
+
+def test_jobs_below_one_rejected():
+    with pytest.raises(ValueError):
+        min_dilatation_search(5, 64, jobs=0)
 
 
 def test_minimum_reproduces_trace():
