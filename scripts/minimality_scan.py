@@ -2,8 +2,9 @@
 """Scan minimal |trace| classes by word length and print a small table.
 
 Each row is one exhaustive search over the canonical class words of
-length <= max_len; --jobs J splits each enumeration over J worker
-processes (at most one per core).
+length <= max_len; --jobs J splits each enumeration from length 13 on
+over J worker processes (at most one per core), and every such row
+starts its own pool and pays the workers' start-up of about 0.25 s.
 
 Usage: python scripts/minimality_scan.py [--max-len N] [--mu M] [--jobs J]
 """
@@ -12,16 +13,15 @@ import argparse
 import time
 
 from multitwist import search
+from multitwist.cli import _positive_int
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-len", type=int, default=8)
     parser.add_argument("--mu", type=int, default=64)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
     print(f"mu = {args.mu}")
     print("max_len  classes  min|trace|  minima")

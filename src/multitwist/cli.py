@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the class enumeration "
-                        "(at most one per core)")
+                        "from --max-len 13 on (at most one per core)")
     precision_bits(p)
     p.set_defaults(func=_cmd_search)
 

@@ -58,8 +58,14 @@ _INVERT_KEYS = str.maketrans("0123", "2301")
 _SWAP_KEYS = str.maketrans("0123", "1032")
 _SWAP_INVERT_KEYS = str.maketrans("0123", "3210")
 # depth of the roots of the subtrees that min_dilatation_search hands to
-# worker processes
+# worker processes: 24 roots, the largest of which holds about an eighth
+# of the work at length 14
 _SPLIT_DEPTH = 4
+# shortest max_length at which jobs > 1 starts a worker pool; starting two
+# spawned workers costs about 0.25 s, so on two cores the pool is slower
+# than one process up to length 12 (0.54 s against 0.41 s) and faster
+# from 13 on (1.28 s against 1.51 s; 2.84 s against 3.90 s at 14)
+_PARALLEL_MIN_LENGTH = 13
 
 
 def _word_key(s: str) -> str:
@@ -144,6 +150,9 @@ def _parallel_classes(max_length: int, jobs: int) -> list[Word]:
     """enumerate_classes(max_length) as a list, its subtrees below depth
     _SPLIT_DEPTH spread over jobs worker processes."""
     keys, frontier = _class_keys(max_length, split_at=_SPLIT_DEPTH)
+    # spawn, not the fork default on Linux: a fresh interpreter is safe in
+    # a caller that runs threads, where a forked child can deadlock on a
+    # lock held by another thread, and it behaves alike on every platform
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
         # subtrees come back in root order, so each length stays sorted
@@ -182,8 +191,9 @@ def min_dilatation_search(max_length: int, mu: int, jobs: int = 1,
                           precision_bits: int = 60) -> SearchReport:
     """Exact minimum of |trace| over hyperbolic classes up to max_length.
 
-    With jobs > 1 the class enumeration is split over that many worker
-    processes, at most one per core."""
+    With jobs > 1 and max_length >= _PARALLEL_MIN_LENGTH the class
+    enumeration is split over that many worker processes, at most one per
+    core; shorter searches run in this process."""
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     if mu < 1:
@@ -191,7 +201,7 @@ def min_dilatation_search(max_length: int, mu: int, jobs: int = 1,
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and max_length > _SPLIT_DEPTH:
+    if jobs > 1 and max_length >= _PARALLEL_MIN_LENGTH:
         classes = _parallel_classes(max_length, jobs)
     else:
         classes = list(enumerate_classes(max_length))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from multitwist import rep, verify, words
+from multitwist import rep, search, verify, words
 from multitwist.cli import run
 from multitwist.intervals import PrecisionError
 from multitwist.words import Word
@@ -84,10 +84,13 @@ def test_search_subcommand(capsys):
     assert "word length <= 4" in payload["note"]
 
 
-def test_search_jobs_deterministic(capsys):
-    code1, p1 = _run_json(capsys, ["search", "--max-len", "4", "--mu", "64",
+def test_search_jobs_deterministic(capsys, monkeypatch):
+    # start the worker pool at length 9 on any machine
+    monkeypatch.setattr(search, "_PARALLEL_MIN_LENGTH", 5)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    code1, p1 = _run_json(capsys, ["search", "--max-len", "9", "--mu", "64",
                                    "--jobs", "1"])
-    code2, p2 = _run_json(capsys, ["search", "--max-len", "4", "--mu", "64",
+    code2, p2 = _run_json(capsys, ["search", "--max-len", "9", "--mu", "64",
                                    "--jobs", "2"])
     assert code1 == code2 == 0
     assert p1 == p2

@@ -128,7 +128,10 @@ def test_search_monotone_in_max_length():
         prev = cur
 
 
-def test_jobs_do_not_change_report():
+def test_jobs_do_not_change_report(monkeypatch):
+    # start the worker pool at length 9 on any machine
+    monkeypatch.setattr(search, "_PARALLEL_MIN_LENGTH", 5)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     for mu in (5, 64):
         a = min_dilatation_search(9, mu, jobs=1)
         b = min_dilatation_search(9, mu, jobs=2)
@@ -143,10 +146,22 @@ def test_jobs_clamped_to_cores(monkeypatch):
     def no_pool(*_args, **_kwargs):
         raise AssertionError("a worker pool was started")
 
+    monkeypatch.setattr(search, "_PARALLEL_MIN_LENGTH", 5)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
     report = min_dilatation_search(9, 64, jobs=10 ** 6)
     assert report.to_json_dict() == min_dilatation_search(9, 64).to_json_dict()
+
+
+def test_short_search_runs_serially(monkeypatch):
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    length = search._PARALLEL_MIN_LENGTH - 1
+    report = min_dilatation_search(length, 64, jobs=2)
+    assert report.classes_examined == len(list(enumerate_classes(length)))
 
 
 def test_jobs_below_one_rejected():
