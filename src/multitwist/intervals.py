@@ -1,10 +1,13 @@
 """Rational interval arithmetic with certified sqrt, cbrt, and log.
 
-Endpoints are exact Fractions.  Ring operations are exact; the
-transcendental/radical functions return enclosures whose width is
-controlled by a bit count.  sqrt is done with integer isqrt; log and
-cbrt go through mpmath's interval context with outward rounding, with
-endpoints pulled back to exact Fractions.
+Endpoints are exact Fractions.  Ring operations are exact; the radical
+and transcendental functions return enclosures whose width is controlled
+by a bit count, computed in integer fixed point with the standard library
+alone.  sqrt and cbrt take integer roots with an exact check of the last
+digit; log reduces its argument by repeated square roots and sums the
+atanh series, counting every rounding in units of the last place (Brent,
+"Fast multiple-precision evaluation of elementary functions", J. ACM 23,
+1976).
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
-
-import mpmath
 
 
 class PrecisionError(Exception):
@@ -148,65 +150,112 @@ def sqrt(x: Interval, bits: int) -> Interval:
                     sqrt_fraction(x.hi, bits + 1).hi)
 
 
-def _frac_from_mpf_tuple(m) -> Fraction:
-    sign, man, exp, _bc = m
-    f = Fraction(man) * Fraction(2) ** exp
-    return -f if sign else f
-
-
-def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    a, b = x._mpi_
-    return _frac_from_mpf_tuple(a), _frac_from_mpf_tuple(b)
-
-
-def _iv_of_fraction(f: Fraction, ctx):
-    # integer conversion and division both round outward in the iv context
-    return ctx.mpf(f.numerator) / ctx.mpf(f.denominator)
-
-
-def _monotone_via_mpmath(fname: str, x: Interval, bits: int,
-                         domain_check, slope_bound) -> Interval:
-    domain_check(x)
-    # the function's own spread over x is irreducible; only the rounding
-    # slack is required to shrink below 2^-bits
-    budget = x.width * slope_bound + Fraction(1, 2 ** bits)
-    prec = bits + 30
-    for _ in range(8):
-        ctx = mpmath.iv
-        old = ctx.prec
-        try:
-            ctx.prec = prec
-            if fname == "cbrt":
-                def func(v, _ctx=ctx):
-                    return _ctx.exp(_ctx.log(v) / 3)
-            else:
-                func = getattr(ctx, fname)
-            lo = _iv_endpoints(func(_iv_of_fraction(x.lo, ctx)))[0]
-            hi = _iv_endpoints(func(_iv_of_fraction(x.hi, ctx)))[1]
-        finally:
-            ctx.prec = old
-        result = Interval(lo, hi)
-        if result.width <= budget:
-            return result
-        prec *= 2
-    raise PrecisionError(f"{fname} enclosure did not converge at {bits} bits")
-
-
-def log(x: Interval, bits: int) -> Interval:
-    """Enclosure of the natural log; x must be strictly positive."""
-
-    def check(v):
-        if v.lo <= 0:
-            raise ValueError("log requires a strictly positive interval")
-
-    return _monotone_via_mpmath("log", x, bits, check, 1 / x.lo)
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for an int n >= 0, by Newton's method from above."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def cbrt(x: Interval, bits: int) -> Interval:
-    def check(v):
-        if v.lo < 0:
-            raise ValueError("cbrt enclosure implemented for x >= 0 only")
+    """Enclosure of the cube root, x >= 0, of width at most
+    2^-bits + cbrt(x.hi) - cbrt(x.lo).  The cube of a multiple of
+    2^-(bits + 2) gives a point."""
+    if x.lo < 0:
+        raise ValueError("cbrt enclosure implemented for x >= 0 only")
+    # each endpoint is off by less than two units of 2^-b: one from
+    # rounding x to the grid 2^-3b, one from the integer cube root
+    b = bits + 2
+    lo = (x.lo.numerator << 3 * b) // x.lo.denominator
+    hi = -(-(x.hi.numerator << 3 * b) // x.hi.denominator)
+    root_hi = _icbrt(hi)
+    if root_hi ** 3 != hi:
+        root_hi += 1
+    return Interval(Fraction(_icbrt(lo), 1 << b), Fraction(root_hi, 1 << b))
 
-    # d/dx x^(1/3) = 1/(3 x^(2/3)) <= max(1, 1/(3*x.lo)) for x > 0
-    slope = Fraction(1) if x.lo == 0 else max(Fraction(1), 1 / (3 * x.lo))
-    return _monotone_via_mpmath("cbrt", x, bits, check, slope)
+
+@lru_cache(maxsize=16)
+def _ln2(w: int) -> tuple[int, int]:
+    """(low, err) with low <= ln(2) * 2^w <= low + err, as 2 atanh(1/3)."""
+    total, power, k = 0, (1 << w) // 3, 1
+    while power:
+        # power = floor(2^w / 3^k), so each term is an exact floor
+        total += power // k
+        power //= 9
+        k += 2
+    # k // 2 terms, each low by less than 1; once 3^k > 2^w the terms
+    # left sum to less than 9/8 / k < 1
+    return 2 * total, 2 * (k // 2) + 2
+
+
+def _log_precision(bits: int, e: int) -> tuple[int, int]:
+    """Working precision w, a multiple of 64, and square-root count for
+    the log of 2^e * y, 1 <= y < 2, to within 2^-bits."""
+    # about sqrt(w)/3 roots measured fastest; the cap keeps w <= bits + 256
+    roots = min(isqrt(bits) // 3 + 1, 128)
+    # _log_fixed's error count is below 2^(max(roots + 1, len(e)) + 1) * w
+    guard = (max(roots + 1, abs(e).bit_length())
+             + (bits + 512).bit_length() + 2)
+    return -(-(bits + guard) // 64) * 64, roots
+
+
+def _log_fixed(p: int, q: int, e: int, w: int, roots: int) -> tuple[int, int]:
+    """(low, err) with low <= ln(p/q) * 2^w <= low + err, where
+    p/q = 2^e * y and 1 <= y < 2."""
+    one = 1 << w
+    shift = w - e
+    z = (p << shift) // q if shift >= 0 else p // (q << -shift)
+    # z = floor(y * 2^w).  Each square root floors, losing less than an
+    # ulp, and halves the error it inherits, so at the end
+    # z <= y^(1/2^roots) * 2^w < z + 2
+    for _ in range(roots):
+        z = isqrt(z << w)
+    # ln(u) = 2 atanh((u - 1)/(u + 1)) for u = z / 2^w; s is the floor of
+    # (u - 1)/(u + 1) < 1/3 in fixed point
+    s = ((z - one) << w) // (z + one)
+    s2 = s * s >> w
+    total, power, k = 0, s, 1
+    while power:
+        # power is at most (s / 2^w)^k * 2^w and less than 3 below it
+        total += power // k
+        power = power * s2 >> w
+        k += 2
+    # k // 2 terms, each low by less than 2 ulps; once power is 0 the
+    # terms left sum to less than 2, and flooring s costs less than 2:
+    # atanh(s) * 2^w <= total + 2 (k // 2) + 4.  Doubling and the gap
+    # of 2 ulps in z give ln(y^(1/2^roots)), then scale by 2^roots.
+    low = (2 * total) << roots
+    err = (4 * (k // 2) + 10) << roots
+    ln2, ln2_err = _ln2(w)
+    return low + e * ln2 + min(e, 0) * ln2_err, err + abs(e) * ln2_err
+
+
+def log(x: Interval, bits: int) -> Interval:
+    """Enclosure of the natural log; x must be strictly positive.
+
+    log(x.lo) is enclosed once; the upper endpoint adds x.width / x.lo
+    rounded up, as log b - log a <= (b - a)/a.  Endpoints are k / 2^w
+    with w <= bits + 256, and the width is at most
+    2^-bits + x.width / x.lo.
+    """
+    if x.lo <= 0:
+        raise ValueError("log requires a strictly positive interval")
+    p, q = x.lo.numerator, x.lo.denominator
+    # x.lo = 2^e * y with 1 <= y < 2
+    e = p.bit_length() - q.bit_length()
+    if (p << max(-e, 0)) < (q << max(e, 0)):
+        e -= 1
+    w, roots = _log_precision(bits, e)
+    low, err = _log_fixed(p, q, e, w, roots)
+    if err >= 1 << (w - bits):
+        raise PrecisionError(f"log error count {err} exceeds 2^-{bits}")
+    # ceil((x.hi - x.lo) / x.lo * 2^w)
+    gap = x.hi.numerator * q - p * x.hi.denominator
+    spread = -(-(gap << w) // (x.hi.denominator * p))
+    one = 1 << w
+    return Interval(Fraction(low, one), Fraction(low + err + spread, one))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import intervals
-from .intervals import Interval, decimal_str
+from .intervals import Interval, PrecisionError, decimal_str
 from .words import Word
 
 IDENTITY_CLASS = "identity"
@@ -129,17 +129,23 @@ class DilatationReport:
 
 
 def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, Interval]:
-    """lambda = (|t| + sqrt(t^2 - 4))/2 and log(lambda), both certified."""
+    """lambda = (|t| + sqrt(t^2 - 4))/2 and log(lambda), both certified to
+    relative width 2^-precision_bits.
+
+    At bits = precision_bits + 8 the root has width at most 2^-(bits + 1),
+    so lambda has width at most 2^-(bits + 2), and log(lambda) at most
+    2^-bits + width(lambda) / lambda: one pass meets both widths.
+    """
     t = abs(trace)
     bits = precision_bits + 8
-    while True:
-        root = intervals.sqrt_fraction(Fraction(t * t - 4), bits + 1)
-        lam = Interval(Fraction(t + root.lo, 2), Fraction(t + root.hi, 2))
-        log_lam = intervals.log(lam, bits)
-        if (lam.relative_width() <= Fraction(1, 2 ** precision_bits)
-                and log_lam.relative_width() <= Fraction(1, 2 ** precision_bits)):
-            return lam, log_lam
-        bits *= 2
+    root = intervals.sqrt_fraction(Fraction(t * t - 4), bits + 1)
+    lam = Interval(Fraction(t + root.lo, 2), Fraction(t + root.hi, 2))
+    log_lam = intervals.log(lam, bits)
+    budget = Fraction(1, 2 ** precision_bits)
+    if lam.relative_width() > budget or log_lam.relative_width() > budget:
+        raise PrecisionError(f"dilatation enclosure wider than "
+                             f"2^-{precision_bits}")
+    return lam, log_lam
 
 
 def dilatation(w: Word, mu: int, precision_bits: int = 60) -> DilatationReport:

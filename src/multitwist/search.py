@@ -21,9 +21,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -149,6 +147,11 @@ def enumerate_classes(max_length: int) -> Iterator[Word]:
 def _parallel_classes(max_length: int, jobs: int) -> list[Word]:
     """enumerate_classes(max_length) as a list, its subtrees below depth
     _SPLIT_DEPTH spread over jobs worker processes."""
+    # imported here: only this path needs them, and they cost every
+    # command's start-up time and memory
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     keys, frontier = _class_keys(max_length, split_at=_SPLIT_DEPTH)
     # spawn, not the fork default on Linux: a fresh interpreter is safe in
     # a caller that runs threads, where a forked child can deadlock on a

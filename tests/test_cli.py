@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import multitwist
 from multitwist import rep, search, verify, words
 from multitwist.cli import run
 from multitwist.intervals import PrecisionError
@@ -263,3 +267,19 @@ def test_verify_paper_json(capsys, monkeypatch):
         ("fine", True, ""), ("broken", False, "AssertionError: off by one")]
     assert all(set(r) == {"key", "ok", "seconds", "error"} for r in payload)
     assert all(r["seconds"] >= 0 for r in payload)
+
+
+def test_reader_closing_early_leaves_no_traceback():
+    src = str(Path(multitwist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multitwist", "lcs-table", "--max-k", "10",
+         "--mu", "64", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # no reader is left before the first write, so every write fails
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err

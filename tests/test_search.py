@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 
 import pytest
@@ -148,7 +149,7 @@ def test_jobs_clamped_to_cores(monkeypatch):
 
     monkeypatch.setattr(search, "_PARALLEL_MIN_LENGTH", 5)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     report = min_dilatation_search(9, 64, jobs=10 ** 6)
     assert report.to_json_dict() == min_dilatation_search(9, 64).to_json_dict()
 
@@ -158,7 +159,7 @@ def test_short_search_runs_serially(monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     length = search._PARALLEL_MIN_LENGTH - 1
     report = min_dilatation_search(length, 64, jobs=2)
     assert report.classes_examined == len(list(enumerate_classes(length)))
