@@ -15,7 +15,7 @@ from .words import Word, commutator, cyclic_reduce, nested_commutator, reduce
 from .rep import (IntMatrix, DilatationReport, generator_images, evaluate,
                   classify, dilatation)
 from .families import (IntersectionFamily, PFResult, torelli_family,
-                       braid_family, nnt, pf_eigenvalue)
+                       braid_family, pf_eigenvalue)
 from .johnson import (HomologyClass, Wedge3Coset, wedge3, omega_wedge_basis,
                       coset_equal, tau_bounding_pair, lantern_check)
 from .search import (SearchReport, LcsRow, enumerate_classes,

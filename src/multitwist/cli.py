@@ -18,6 +18,10 @@ from .intervals import Interval, PrecisionError, decimal_str
 from .words import Word
 
 
+# the largest family genus; N * N^t then has (1024 / 2)^2 = 262,144 entries
+MAX_FAMILY_GENUS = 1024
+
+
 class ComputationError(Exception):
     pass
 
@@ -26,6 +30,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _family_genus(text: str) -> int:
+    value = int(text)
+    if value > MAX_FAMILY_GENUS:
+        raise argparse.ArgumentTypeError(
+            f"must be <= {MAX_FAMILY_GENUS}, got {value}")
     return value
 
 
@@ -70,14 +82,15 @@ def _cmd_family(args) -> int:
     if args.format == "csv":
         sys.stdout.write(families.family_csv(fam))
         return 0
-    pf = families.pf_eigenvalue(fam.nnt())
+    prod = fam.nnt()
+    pf = families.pf_eigenvalue(prod)
     payload = {
         "family": fam.family,
         "genus": fam.genus,
         "m": fam.m,
         "mu": fam.mu,
         "N": [list(r) for r in fam.N],
-        "NNt": fam.nnt(),
+        "NNt": prod,
         "pf": {
             "lower": str(pf.value_lower),
             "upper": str(pf.value_upper),
@@ -186,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dilatation)
 
     p = sub.add_parser("family", help="built-in intersection family and PF data")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_family_genus, required=True,
+                   help=f"at most {MAX_FAMILY_GENUS}")
     p.add_argument("--kind", choices=["torelli", "braid"], required=True)
     output_format(p, "json", "csv")
     p.set_defaults(func=_cmd_family)

@@ -3,21 +3,22 @@
 Two built-in families: the separating-curve family on the closed genus-g
 surface (intersection numbers 4, N*N^t row sums 64) and its sphere/braid
 quotient (intersection numbers 2, row sums 16).  Perron-Frobenius
-eigenvalues come with exact Collatz-Wielandt brackets in rational
-arithmetic; equal row sums short-circuit to an exact certificate.
+eigenvalues are certified exactly by equal integer row sums (the all-ones
+eigenvector); unequal row sums fall back to Collatz-Wielandt brackets in
+rational arithmetic.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 TORELLI = "torelli_separating"
 BRAID = "braid_sphere"
-CUSTOM = "custom"
 
 TORELLI_MU = 64
 BRAID_MU = 16
@@ -36,9 +37,17 @@ class IntersectionFamily:
     mu: Optional[int] = None
 
     def nnt(self) -> list[list[int]]:
+        """N * N^t, summed over the nonzero entries of each column of N:
+        O(sum of nnz_k^2) for the band matrices instead of O(m^3)."""
         n = self.m
-        return [[sum(self.N[i][k] * self.N[j][k] for k in range(n))
-                 for j in range(n)] for i in range(n)]
+        prod = [[0] * n for _ in range(n)]
+        for k in range(n):
+            column = [(i, row[k]) for i, row in enumerate(self.N) if row[k]]
+            for i, x in column:
+                out = prod[i]
+                for j, y in column:
+                    out[j] += x * y
+        return prod
 
 
 def _cyclic_band(m: int, value: int) -> tuple[tuple[int, ...], ...]:
@@ -71,10 +80,6 @@ def braid_family(g: int) -> IntersectionFamily:
                               mu=BRAID_MU)
 
 
-def nnt(f: IntersectionFamily) -> list[list[int]]:
-    return f.nnt()
-
-
 @dataclass(frozen=True)
 class PFResult:
     value_lower: Fraction
@@ -88,37 +93,50 @@ class PFResult:
         return self.value_lower == self.value_upper
 
 
-def _check_matrix(M) -> list[list[Fraction]]:
+def _check_matrix(M) -> None:
+    """A square matrix of nonnegative ints or Fractions; floats are refused,
+    because two float row sums that round equal would certify "exact"."""
     n = len(M)
-    rows = []
+    if n == 0:
+        raise ValueError("matrix must be nonempty")
     for row in M:
         if len(row) != n:
             raise ValueError("matrix must be square")
-        if any(x < 0 for x in row):
-            raise ValueError("matrix must be nonnegative")
-        rows.append([Fraction(x) for x in row])
-    return rows
+        for x in row:
+            if not isinstance(x, numbers.Rational):
+                raise TypeError(f"matrix entry {x!r} is not an int or a "
+                                f"Fraction")
+            if x < 0:
+                raise ValueError("matrix must be nonnegative")
 
 
 def _is_irreducible(M) -> bool:
-    """Strong connectivity of the digraph with an edge i->j iff M[i][j] > 0."""
+    """Strong connectivity of the digraph with an edge i->j iff M[i][j] > 0.
+
+    Every vertex must be reachable from 0 along the edges and along the
+    reversed edges; both walks use adjacency lists built once.
+    """
     n = len(M)
-    if n == 1:
-        return True
+    successors = [[j for j, x in enumerate(row) if x] for row in M]
+    predecessors = [[] for _ in range(n)]
+    for i, row in enumerate(successors):
+        for j in row:
+            predecessors[j].append(i)
 
-    def reachable(transpose: bool) -> set[int]:
-        seen = {0}
+    def reaches_all(adjacent) -> bool:
+        seen = [False] * n
+        seen[0] = True
         frontier = [0]
+        count = 1
         while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                entry = M[j][i] if transpose else M[i][j]
-                if entry > 0 and j not in seen:
-                    seen.add(j)
+            for j in adjacent[frontier.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    count += 1
                     frontier.append(j)
-        return seen
+        return count == n
 
-    return len(reachable(False)) == n and len(reachable(True)) == n
+    return reaches_all(successors) and reaches_all(predecessors)
 
 
 def collatz_wielandt(M, v) -> tuple[Fraction, Fraction]:
@@ -131,20 +149,26 @@ def collatz_wielandt(M, v) -> tuple[Fraction, Fraction]:
 def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9), max_iterations: int = 10_000) -> PFResult:
     """Perron-Frobenius eigenvalue with an exact rational certificate.
 
-    Equal row sums give the exact answer with the all-ones eigenvector.
-    Otherwise power iteration with M + I (primitive for irreducible M)
-    tightens the Collatz-Wielandt bracket of M below tol.
+    M is a square matrix of nonnegative ints or Fractions (floats raise
+    TypeError).  Equal row sums, taken on the entries as given, give the
+    exact answer with the all-ones eigenvector.  Otherwise power iteration
+    with M + I (primitive for irreducible M), in Fractions, tightens the
+    Collatz-Wielandt bracket of M below tol.
     """
-    rows = _check_matrix(M)
-    n = len(rows)
-    if not _is_irreducible(rows):
+    _check_matrix(M)
+    n = len(M)
+    if not _is_irreducible(M):
         raise ReducibleMatrixError("matrix is reducible")
-    ones = tuple(Fraction(1) for _ in range(n))
-    row_sums = [sum(r) for r in rows]
-    if len(set(row_sums)) == 1:
-        s = row_sums[0]
+    # n references to one Fraction, not a tuple built from a generator: the
+    # generator form leaves freed small objects in CPython's free lists,
+    # which only full collections clear, and this path triggers few
+    ones = (Fraction(1),) * n
+    row_sums = {sum(row) for row in M}
+    if len(row_sums) == 1:
+        s = Fraction(row_sums.pop())
         return PFResult(s, s, ones, exact_flag=True)
 
+    rows = [[Fraction(x) for x in row] for row in M]
     v = list(ones)
     lo, hi = collatz_wielandt(rows, v)
     for it in range(1, max_iterations + 1):

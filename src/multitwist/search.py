@@ -35,13 +35,31 @@ class NoHyperbolicClassError(RuntimeError):
 
 
 def _cyclically_reduced_strings(length: int) -> Iterator[str]:
-    if length == 1:
-        yield from words.ALPHABET
+    """Every cyclically reduced string of the given length over
+    words.ALPHABET, in itertools.product order.
+
+    A depth-first walk over freely reduced prefixes, children in alphabet
+    order, whose last letter must not cancel the first either.  It is the
+    oracle that enumerate_classes is checked against, so it shares none of
+    the enumerator's key tables.
+    """
+    alphabet = words.ALPHABET
+    if length <= 1:
+        yield from (alphabet if length else [""])
         return
-    for chars in itertools.product(words.ALPHABET, repeat=length):
-        ok = all(chars[i] != chars[i - 1].swapcase() for i in range(length))
-        if ok:
-            yield "".join(chars)
+    follow = {c: [d for d in alphabet if d != c.swapcase()] for c in alphabet}
+    for first in alphabet:
+        closing = {c: [d for d in follow[c] if d != first.swapcase()]
+                   for c in alphabet}
+        stack = [first]
+        while stack:
+            prefix = stack.pop()
+            if len(prefix) < length - 1:
+                stack.extend([prefix + d
+                              for d in reversed(follow[prefix[-1]])])
+            else:
+                for d in closing[prefix[-1]]:
+                    yield prefix + d
 
 
 # letter order a < b < A < B for canonical representatives; the keys

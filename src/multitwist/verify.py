@@ -51,11 +51,11 @@ def check_braid_upper():
 
 def check_pf_certificates():
     for g in range(2, 65):
-        pf = families.pf_eigenvalue(families.nnt(families.torelli_family(g)))
+        pf = families.pf_eigenvalue(families.torelli_family(g).nnt())
         assert pf.exact_flag and pf.value_lower == pf.value_upper == 64, g
         assert all(x == 1 for x in pf.eigenvector)
     for g in range(1, 65):
-        pf = families.pf_eigenvalue(families.nnt(families.braid_family(g)))
+        pf = families.pf_eigenvalue(families.braid_family(g).nnt())
         assert pf.exact_flag and pf.value_lower == pf.value_upper == 16, g
 
 

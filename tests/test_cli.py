@@ -146,6 +146,22 @@ def test_computation_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_family_genus_cap(capsys):
+    code = run(["family", "--genus", "1024", "--kind", "torelli",
+                "--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\nNNt,") == 512 and "PF,exact,true" in out
+    for genus in ("1025", "100000000"):
+        code = run(["family", "--genus", genus, "--kind", "braid"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err and "--genus" in captured.err
+    assert run(["family", "--help"]) == 0
+    assert "at most 1024" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("pairs", ["x2", "x2,y2;x3", "x2,y2,x3"])
 def test_johnson_tau_malformed_pair_is_usage_error(capsys, pairs):
     code = run(["johnson-tau", "--genus", "3", "--pairs", pairs,

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from multitwist import families
-from multitwist.families import (ReducibleMatrixError, braid_family,
-                                 collatz_wielandt, nnt, pf_eigenvalue,
+from multitwist.families import (IntersectionFamily, ReducibleMatrixError,
+                                 _is_irreducible, braid_family,
+                                 collatz_wielandt, pf_eigenvalue,
                                  torelli_family)
 
 
@@ -30,13 +31,13 @@ def test_braid_examples():
 
 
 def test_nnt_examples():
-    assert nnt(torelli_family(5)) == [[32, 16, 16], [16, 32, 16], [16, 16, 32]]
-    assert nnt(torelli_family(2)) == [[64]]
-    assert nnt(braid_family(5)) == [[8, 4, 4], [4, 8, 4], [4, 4, 8]]
+    assert torelli_family(5).nnt() == [[32, 16, 16], [16, 32, 16], [16, 16, 32]]
+    assert torelli_family(2).nnt() == [[64]]
+    assert braid_family(5).nnt() == [[8, 4, 4], [4, 8, 4], [4, 4, 8]]
 
 
 def test_nnt_band_structure_large_genus():
-    prod = nnt(torelli_family(16))  # m = 8, genuine band
+    prod = torelli_family(16).nnt()  # m = 8, genuine band
     m = len(prod)
     for i in range(m):
         for j in range(m):
@@ -46,7 +47,7 @@ def test_nnt_band_structure_large_genus():
 
 
 def test_pf_exact_cases():
-    pf = pf_eigenvalue(nnt(torelli_family(5)))
+    pf = pf_eigenvalue(torelli_family(5).nnt())
     assert pf.exact_flag and pf.value_lower == pf.value_upper == 64
     assert pf.eigenvector == (1, 1, 1)
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -74,10 +75,10 @@ def test_pf_rejects_bad_input():
 
 def test_pf_exact_across_genus():
     for g in range(2, 65):
-        pf = pf_eigenvalue(nnt(torelli_family(g)))
+        pf = pf_eigenvalue(torelli_family(g).nnt())
         assert pf.exact_flag and pf.value_lower == 64, g
     for g in range(1, 65):
-        pf = pf_eigenvalue(nnt(braid_family(g)))
+        pf = pf_eigenvalue(braid_family(g).nnt())
         assert pf.exact_flag and pf.value_lower == 16, g
 
 
@@ -113,3 +114,82 @@ def test_family_csv():
     assert "N,0,4 4" in text
     assert "PF,lower,64" in text
     assert "PF,exact,true" in text
+
+
+def _dense_nnt(N):
+    n = len(N)
+    return [[sum(N[i][k] * N[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_nnt_matches_dense_triple_loop():
+    rng = random.Random(2004)
+    for _ in range(200):
+        m = rng.randint(1, 9)
+        if rng.random() < 0.5:  # cyclic band with random entries
+            N = [[0] * m for _ in range(m)]
+            for i in range(m):
+                N[i][i] += rng.randint(0, 9)
+                N[i][(i - 1) % m] += rng.randint(0, 9)
+        else:  # arbitrary sparsity
+            density = rng.random()
+            N = [[rng.randint(1, 9) if rng.random() < density else 0
+                  for _ in range(m)] for _ in range(m)]
+        fam = IntersectionFamily("random", m, tuple(map(tuple, N)))
+        assert fam.nnt() == _dense_nnt(N)
+    for g in range(2, 40):
+        fam = torelli_family(g)
+        assert fam.nnt() == _dense_nnt(fam.N), g
+
+
+def _warshall_strongly_connected(M) -> bool:
+    n = len(M)
+    reach = [[bool(M[i][j]) or i == j for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return all(all(row) for row in reach)
+
+
+def test_is_irreducible_matches_transitive_closure():
+    rng = random.Random(1969)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        density = rng.random()
+        M = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        expected = _warshall_strongly_connected(M)
+        assert _is_irreducible(M) == expected, M
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_pf_int_input_equals_fraction_input():
+    rng = random.Random(64)
+    exact = [torelli_family(g).nnt() for g in (2, 5, 16)]
+    exact.append([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+    iterated = [[[2, 1], [1, 1]]]
+    iterated += [[[rng.randint(1, 9) for _ in range(4)] for _ in range(4)]
+                 for _ in range(5)]
+    for mat, exact_flag in [(m, True) for m in exact] + [(m, False)
+                                                         for m in iterated]:
+        as_fractions = [[Fraction(x) for x in row] for row in mat]
+        pf = pf_eigenvalue(mat, tol=Fraction(1, 10 ** 6))
+        assert pf.exact_flag is exact_flag
+        assert pf == pf_eigenvalue(as_fractions, tol=Fraction(1, 10 ** 6))
+        assert all(type(x) is Fraction for x in
+                   (pf.value_lower, pf.value_upper, *pf.eigenvector))
+
+
+def test_pf_refuses_float_entries():
+    # the float row sums 2^53 + 1 and 2^53 round equal, which would
+    # certify an exact eigenvalue of 2^53 for a matrix whose PF
+    # eigenvalue is irrational
+    with pytest.raises(TypeError):
+        pf_eigenvalue([[2.0 ** 53, 1.0], [2.0 ** 53, 0.0]])
+    with pytest.raises(TypeError):
+        pf_eigenvalue([[2, 1], [1, 1.0]])
+    with pytest.raises(TypeError):
+        pf_eigenvalue(np.array([[2.0, 1.0], [1.0, 1.0]]))

@@ -64,6 +64,15 @@ def test_enumerate_matches_definitional_pipeline():
     assert [w.letters for w in enumerate_classes(8)] == expected
 
 
+def test_cyclically_reduced_strings_match_product_filter():
+    for length in range(1, 10):
+        expected = ["".join(chars) for chars in
+                    itertools.product("abAB", repeat=length)
+                    if all(chars[i] != chars[i - 1].swapcase()
+                           for i in range(length))]
+        assert list(search._cyclically_reduced_strings(length)) == expected
+
+
 # classes of length <= n for n = 1..10; the length-10 count was checked
 # once against the definitional pipeline above, which takes about 20 s there
 CLASS_COUNTS = (1, 4, 7, 16, 29, 68, 147, 373, 922, 2453)
