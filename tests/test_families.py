@@ -173,8 +173,8 @@ def test_pf_int_input_equals_fraction_input():
     iterated = [[[2, 1], [1, 1]]]
     iterated += [[[rng.randint(1, 9) for _ in range(4)] for _ in range(4)]
                  for _ in range(5)]
-    for mat, exact_flag in [(m, True) for m in exact] + [(m, False)
-                                                         for m in iterated]:
+    cases = [(m, True) for m in exact] + [(m, False) for m in iterated]
+    for mat, exact_flag in cases:
         as_fractions = [[Fraction(x) for x in row] for row in mat]
         pf = pf_eigenvalue(mat, tol=Fraction(1, 10 ** 6))
         assert pf.exact_flag is exact_flag
