@@ -20,25 +20,32 @@ from .words import Word
 
 # the largest family genus; N * N^t then has (1024 / 2)^2 = 262,144 entries
 MAX_FAMILY_GENUS = 1024
+# the largest johnson-tau genus; a coset then has C(128, 3) = 341,376
+# coordinates
+MAX_JOHNSON_GENUS = 64
 
 
 class ComputationError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded_int(low=None, high=None):
+    """An argparse type: an int in [low, high], either end optional."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return parse
 
 
-def _family_genus(text: str) -> int:
-    value = int(text)
-    if value > MAX_FAMILY_GENUS:
-        raise argparse.ArgumentTypeError(
-            f"must be <= {MAX_FAMILY_GENUS}, got {value}")
-    return value
+_positive_int = _bounded_int(low=1)
 
 
 def _symplectic_pairs(text: str) -> list[tuple[str, str]]:
@@ -199,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dilatation)
 
     p = sub.add_parser("family", help="built-in intersection family and PF data")
-    p.add_argument("--genus", type=_family_genus, required=True,
-                   help=f"at most {MAX_FAMILY_GENUS}")
+    p.add_argument("--genus", type=_bounded_int(high=MAX_FAMILY_GENUS),
+                   required=True, help=f"at most {MAX_FAMILY_GENUS}")
     p.add_argument("--kind", choices=["torelli", "braid"], required=True)
     output_format(p, "json", "csv")
     p.set_defaults(func=_cmd_family)
@@ -230,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("johnson-tau",
                        help="Johnson image of a bounding-pair map")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_bounded_int(high=MAX_JOHNSON_GENUS),
+                   required=True, help=f"at most {MAX_JOHNSON_GENUS}")
     p.add_argument("--pairs", type=_symplectic_pairs, default="",
                    help='symplectic pairs, e.g. "x2,y2;x3,y3"')
     p.add_argument("--a", required=True, help='class of the pair, e.g. "x1"')

@@ -88,10 +88,6 @@ class PFResult:
     exact_flag: bool
     iterations: int = 0
 
-    @property
-    def is_exact(self) -> bool:
-        return self.value_lower == self.value_upper
-
 
 def _check_matrix(M) -> None:
     """A square matrix of nonnegative ints or Fractions; floats are refused,
@@ -171,16 +167,20 @@ def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9), max_iterations: int = 10_000) -> 
 
     rows = [[Fraction(x) for x in row] for row in M]
     v = list(ones)
-    lo, hi = collatz_wielandt(rows, v)
-    for it in range(1, max_iterations + 1):
+    for it in range(max_iterations):
+        # M*v gives both the Collatz-Wielandt bracket at v and the next step
+        mv = [sum(row[j] * v[j] for j in range(n)) for row in rows]
+        ratios = [x / y for x, y in zip(mv, v)]
+        if it:
+            lo, hi = max(lo, min(ratios)), min(hi, max(ratios))
+        else:
+            lo, hi = min(ratios), max(ratios)
         if hi - lo <= tol:
-            return PFResult(lo, hi, tuple(v), exact_flag=False, iterations=it - 1)
+            return PFResult(lo, hi, tuple(v), exact_flag=False, iterations=it)
         # iterate with M + I to handle periodic irreducible matrices
-        w = [sum(rows[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
+        w = [x + y for x, y in zip(mv, v)]
         top = max(w)
         v = [x / top for x in w]
-        new_lo, new_hi = collatz_wielandt(rows, v)
-        lo, hi = max(lo, new_lo), min(hi, new_hi)
     raise RuntimeError(f"PF bracket did not reach tol={tol} "
                        f"in {max_iterations} iterations")
 

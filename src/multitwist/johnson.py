@@ -2,8 +2,11 @@
 
 H = Z^{2g} with symplectic basis x1, y1, ..., xg, yg and intersection
 form omega = sum x_i ^ y_i.  Cosets are represented by integer vectors
-indexed by lexicographic triples; equality is decided by exact integer
-lattice reduction (Hermite-style echelon form, cached per genus).
+indexed by lexicographic triples.  The 2g generators omega ^ e of the
+sublattice have pairwise disjoint supports with entries +-1, so they are
+their own Hermite echelon form: the canonical representative of a coset
+zeroes one pivot coordinate per generator, and the quotient is free of
+rank C(2g, 3) - 2g.
 
 The closed formula for a bounding-pair map T_a T_b^{-1} with capped-off
 side R carrying a symplectic family (u_1, v_1), ..., (u_k, v_k) is
@@ -13,9 +16,9 @@ side R carrying a symplectic family (u_1, v_1), ..., (u_k, v_k) is
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 
 class GenusMismatch(ValueError):
@@ -122,7 +125,6 @@ def coordinate_name(index: int) -> str:
 class Wedge3Coset:
     genus: int
     representative: tuple[int, ...]
-    reduced_flag: bool = False
 
     def __post_init__(self):
         expected = len(triple_basis(self.genus))
@@ -147,15 +149,12 @@ class Wedge3Coset:
 
     def reduce(self) -> "Wedge3Coset":
         """Canonical representative modulo omega wedge H."""
-        if self.reduced_flag:
-            return self
-        lat = _quotient_lattice(self.genus)
-        return Wedge3Coset(self.genus, lat.canonical(self.representative),
-                           reduced_flag=True)
+        lat = _EchelonLattice(_omega_wedge_rows(self.genus))
+        return Wedge3Coset(self.genus, lat.canonical(self.representative))
 
     def is_zero_coset(self) -> bool:
-        lat = _quotient_lattice(self.genus)
-        return all(c == 0 for c in lat.canonical(self.representative))
+        lat = _EchelonLattice(_omega_wedge_rows(self.genus))
+        return not any(lat.canonical(self.representative))
 
     def to_json_dict(self) -> dict:
         reduced = self.reduce()
@@ -167,9 +166,6 @@ class Wedge3Coset:
         }
         return {"genus": self.genus, "coset": nonzero,
                 "is_zero": not nonzero}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def wedge3(h1: HomologyClass, h2: HomologyClass, h3: HomologyClass) -> Wedge3Coset:
@@ -187,26 +183,35 @@ def wedge3(h1: HomologyClass, h2: HomologyClass, h3: HomologyClass) -> Wedge3Cos
     return Wedge3Coset(g, tuple(coeffs))
 
 
-def omega_wedge_basis(g: int) -> list[tuple[int, ...]]:
-    """The 2g generators omega ^ e of the sublattice, e over the H basis."""
+@lru_cache(maxsize=None)
+def _omega_wedge_rows(g: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each generator omega ^ e as sparse (triple index, +-1) entries.
+
+    omega ^ e = sum over i with e not in {x_i, y_i} of x_i ^ y_i ^ e, so
+    each of the 2g generators has g - 1 entries, and the triple
+    {x_i, y_i, e} names e: no two supports meet.  Entries are in index
+    order.
+    """
     if g < 2:
         raise ValueError("quotient needs g >= 2")
     idx = _triple_index(g)
-    size = len(triple_basis(g))
-    vectors = []
+    rows = []
     for e in range(2 * g):
-        vec = [0] * size
+        row = []
         for i in range(g):
             xi, yi = 2 * i, 2 * i + 1
-            if e in (xi, yi):
-                continue
-            # x_i ^ y_i ^ e, sorted with sign
-            triple = tuple(sorted((xi, yi, e)))
-            # permutation parity of (xi, yi, e) relative to sorted order
-            sign = _sort_sign((xi, yi, e))
-            vec[idx[triple]] += sign
-        vectors.append(tuple(vec))
-    return vectors
+            if e not in (xi, yi):
+                row.append((idx[tuple(sorted((xi, yi, e)))],
+                            _sort_sign((xi, yi, e))))
+        rows.append(tuple(sorted(row)))
+    return tuple(rows)
+
+
+def omega_wedge_basis(g: int) -> list[tuple[int, ...]]:
+    """The 2g generators omega ^ e of the sublattice, e over the H basis."""
+    rows = _omega_wedge_rows(g)
+    size = len(triple_basis(g))
+    return [tuple(dict(row).get(n, 0) for n in range(size)) for row in rows]
 
 
 def _sort_sign(t: tuple[int, int, int]) -> int:
@@ -223,91 +228,38 @@ def _sort_sign(t: tuple[int, int, int]) -> int:
 
 
 class _EchelonLattice:
-    """Integer lattice in row-Hermite echelon form supporting canonical
-    coset reduction and membership tests."""
+    """Lattice spanned by sparse rows with pairwise disjoint supports, each
+    led by a pivot entry of +-1.
 
-    def __init__(self, generators):
-        dim = len(generators[0])
-        rows = [list(v) for v in generators]
-        self.dim = dim
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []  # pivot column of each stored row
-        for v in rows:
-            self._insert(v)
-        self._back_reduce()
+    Such rows are already in Hermite echelon form, so a coset of the
+    lattice has exactly one representative that is zero at every pivot.
+    """
 
-    def _insert(self, v: list[int]):
-        v = list(v)
-        while True:
-            c = next((j for j, x in enumerate(v) if x != 0), None)
-            if c is None:
-                return
-            if c in self.pivots:
-                r = self.pivots.index(c)
-                row = self.rows[r]
-                g, s, t = _xgcd(row[c], v[c])
-                qa, qb = row[c] // g, v[c] // g
-                self.rows[r] = [s * a + t * b for a, b in zip(row, v)]
-                v = [qa * b - qb * a for a, b in zip(row, v)]
-                # v[c] is now 0; continue with the next leading column
-            else:
-                if v[c] < 0:
-                    v = [-x for x in v]
-                pos = next((i for i, p in enumerate(self.pivots) if p > c),
-                           len(self.pivots))
-                self.rows.insert(pos, v)
-                self.pivots.insert(pos, c)
-                return
-
-    def _back_reduce(self):
-        for r in range(len(self.rows)):
-            for r2 in range(r + 1, len(self.rows)):
-                c2 = self.pivots[r2]
-                q = self.rows[r][c2] // self.rows[r2][c2]
-                if q:
-                    self.rows[r] = [a - q * b for a, b
-                                    in zip(self.rows[r], self.rows[r2])]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    def __init__(self, rows):
+        if any(abs(row[0][1]) != 1 for row in rows):
+            raise ValueError("pivot entry must be +-1")
+        support = [n for row in rows for n, _ in row]
+        if len(set(support)) != len(support):
+            raise ValueError("generator supports overlap")
+        self.rows = rows
 
     def canonical(self, v) -> tuple[int, ...]:
-        """Unique coset representative: pivot coordinates in [0, pivot)."""
+        """Unique coset representative: zero at every pivot coordinate."""
         w = list(v)
-        for r, c in zip(range(len(self.rows)), self.pivots):
-            q = w[c] // self.rows[r][c]
+        for row in self.rows:
+            pivot, sign = row[0]
+            q = w[pivot] * sign
             if q:
-                w = [a - q * b for a, b in zip(w, self.rows[r])]
+                for n, x in row:
+                    w[n] -= q * x
         return tuple(w)
-
-    def contains(self, v) -> bool:
-        return all(x == 0 for x in self.canonical(v))
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, s, t with s*a + t*b = g = gcd(a, b) > 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-@lru_cache(maxsize=None)
-def _quotient_lattice(g: int) -> _EchelonLattice:
-    return _EchelonLattice(omega_wedge_basis(g))
 
 
 def quotient_rank(g: int) -> int:
     """Rank of Lambda^3 H / (omega ^ H) as a free abelian group."""
-    return len(triple_basis(g)) - _quotient_lattice(g).rank
+    if g < 2:
+        raise ValueError("quotient needs g >= 2")
+    return comb(2 * g, 3) - 2 * g
 
 
 def coset_equal(u: Wedge3Coset, v: Wedge3Coset) -> bool:

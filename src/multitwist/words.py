@@ -8,27 +8,10 @@ is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 ALPHABET = "abAB"
 _SWAP = str.maketrans("abAB", "baBA")
-
-
-class Letter(NamedTuple):
-    generator: str  # 'a' or 'b'
-    sign: int       # +1 or -1
-
-    @classmethod
-    def from_char(cls, c: str) -> "Letter":
-        if c not in ALPHABET:
-            raise ValueError(f"invalid letter {c!r}")
-        return cls(c.lower(), 1 if c.islower() else -1)
-
-    def to_char(self) -> str:
-        return self.generator if self.sign == 1 else self.generator.upper()
-
-    def inverse(self) -> "Letter":
-        return Letter(self.generator, -self.sign)
 
 
 def _reduce_chars(chars: Iterable[str]) -> str:
@@ -89,13 +72,11 @@ class Word:
 IDENTITY = Word()
 
 
-def reduce(raw) -> Word:
-    """Freely reduce a letter sequence (str, Letter iterable, or Word)."""
+def reduce(raw: str | Word) -> Word:
+    """Freely reduce a letter string; a Word is returned as it is."""
     if isinstance(raw, Word):
         return raw
-    if isinstance(raw, str):
-        return Word.parse(raw)
-    return Word(_reduce_chars(l.to_char() for l in raw))
+    return Word.parse(raw)
 
 
 def cyclic_reduce(w: Word) -> Word:

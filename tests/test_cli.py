@@ -162,6 +162,46 @@ def test_family_genus_cap(capsys):
     assert "at most 1024" in capsys.readouterr().out
 
 
+
+def test_johnson_tau_genus_cap(capsys):
+    code = run(["johnson-tau", "--genus", "64", "--pairs", "x2,y2",
+                "--a", "x1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    # x1^x2^y2 = omega^x1 - sum over i >= 3 of x1^xi^yi, and x1^x2^y2 is
+    # the pivot of omega^x1
+    assert json.loads(out)["coset"] == {f"x1^x{i}^y{i}": -1
+                                        for i in range(3, 65)}
+    for genus in ("65", "100000000"):
+        code = run(["johnson-tau", "--genus", genus, "--pairs", "x2,y2",
+                    "--a", "x1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err and "--genus" in captured.err
+    for genus in ("1", "0", "-3"):
+        assert run(["johnson-tau", "--genus", genus, "--a", "x1"]) == 1
+    capsys.readouterr()
+    assert run(["johnson-tau", "--help"]) == 0
+    assert "at most 64" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--genus", "x", "--kind", "torelli"],
+    ["johnson-tau", "--genus", "2.5", "--a", "x1"],
+    ["dilatation", "--word", "ab", "--mu", "64", "--precision-bits", "x"],
+    ["search", "--max-len", "4", "--mu", "64", "--jobs", "two"],
+])
+def test_non_integer_argument_message_is_plain(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "expected an integer, got" in captured.err
+    # argparse names the type function only when it raises ValueError
+    assert "invalid" not in captured.err and "_int" not in captured.err
+    assert "_genus" not in captured.err
+
 @pytest.mark.parametrize("pairs", ["x2", "x2,y2;x3", "x2,y2,x3"])
 def test_johnson_tau_malformed_pair_is_usage_error(capsys, pairs):
     code = run(["johnson-tau", "--genus", "3", "--pairs", pairs,

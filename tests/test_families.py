@@ -107,6 +107,43 @@ def test_collatz_wielandt_soundness():
         assert float(prev_lo) - 1e-6 <= true_pf <= float(prev_hi) + 1e-6
 
 
+
+def _pf_two_products(mat, tol):
+    """The power iteration with M*v formed twice per step: once for the
+    next vector, once more for the bracket at it."""
+    n = len(mat)
+    v = [Fraction(1)] * n
+    lo, hi = collatz_wielandt(mat, v)
+    for it in range(1, 10_001):
+        if hi - lo <= tol:
+            return lo, hi, tuple(v), it - 1
+        w = [sum(mat[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
+        top = max(w)
+        v = [x / top for x in w]
+        new_lo, new_hi = collatz_wielandt(mat, v)
+        lo, hi = max(lo, new_lo), min(hi, new_hi)
+    raise AssertionError("no convergence")
+
+
+def test_pf_one_product_per_step_matches_two():
+    # the 10 matrices of verify.check_property_spot_suite, drawn after
+    # its 50 random words
+    rng = random.Random(7)
+    for _ in range(50):
+        for _ in range(30):
+            rng.choice("abAB")
+    tol = Fraction(1, 10 ** 6)
+    iterations = []
+    for _ in range(10):
+        mat = [[Fraction(rng.randint(1, 9)) for _ in range(4)]
+               for _ in range(4)]
+        pf = pf_eigenvalue(mat, tol=tol)
+        assert not pf.exact_flag
+        assert ((pf.value_lower, pf.value_upper, pf.eigenvector,
+                 pf.iterations) == _pf_two_products(mat, tol))
+        iterations.append(pf.iterations)
+    assert iterations == [12, 8, 12, 12, 9, 9, 9, 17, 12, 13]
+
 def test_family_csv():
     text = families.family_csv(torelli_family(4))
     lines = text.strip().split("\n")

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from multitwist.johnson import (GenusMismatch, HomologyClass,
                                 NotSymplecticError, Wedge3Coset, coset_equal,
                                 lantern_check, omega_wedge_basis,
                                 quotient_rank, tau_bounding_pair, wedge3)
+from sympy.matrices.normalforms import smith_normal_form
 
 
 def _x(i, g):
@@ -76,15 +78,55 @@ def test_omega_wedge_basis_g2():
 
 
 def test_omega_wedge_basis_independent():
-    for g in (2, 3, 4):
-        lat = johnson._EchelonLattice(omega_wedge_basis(g))
-        assert lat.rank == 2 * g
+    # sympy is the oracle: rank 2g, and every elementary divisor 1, so
+    # Lambda^3 H / (omega ^ H) is torsion-free
+    for g in (2, 3, 4, 5):
+        m = sympy.Matrix(omega_wedge_basis(g))
+        assert m.rank() == 2 * g
+        snf = smith_normal_form(m, domain=sympy.ZZ)
+        assert [snf[i, i] for i in range(2 * g)] == [1] * (2 * g)
 
 
 def test_quotient_rank():
     for g in (2, 3, 4):
         n = 2 * g
         assert quotient_rank(g) == math.comb(n, 3) - n
+    with pytest.raises(ValueError):
+        quotient_rank(1)
+
+
+def test_reduce_moves_by_a_lattice_vector():
+    # the quotient is torsion-free, so v - reduce(v) lies in omega ^ H iff
+    # it lies in the rational span of the generators
+    rng = random.Random(3)
+    for g in (2, 3, 4):
+        basis = sympy.Matrix(omega_wedge_basis(g))
+        dim = basis.shape[1]
+        for _ in range(5):
+            v = tuple(rng.randint(-5, 5) for _ in range(dim))
+            shift = [a - b for a, b in
+                     zip(v, Wedge3Coset(g, v).reduce().representative)]
+            assert basis.col_join(sympy.Matrix([shift])).rank() == 2 * g
+
+
+def test_reduce_is_idempotent_and_compares_equal():
+    assert Wedge3Coset.zero(3).reduce() == Wedge3Coset.zero(3)
+    g = 3
+    out = tau_bounding_pair(g, [(_x(2, g), _y(2, g))], _x(1, g)).reduce()
+    assert out.reduce() == out
+
+
+def test_lattice_with_negative_pivot():
+    # v - canonical(v) = (5, 0, -15) = -5 * (-1, 0, 3)
+    lat = johnson._EchelonLattice([[(0, -1), (2, 3)], [(1, 1)]])
+    assert lat.canonical((5, 7, 0)) == (0, 0, 15)
+
+
+def test_lattice_refuses_rows_outside_the_closed_form():
+    with pytest.raises(ValueError):
+        johnson._EchelonLattice([[(0, 1), (2, -1)], [(1, 1), (2, 1)]])
+    with pytest.raises(ValueError):
+        johnson._EchelonLattice([[(0, 2), (1, 1)]])
 
 
 def test_coset_equal_examples():

@@ -96,9 +96,3 @@ def test_swap_and_rotations():
     assert str(w.swap_generators()) == "baB"
     assert [r.letters for r in Word("ab").rotations()] == ["ab", "ba"]
 
-
-def test_letter_roundtrip():
-    for c in "abAB":
-        letter = words.Letter.from_char(c)
-        assert letter.to_char() == c
-        assert letter.inverse().to_char() == c.swapcase()
