@@ -117,7 +117,7 @@ def test_reduce_is_idempotent_and_compares_equal():
 
 
 def test_lattice_with_negative_pivot():
-    # v - canonical(v) = (5, 0, -15) = -5 * (-1, 0, 3)
+    # v - canonical(v) = (5, 7, -15) = -5 * (-1, 0, 3) + 7 * (0, 1, 0)
     lat = johnson._EchelonLattice([[(0, -1), (2, 3)], [(1, 1)]])
     assert lat.canonical((5, 7, 0)) == (0, 0, 15)
 
