@@ -6,7 +6,6 @@ underlying inequalities are strict, so enclosures are the honest output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +15,6 @@ from .intervals import Interval, decimal_str
 LOWER_LOG_DILATATION = "lower_bound_on_log_dilatation"
 UPPER_LOG_DILATATION = "upper_bound_on_log_dilatation"
 UPPER_TAU_C = "upper_bound_on_tau_C"
-LOWER_INTERSECTION = "lower_bound_on_intersection"
 
 # relative width 10^-12 required of every BoundResult; 2^-48 ~ 3.6e-15
 _BITS = 64
@@ -49,9 +47,6 @@ class BoundResult:
         if self.binding_case:
             d["binding_case"] = self.binding_case
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _log_rational(x, bits: int = _BITS) -> Interval:

@@ -20,8 +20,8 @@ from .words import Word
 
 # the largest family genus; N * N^t then has (1024 / 2)^2 = 262,144 entries
 MAX_FAMILY_GENUS = 1024
-# the largest johnson-tau genus; a coset then has C(128, 3) = 341,376
-# coordinates
+# the largest johnson-tau genus; dense classes then expand into up to
+# C(128, 3) = 341,376 triples
 MAX_JOHNSON_GENUS = 64
 
 

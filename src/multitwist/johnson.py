@@ -1,12 +1,14 @@
 """The Johnson homomorphism target: Lambda^3 H modulo omega wedge H.
 
 H = Z^{2g} with symplectic basis x1, y1, ..., xg, yg and intersection
-form omega = sum x_i ^ y_i.  Cosets are represented by integer vectors
-indexed by lexicographic triples.  The 2g generators omega ^ e of the
-sublattice have pairwise disjoint supports with entries +-1, so they are
-their own Hermite echelon form: the canonical representative of a coset
-zeroes one pivot coordinate per generator, and the quotient is free of
-rank C(2g, 3) - 2g.
+form omega = sum x_i ^ y_i.  A coset is represented by sparse terms
+((i, j, k), c) of Lambda^3 H: triples i < j < k < 2g of basis indices,
+sorted and distinct, each with a nonzero int c.  The 2g generators
+omega ^ e of the sublattice have pairwise disjoint supports with entries
++-1, so they are their own Hermite echelon form: the canonical
+representative of a coset zeroes one pivot coordinate per generator, and
+the quotient is free of rank C(2g, 3) - 2g.  Only `omega_wedge_basis`
+walks all C(2g, 3) triples.
 
 The closed formula for a bounding-pair map T_a T_b^{-1} with capped-off
 side R carrying a symplectic family (u_1, v_1), ..., (u_k, v_k) is
@@ -106,43 +108,43 @@ def symplectic_pairing(u: HomologyClass, v: HomologyClass) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def triple_basis(g: int) -> tuple[tuple[int, int, int], ...]:
-    """Lexicographic triples i < j < k from the 2g basis indices."""
-    return tuple(itertools.combinations(range(2 * g), 3))
-
-
-@lru_cache(maxsize=None)
-def _triple_index(g: int) -> dict:
-    return {t: n for n, t in enumerate(triple_basis(g))}
-
-
 def coordinate_name(index: int) -> str:
     return f"{'x' if index % 2 == 0 else 'y'}{index // 2 + 1}"
+
+
+def _sorted_terms(terms: dict) -> tuple:
+    return tuple(sorted((t, c) for t, c in terms.items() if c))
 
 
 @dataclass(frozen=True)
 class Wedge3Coset:
     genus: int
-    representative: tuple[int, ...]
+    representative: tuple[tuple[tuple[int, int, int], int], ...]
 
     def __post_init__(self):
-        expected = len(triple_basis(self.genus))
-        if len(self.representative) != expected:
-            raise ValueError(f"representative must have length {expected}")
+        previous = ()
+        for (i, j, k), c in self.representative:
+            if not (0 <= i < j < k < 2 * self.genus and (i, j, k) > previous
+                    and isinstance(c, int) and c):
+                raise ValueError("need sorted distinct ((i, j, k), c) terms "
+                                 "with 0 <= i < j < k < 2g and int c != 0")
+            previous = (i, j, k)
 
     @classmethod
     def zero(cls, g: int) -> "Wedge3Coset":
-        return cls(g, (0,) * len(triple_basis(g)))
+        return cls(g, ())
 
     def __add__(self, other: "Wedge3Coset") -> "Wedge3Coset":
         if self.genus != other.genus:
             raise GenusMismatch("genus mismatch")
-        return Wedge3Coset(self.genus, tuple(
-            a + b for a, b in zip(self.representative, other.representative)))
+        total = dict(self.representative)
+        for t, c in other.representative:
+            total[t] = total.get(t, 0) + c
+        return Wedge3Coset(self.genus, _sorted_terms(total))
 
     def __neg__(self) -> "Wedge3Coset":
-        return Wedge3Coset(self.genus, tuple(-a for a in self.representative))
+        return Wedge3Coset(self.genus,
+                           tuple((t, -c) for t, c in self.representative))
 
     def __sub__(self, other: "Wedge3Coset") -> "Wedge3Coset":
         return self + (-other)
@@ -150,68 +152,65 @@ class Wedge3Coset:
     def reduce(self) -> "Wedge3Coset":
         """Canonical representative modulo omega wedge H."""
         lat = _EchelonLattice(_omega_wedge_rows(self.genus))
-        return Wedge3Coset(self.genus, lat.canonical(self.representative))
+        return Wedge3Coset(self.genus, _sorted_terms(
+            lat.canonical(self.representative)))
 
     def is_zero_coset(self) -> bool:
-        lat = _EchelonLattice(_omega_wedge_rows(self.genus))
-        return not any(lat.canonical(self.representative))
+        return not self.reduce().representative
 
     def to_json_dict(self) -> dict:
-        reduced = self.reduce()
-        nonzero = {
-            "^".join(coordinate_name(i) for i in triple)
-            : reduced.representative[n]
-            for n, triple in enumerate(triple_basis(self.genus))
-            if reduced.representative[n] != 0
-        }
+        nonzero = {"^".join(coordinate_name(i) for i in t): c
+                   for t, c in self.reduce().representative}
         return {"genus": self.genus, "coset": nonzero,
                 "is_zero": not nonzero}
 
 
 def wedge3(h1: HomologyClass, h2: HomologyClass, h3: HomologyClass) -> Wedge3Coset:
-    """Alternating trilinear expansion into the triple basis."""
+    """Alternating trilinear expansion over triples of the joint support."""
     if not (h1.genus == h2.genus == h3.genus):
         raise GenusMismatch("genus mismatch")
-    g = h1.genus
-    coeffs = []
     c1, c2, c3 = h1.coordinates, h2.coordinates, h3.coordinates
-    for (i, j, k) in triple_basis(g):
+    support = [n for n in range(2 * h1.genus) if c1[n] or c2[n] or c3[n]]
+    terms = []
+    for t in itertools.combinations(support, 3):
+        i, j, k = t
         det = (c1[i] * (c2[j] * c3[k] - c2[k] * c3[j])
                - c1[j] * (c2[i] * c3[k] - c2[k] * c3[i])
                + c1[k] * (c2[i] * c3[j] - c2[j] * c3[i]))
-        coeffs.append(det)
-    return Wedge3Coset(g, tuple(coeffs))
+        if det:
+            terms.append((t, det))
+    return Wedge3Coset(h1.genus, tuple(terms))
 
 
 @lru_cache(maxsize=None)
-def _omega_wedge_rows(g: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each generator omega ^ e as sparse (triple index, +-1) entries.
+def _omega_wedge_rows(
+        g: int) -> tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]:
+    """Each generator omega ^ e as sparse (triple, +-1) entries.
 
     omega ^ e = sum over i with e not in {x_i, y_i} of x_i ^ y_i ^ e, so
     each of the 2g generators has g - 1 entries, and the triple
-    {x_i, y_i, e} names e: no two supports meet.  Entries are in index
+    {x_i, y_i, e} names e: no two supports meet.  Entries are in triple
     order.
     """
     if g < 2:
         raise ValueError("quotient needs g >= 2")
-    idx = _triple_index(g)
     rows = []
     for e in range(2 * g):
         row = []
         for i in range(g):
             xi, yi = 2 * i, 2 * i + 1
             if e not in (xi, yi):
-                row.append((idx[tuple(sorted((xi, yi, e)))],
+                row.append((tuple(sorted((xi, yi, e))),
                             _sort_sign((xi, yi, e))))
         rows.append(tuple(sorted(row)))
     return tuple(rows)
 
 
 def omega_wedge_basis(g: int) -> list[tuple[int, ...]]:
-    """The 2g generators omega ^ e of the sublattice, e over the H basis."""
+    """The 2g generators omega ^ e, dense over the lexicographic triples."""
     rows = _omega_wedge_rows(g)
-    size = len(triple_basis(g))
-    return [tuple(dict(row).get(n, 0) for n in range(size)) for row in rows]
+    triples = list(itertools.combinations(range(2 * g), 3))
+    return [tuple(dict(row).get(t, 0) for t in triples) for row in rows]
 
 
 def _sort_sign(t: tuple[int, int, int]) -> int:
@@ -243,16 +242,16 @@ class _EchelonLattice:
             raise ValueError("generator supports overlap")
         self.rows = rows
 
-    def canonical(self, v) -> tuple[int, ...]:
-        """Unique coset representative: zero at every pivot coordinate."""
-        w = list(v)
+    def canonical(self, terms) -> dict:
+        """Coset representative of the (key, c) terms, zero at every pivot."""
+        w = dict(terms)
         for row in self.rows:
             pivot, sign = row[0]
-            q = w[pivot] * sign
+            q = w.get(pivot, 0) * sign
             if q:
                 for n, x in row:
-                    w[n] -= q * x
-        return tuple(w)
+                    w[n] = w.get(n, 0) - q * x
+        return w
 
 
 def quotient_rank(g: int) -> int:

@@ -15,7 +15,6 @@ original representation is (a, b / sqrt(mu), c * sqrt(mu), d).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -123,9 +122,6 @@ class DilatationReport:
                                decimal_str(self.log_dilatation_interval.hi)]
         d["char_poly"] = [decimal_str(c) for c in self.char_poly]
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, Interval]:

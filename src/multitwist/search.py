@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -191,7 +190,6 @@ class SearchReport:
     classes_examined: int
     minimum: rep.DilatationReport
     all_minima: tuple[Word, ...]
-    exhaustive_up_to_length: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,11 +199,8 @@ class SearchReport:
             "minimum": self.minimum.to_json_dict(),
             "all_minima": [str(w) for w in self.all_minima],
             "note": (f"minimality certified only among conjugacy classes of "
-                     f"word length <= {self.exhaustive_up_to_length}"),
+                     f"word length <= {self.max_length}"),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def min_dilatation_search(max_length: int, mu: int, jobs: int = 1,
@@ -243,8 +238,7 @@ def min_dilatation_search(max_length: int, mu: int, jobs: int = 1,
             f"no hyperbolic class with word length <= {max_length} at mu={mu}")
     minima.sort(key=lambda w: _word_key(w.letters))
     report = rep.dilatation(minima[0], mu, precision_bits)
-    return SearchReport(mu, max_length, len(classes), report,
-                        tuple(minima), max_length)
+    return SearchReport(mu, max_length, len(classes), report, tuple(minima))
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,6 @@ class Word:
         return [Word(s[i:] + s[:i]) for i in range(max(len(s), 1))]
 
 
-IDENTITY = Word()
-
-
 def reduce(raw: str | Word) -> Word:
     """Freely reduce a letter string; a Word is returned as it is."""
     if isinstance(raw, Word):

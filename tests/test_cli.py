@@ -166,12 +166,15 @@ def test_family_genus_cap(capsys):
 def test_johnson_tau_genus_cap(capsys):
     code = run(["johnson-tau", "--genus", "64", "--pairs", "x2,y2",
                 "--a", "x1"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
     # x1^x2^y2 = omega^x1 - sum over i >= 3 of x1^xi^yi, and x1^x2^y2 is
     # the pivot of omega^x1
-    assert json.loads(out)["coset"] == {f"x1^x{i}^y{i}": -1
-                                        for i in range(3, 65)}
+    expected = {"coset": {f"x1^x{i}^y{i}": -1 for i in range(3, 65)},
+                "genus": 64, "is_zero": False}
+    assert captured.out == json.dumps(expected, indent=2,
+                                      sort_keys=True) + "\n"
+    assert captured.err == ""
     for genus in ("65", "100000000"):
         code = run(["johnson-tau", "--genus", genus, "--pairs", "x2,y2",
                     "--a", "x1"])

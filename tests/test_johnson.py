@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -23,11 +24,23 @@ def _y(i, g):
     return HomologyClass.basis_y(i, g)
 
 
+def _triples(g):
+    return list(itertools.combinations(range(2 * g), 3))
+
+
+def _coset(g, dense):
+    """The coset of a dense vector over the lexicographic triples."""
+    return Wedge3Coset(g, tuple((t, c) for t, c in zip(_triples(g), dense)
+                                if c))
+
+
+def _dense(coset):
+    terms = dict(coset.representative)
+    return tuple(terms.get(t, 0) for t in _triples(coset.genus))
+
+
 def _unit(g, triple):
-    idx = johnson.triple_basis(g).index(triple)
-    v = [0] * len(johnson.triple_basis(g))
-    v[idx] = 1
-    return Wedge3Coset(g, tuple(v))
+    return _coset(g, [int(t == triple) for t in _triples(g)])
 
 
 def test_wedge3_basis_triple():
@@ -39,7 +52,7 @@ def test_wedge3_basis_triple():
 def test_wedge3_alternation_zero():
     g = 2
     out = wedge3(_x(1, g), _x(1, g), _y(2, g))
-    assert all(c == 0 for c in out.representative)
+    assert out == Wedge3Coset.zero(g)
 
 
 def test_wedge3_multilinearity():
@@ -51,6 +64,60 @@ def test_wedge3_multilinearity():
 def test_wedge3_genus_mismatch():
     with pytest.raises(GenusMismatch):
         wedge3(_x(1, 2), _x(1, 3), _y(1, 3))
+
+
+def _leibniz_det(rows):
+    total = 0
+    for perm in itertools.permutations(range(3)):
+        inversions = sum(perm[a] > perm[b]
+                         for a in range(3) for b in range(a + 1, 3))
+        term = -1 if inversions % 2 else 1
+        for r in range(3):
+            term *= rows[r][perm[r]]
+        total += term
+    return total
+
+
+def test_wedge3_matches_dense_expansion():
+    # every 3x3 minor of the 3 x 2g coordinate matrix, by Leibniz, over
+    # all C(2g, 3) triples
+    rng = random.Random(23)
+    for g in range(2, 7):
+        n = 2 * g
+        pool = [HomologyClass.zero(g),
+                HomologyClass(g, tuple(rng.choice((-1, 1)) * rng.randint(1, 5)
+                                       for _ in range(n)))]
+        for _ in range(6):
+            pool.append(HomologyClass(g, tuple(
+                rng.randint(-3, 3) if rng.random() < 0.4 else 0
+                for _ in range(n))))
+        for _ in range(12):
+            h = [rng.choice(pool) for _ in range(3)]
+            if rng.random() < 0.3:
+                h = [HomologyClass(g, tuple(rng.randint(1, 6)
+                                            for _ in range(n)))
+                     for _ in range(3)]
+            expected = tuple(
+                _leibniz_det([[hh.coordinates[i] for i in t] for hh in h])
+                for t in _triples(g))
+            out = wedge3(*h)
+            assert _dense(out) == expected
+            assert out == _coset(g, expected)
+
+
+@pytest.mark.parametrize("terms", [
+    (((0, 1, 2), 0),),
+    (((0, 1, 3), 1), ((0, 1, 2), 1)),
+    (((0, 1, 2), 1), ((0, 1, 2), 2)),
+    (((0, 0, 2), 1),),
+    (((0, 1, 4), 1),),
+    (((-1, 1, 2), 1),),
+    (((0, 1, 2), Fraction(1)),),
+])
+def test_wedge3_coset_refuses_malformed_terms(terms):
+    # genus 2: indices 0..3
+    with pytest.raises(ValueError):
+        Wedge3Coset(2, terms)
 
 
 def test_wedge3_full_alternation_random():
@@ -71,7 +138,7 @@ def test_omega_wedge_basis_g2():
     vecs = omega_wedge_basis(2)
     assert len(vecs) == 4
     # omega ^ x1 = x2 ^ y2 ^ x1 = + x1 ^ x2 ^ y2 (even permutation)
-    expected = _unit(2, (0, 2, 3)).representative
+    expected = _dense(_unit(2, (0, 2, 3)))
     assert vecs[0] == expected
     with pytest.raises(ValueError):
         omega_wedge_basis(1)
@@ -104,8 +171,7 @@ def test_reduce_moves_by_a_lattice_vector():
         dim = basis.shape[1]
         for _ in range(5):
             v = tuple(rng.randint(-5, 5) for _ in range(dim))
-            shift = [a - b for a, b in
-                     zip(v, Wedge3Coset(g, v).reduce().representative)]
+            shift = [a - b for a, b in zip(v, _dense(_coset(g, v).reduce()))]
             assert basis.col_join(sympy.Matrix([shift])).rank() == 2 * g
 
 
@@ -118,8 +184,9 @@ def test_reduce_is_idempotent_and_compares_equal():
 
 def test_lattice_with_negative_pivot():
     # v - canonical(v) = (5, 7, -15) = -5 * (-1, 0, 3) + 7 * (0, 1, 0)
-    lat = johnson._EchelonLattice([[(0, -1), (2, 3)], [(1, 1)]])
-    assert lat.canonical((5, 7, 0)) == (0, 0, 15)
+    t0, t1, t2 = _triples(2)[:3]
+    lat = johnson._EchelonLattice([[(t0, -1), (t2, 3)], [(t1, 1)]])
+    assert lat.canonical({t0: 5, t1: 7}) == {t0: 0, t1: 0, t2: 15}
 
 
 def test_lattice_refuses_rows_outside_the_closed_form():
@@ -131,7 +198,7 @@ def test_lattice_refuses_rows_outside_the_closed_form():
 
 def test_coset_equal_examples():
     g = 3
-    omega_x1 = Wedge3Coset(g, omega_wedge_basis(g)[0])
+    omega_x1 = _coset(g, omega_wedge_basis(g)[0])
     zero = Wedge3Coset.zero(g)
     assert coset_equal(omega_x1, zero)
     basis_elt = _unit(g, (0, 1, 2))  # x1 ^ y1 ^ x2
@@ -143,7 +210,7 @@ def test_coset_equal_examples():
 
 def test_tau_empty_family_is_zero():
     out = tau_bounding_pair(3, [], _x(1, 3))
-    assert all(c == 0 for c in out.representative)
+    assert out == Wedge3Coset.zero(3)
 
 
 def test_tau_single_pair_nonzero():
@@ -196,15 +263,15 @@ def test_canonical_invariant_under_lattice_shifts():
     g = 3
     rng = random.Random(5)
     basis = omega_wedge_basis(g)
-    dim = len(johnson.triple_basis(g))
+    dim = len(_triples(g))
     for _ in range(30):
         v = tuple(rng.randint(-5, 5) for _ in range(dim))
-        coset = Wedge3Coset(g, v)
+        coset = _coset(g, v)
         shift = [0] * dim
         for b in basis:
             c = rng.randint(-3, 3)
             shift = [s + c * x for s, x in zip(shift, b)]
-        shifted = Wedge3Coset(g, tuple(a + s for a, s in zip(v, shift)))
+        shifted = _coset(g, tuple(a + s for a, s in zip(v, shift)))
         assert coset.reduce().representative == shifted.reduce().representative
         assert coset_equal(coset, shifted)
 
@@ -233,7 +300,7 @@ def test_symplectic_pairing():
 def test_omega_wedge_vectors_are_zero_cosets(g, data):
     vecs = omega_wedge_basis(g)
     i = data.draw(st.integers(min_value=0, max_value=len(vecs) - 1))
-    assert Wedge3Coset(g, vecs[i]).is_zero_coset()
+    assert _coset(g, vecs[i]).is_zero_coset()
 
 
 def test_coset_json():
