@@ -23,6 +23,12 @@ MAX_FAMILY_GENUS = 1024
 # the largest johnson-tau genus; dense classes then expand into up to
 # C(128, 3) = 341,376 triples
 MAX_JOHNSON_GENUS = 64
+# the largest --precision-bits; the certified log takes about 0.3 s there,
+# and its cost grows faster than quadratically in the bit count
+MAX_PRECISION_BITS = 65536
+# the largest lcs-table --max-k; the deepest word has length 2^18, and
+# each further level about triples the time
+MAX_LCS_DEPTH = 18
 
 
 class ComputationError(Exception):
@@ -194,8 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default=choices[0])
 
     def precision_bits(p):
-        p.add_argument("--precision-bits", type=_positive_int, default=60,
-                       dest="precision_bits")
+        p.add_argument("--precision-bits",
+                       type=_bounded_int(low=1, high=MAX_PRECISION_BITS),
+                       default=60, dest="precision_bits",
+                       help="certified bits of the intervals, at most "
+                            f"{MAX_PRECISION_BITS} (default 60)")
 
     p = sub.add_parser("dilatation", help="certified dilatation of a word")
     p.add_argument("--word", required=True,
@@ -229,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
-    p.add_argument("--max-k", type=int, required=True, dest="max_k")
+    p.add_argument("--max-k", type=_bounded_int(high=MAX_LCS_DEPTH),
+                   required=True, dest="max_k",
+                   help=f"at most {MAX_LCS_DEPTH}")
     p.add_argument("--mu", type=int, required=True)
     output_format(p, "csv", "json")
     precision_bits(p)

@@ -4,10 +4,15 @@ Endpoints are exact Fractions.  Ring operations are exact; the radical
 and transcendental functions return enclosures whose width is controlled
 by a bit count, computed in integer fixed point with the standard library
 alone.  sqrt and cbrt take integer roots with an exact check of the last
-digit; log reduces its argument by repeated square roots and sums the
-atanh series, counting every rounding in units of the last place (Brent,
-"Fast multiple-precision evaluation of elementary functions", J. ACM 23,
-1976).
+digit.  log reduces its argument by a few square roots, about
+bits^(1/3) / 3 of them (Brent, "Fast multiple-precision evaluation of
+elementary functions", J. ACM 23, 1976), and sums the atanh series by
+rectangular splitting, which needs about twice the square root of the
+term count in full products (Smith, "Efficient multiple-precision
+evaluation of elementary functions", Math. Comp. 52, 1989; Brent and
+Zimmermann, "Modern Computer Arithmetic", 2010, section 4.4.3); ln 2 is
+2 atanh(1/3) summed by binary splitting.  Every rounding is counted in
+units of the last place, and the guard bits follow from those counts.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import floordiv
 
 
 class PrecisionError(Exception):
@@ -181,56 +187,101 @@ def cbrt(x: Interval, bits: int) -> Interval:
 
 @lru_cache(maxsize=16)
 def _ln2(w: int) -> tuple[int, int]:
-    """(low, err) with low <= ln(2) * 2^w <= low + err, as 2 atanh(1/3)."""
-    total, power, k = 0, (1 << w) // 3, 1
-    while power:
-        # power = floor(2^w / 3^k), so each term is an exact floor
-        total += power // k
-        power //= 9
-        k += 2
-    # k // 2 terms, each low by less than 1; once 3^k > 2^w the terms
-    # left sum to less than 9/8 / k < 1
-    return 2 * total, 2 * (k // 2) + 2
+    """(low, err) with low <= ln(2) * 2^w <= low + err, as 2 atanh(1/3)
+    summed by binary splitting."""
+    # log2(9) > 3.1699, so 9^n >= 2^w, and the terms from k = n on of
+    # 2 atanh(1/3) = (2/3) sum_k 9^-k / (2k + 1) sum to less than
+    # (2/3) (9/8) 9^-n / 3 = 9^-n / 4 <= 2^-w / 4
+    n = w * 10000 // 31699 + 1
+    b, q, t = _atanh_third_split(0, n)
+    # the first n terms are (2/3) t / (b q) exactly, and one floor loses
+    # less than 1: ln(2) * 2^w < low + 1 + 1/4
+    return (t << (w + 1)) // (3 * b * q), 2
 
 
-def _log_precision(bits: int, e: int) -> tuple[int, int]:
-    """Working precision w, a multiple of 64, and square-root count for
-    the log of 2^e * y, 1 <= y < 2, to within 2^-bits."""
-    # about sqrt(w)/3 roots measured fastest; the cap keeps w <= bits + 256
-    roots = min(isqrt(bits) // 3 + 1, 128)
-    # _log_fixed's error count is below 2^(max(roots + 1, len(e)) + 1) * w
-    guard = (max(roots + 1, abs(e).bit_length())
-             + (bits + 512).bit_length() + 2)
-    return -(-(bits + guard) // 64) * 64, roots
+def _atanh_third_split(a: int, c: int) -> tuple[int, int, int]:
+    """(B, Q, T) with sum_{a <= k < c} 9^(a - k) / (2k + 1) = T / (B Q),
+    B = (2a + 1)(2a + 3)...(2c - 1) and Q = 9^(c - a - 1)."""
+    if c - a == 1:
+        return 2 * a + 1, 1, 1
+    mid = (a + c) // 2
+    b1, q1, t1 = _atanh_third_split(a, mid)
+    b2, q2, t2 = _atanh_third_split(mid, c)
+    # the right half is scaled by 9^(a - mid) = 1 / (9 q1)
+    return b1 * b2, 9 * q1 * q2, 9 * t1 * b2 * q2 + b1 * t2
 
 
-def _log_fixed(p: int, q: int, e: int, w: int, roots: int) -> tuple[int, int]:
+def _log_precision(bits: int, e: int) -> tuple[int, int, int]:
+    """Working precision w, a multiple of 64, square-root count and series
+    block size for the log of 2^e * y, 1 <= y < 2, to within 2^-bits."""
+    # A root costs about three and a half w x w products, and r roots
+    # leave about bits / (2r + 2) series terms, summed with about twice
+    # their square root of products; bits^(1/3) / 3 roots balances the
+    # two, and the cap keeps w <= bits + 256
+    roots = min(_icbrt(bits) // 3 + 1, 128)
+    block = isqrt(bits // (2 * roots + 2)) + 1
+    # _log_fixed's error count is (2 block + 10) 2^roots + 2 |e|, the 2
+    # being _ln2's; each part is below 2^(guard - 1)
+    guard = max(roots + (2 * block + 10).bit_length(),
+                (2 * abs(e)).bit_length()) + 1
+    return -(-(bits + guard) // 64) * 64, roots, block
+
+
+def _log_fixed(p: int, q: int, e: int, w: int, roots: int,
+               block: int) -> tuple[int, int]:
     """(low, err) with low <= ln(p/q) * 2^w <= low + err, where
-    p/q = 2^e * y and 1 <= y < 2."""
+    p/q = 2^e * y and 1 <= y < 2.  Counts below are in ulps, 2^-w."""
     one = 1 << w
     shift = w - e
     z = (p << shift) // q if shift >= 0 else p // (q << -shift)
     # z = floor(y * 2^w).  Each square root floors, losing less than an
-    # ulp, and halves the error it inherits, so at the end
-    # z <= y^(1/2^roots) * 2^w < z + 2
+    # ulp, and halves the error it inherits, as sqrt(a) - sqrt(b) <=
+    # (a - b)/2 for a > b >= 1; so at the end, for v = y^(1/2^roots),
+    # z <= v * 2^w < z + 2
     for _ in range(roots):
         z = isqrt(z << w)
-    # ln(u) = 2 atanh((u - 1)/(u + 1)) for u = z / 2^w; s is the floor of
-    # (u - 1)/(u + 1) < 1/3 in fixed point
+    # ln(u) = 2 atanh(t) for u = z / 2^w in [1, 2) and t = (u - 1)/(u + 1)
+    # < 1/3; s = floor(t * 2^w) is low by less than 1
     s = ((z - one) << w) // (z + one)
+    # atanh(t) = t * sum_k t^2k / (2k + 1), summed for the floored s by
+    # rectangular splitting (Smith, Math. Comp. 52, 1989; Brent and
+    # Zimmermann, Modern Computer Arithmetic, 4.4.3).  With the powers
+    # 1, s2, ..., s2^(block - 1) of s2 = s^2 / 2^w, block b is an inner
+    # sum of one small division per term, and the blocks are joined by
+    # Horner's rule in s2^block.  s < 2^L, so n terms with 2n (w - L) >= w
+    # leave a tail of at most (s / 2^w)^2n (9/8) / 3 < 2^-w, below 1.
     s2 = s * s >> w
-    total, power, k = 0, s, 1
-    while power:
-        # power is at most (s / 2^w)^k * 2^w and less than 3 below it
-        total += power // k
-        power = power * s2 >> w
-        k += 2
-    # k // 2 terms, each low by less than 2 ulps; once power is 0 the
-    # terms left sum to less than 2, and flooring s costs less than 2:
-    # atanh(s) * 2^w <= total + 2 (k // 2) + 4.  Doubling and the gap
-    # of 2 ulps in z give ln(y^(1/2^roots)), then scale by 2^roots.
+    n = -(-w // (2 * (w - s.bit_length())))
+    block = min(block, n)
+    powers = [one, s2]
+    for _ in range(block - 1):
+        powers.append(powers[-1] * s2 >> w)
+    # Every power is low by less than 2: s2 by less than 1, the floor; a
+    # later one by less than 1, plus less than 2 for the power before it
+    # times s2 / 2^w < 1/9, plus less than 1 for s2 times the power
+    # before it over 2^w, at most 1/9.
+    step = powers.pop()
+    acc = 0
+    for b in reversed(range(-(-n // block))):
+        d = 2 * b * block + 1
+        # Each term of the inner sum is low by less than 2: the floor,
+        # plus a power low by less than 2 over a divisor of at least 3
+        # (the first power is exact).  acc <= (9/8) 2^w, and multiplying
+        # it by step, low by less than 2, then flooring loses less than
+        # 9/4 + 1, while the error acc carries shrinks by the factor
+        # (s / 2^w)^2block < 1/9.  So acc ends low by less than
+        # (9/8)(2 block + 13/4) < 3 block + 4.
+        acc = (acc * step >> w) + sum(
+            map(floordiv, powers, range(d, d + 2 * block, 2)))
+    # total = floor(s * acc / 2^w): the error of acc and the tail, times
+    # s / 2^w < 1/3, and the floor lose less than (3 block + 5)/3 + 1,
+    # and t - s / 2^w < 2^-w adds less than 1 / (1 - t^2) < 9/8, so
+    # atanh(t) * 2^w < total + block + 4.  Doubling, and ln(v) - ln(u)
+    # <= (v - u) / u < 2 for the gap in z, give ln(v) * 2^w < 2 total +
+    # 2 block + 10; scale by 2^roots for ln(y).
+    total = s * acc >> w
     low = (2 * total) << roots
-    err = (4 * (k // 2) + 10) << roots
+    err = (2 * block + 10) << roots
     ln2, ln2_err = _ln2(w)
     return low + e * ln2 + min(e, 0) * ln2_err, err + abs(e) * ln2_err
 
@@ -250,8 +301,8 @@ def log(x: Interval, bits: int) -> Interval:
     e = p.bit_length() - q.bit_length()
     if (p << max(-e, 0)) < (q << max(e, 0)):
         e -= 1
-    w, roots = _log_precision(bits, e)
-    low, err = _log_fixed(p, q, e, w, roots)
+    w, roots, block = _log_precision(bits, e)
+    low, err = _log_fixed(p, q, e, w, roots, block)
     if err >= 1 << (w - bits):
         raise PrecisionError(f"log error count {err} exceeds 2^-{bits}")
     # ceil((x.hi - x.lo) / x.lo * 2^w)

@@ -97,7 +97,8 @@ def commutator(u: Word, v: Word) -> Word:
 
 
 def nested_commutator(k: int) -> Word:
-    """w(1) = ab, w(k) = [w(k-1), b]; lies in the (k-1)st lower-central term."""
+    """w(1) = ab, w(k) = [w(k-1), b]; lies in gamma_k, the k-th term of the
+    lower central series, with gamma_1 = F and gamma_(k+1) = [gamma_k, F]."""
     if k < 1:
         raise ValueError("k must be >= 1")
     w = Word("ab")

@@ -225,6 +225,40 @@ def test_precision_bits_below_one_is_usage_error(capsys, bits):
     assert "--precision-bits" in captured.err
 
 
+def test_precision_bits_cap(capsys):
+    code, payload = _run_json(capsys, ["dilatation", "--word", "ab",
+                                       "--mu", "64",
+                                       "--precision-bits", "65536"])
+    assert code == 0
+    lo, hi = (float(Fraction(*map(_int_beyond_limit, text.split("/"))))
+              for text in payload["log_lambda"])
+    assert 4.1268 < lo <= hi < 4.1269
+    for argv in (["dilatation", "--word", "ab", "--mu", "64"],
+                 ["search", "--max-len", "4", "--mu", "64"],
+                 ["lcs-table", "--max-k", "2", "--mu", "64"]):
+        for bits in ("65537", "100000000"):
+            code = run(argv + ["--precision-bits", bits])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "usage:" in captured.err
+            assert f"must be <= 65536, got {bits}" in captured.err
+        assert run([argv[0], "--help"]) == 0
+        assert "at most 65536" in capsys.readouterr().out
+
+
+def test_lcs_table_depth_cap(capsys):
+    for k in ("19", "30"):
+        code = run(["lcs-table", "--max-k", k, "--mu", "64"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert f"--max-k: must be <= 18, got {k}" in captured.err
+    assert run(["lcs-table", "--help"]) == 0
+    assert "at most 18" in capsys.readouterr().out
+
+
 def test_precision_error_exit_code(capsys, monkeypatch):
     def fail(*_args):
         raise PrecisionError("log enclosure did not converge at 60 bits")

@@ -18,8 +18,8 @@ from multitwist import intervals, rep
 from multitwist.intervals import Interval, PrecisionError
 from multitwist.words import Word
 
-BITS = (1, 64, 1024, 12288)
-EXAMPLES = {1: 60, 64: 60, 1024: 30, 12288: 6}
+BITS = (1, 64, 1024, 12288, 16384)
+EXAMPLES = {1: 60, 64: 60, 1024: 30, 12288: 6, 16384: 3}
 
 
 def _fraction(v: mpmath.mpf) -> Fraction:
@@ -60,6 +60,14 @@ def _dyadic_exponent(x: Fraction) -> int:
     return d.bit_length() - 1
 
 
+def _check_log(x: Interval, bits: int):
+    iv = intervals.log(x, bits)
+    assert _mp_encloses(iv, mpmath.log, x.lo, x.hi, bits), bits
+    assert iv.width <= Fraction(1, 2 ** bits) + x.width / x.lo, bits
+    assert _dyadic_exponent(iv.lo) <= bits + 256, bits
+    assert _dyadic_exponent(iv.hi) <= bits + 256, bits
+
+
 @pytest.mark.parametrize("bits", BITS)
 def test_log_encloses_mpmath_within_width(bits):
     @settings(max_examples=EXAMPLES[bits], deadline=None)
@@ -67,14 +75,73 @@ def test_log_encloses_mpmath_within_width(bits):
     def check(lo, spread_bits):
         # spread 0, or a relative spread of about 2^-(bits + spread_bits)
         hi = lo * (1 + Fraction(spread_bits > 0, 2 ** (bits + spread_bits)))
-        x = Interval(lo, hi)
-        iv = intervals.log(x, bits)
-        assert _mp_encloses(iv, mpmath.log, lo, hi, bits)
-        assert iv.width <= Fraction(1, 2 ** bits) + x.width / x.lo
-        assert _dyadic_exponent(iv.lo) <= bits + 256
-        assert _dyadic_exponent(iv.hi) <= bits + 256
+        _check_log(Interval(lo, hi), bits)
 
     check()
+
+
+SWEEP_BITS = range(1, 301)
+# y = x / 2^e in the middle of [1, 2), just below 2 and just above 1; a
+# large and a small exponent; and a wide interval
+SWEEP_X = (Interval.point(Fraction(3, 2)),
+           Interval.point(Fraction(2 ** 61 - 1, 2 ** 60)),
+           Interval(Fraction(10 ** 40 + 7, 10 ** 40),
+                    Fraction(10 ** 40 + 9, 10 ** 40)),
+           Interval.point(Fraction(5 * 2 ** 900, 3)),
+           Interval(Fraction(7, 2 ** 500), Fraction(11, 2 ** 500)),
+           Interval(Fraction(1, 3), Fraction(3)))
+
+
+def test_log_sweep_covers_switches_of_the_precision_rule():
+    rules = {intervals._log_precision(bits, 0)[1:] for bits in SWEEP_BITS}
+    assert len({roots for roots, _ in rules}) >= 3
+    assert len({block for _, block in rules}) >= 5
+
+
+@pytest.mark.parametrize("x", SWEEP_X)
+def test_log_sweep_bits_1_to_300(x):
+    """Every bit count up to 300, so every switch point of the root count,
+    the block size and the working precision."""
+    for bits in SWEEP_BITS:
+        _check_log(x, bits)
+
+
+# y = 1 gives s = 0; just above 1, s^2 is below one ulp at large bits
+EDGE_X = {
+    "1": lambda bits: Fraction(1),
+    "2^37": lambda bits: Fraction(2 ** 37),
+    "2^-45": lambda bits: Fraction(1, 2 ** 45),
+    "2": lambda bits: Fraction(2),
+    "1 + 2^-bits": lambda bits: 1 + Fraction(1, 2 ** bits),
+    "2^-7 (1 + 2^-bits)": lambda bits: (1 + Fraction(1, 2 ** bits)) / 2 ** 7,
+}
+
+
+@pytest.mark.parametrize("bits", (1, 2, 60, 64, 300, 1024, 12288))
+@pytest.mark.parametrize("name", EDGE_X)
+def test_log_edge_cases(bits, name):
+    x = EDGE_X[name](bits)
+    _check_log(Interval.point(x), bits)
+    _check_log(Interval(x, x * (1 + Fraction(1, 2 ** bits))), bits)
+
+
+@pytest.mark.parametrize("w", (1, 7, 64, 1088, 12416, 16448))
+def test_ln2_bracket_against_mpmath(w):
+    # one call through the cache, one computed afresh
+    for low, err in (intervals._ln2(w), intervals._ln2.__wrapped__(w)):
+        with mpmath.workprec(w + 160):
+            scaled = _fraction(mpmath.log(2) * mpmath.mpf(2) ** w)
+        # mpmath's value is within 2^-150 of ln(2) * 2^w
+        slack = Fraction(1, 2 ** 150)
+        assert low <= scaled - slack and scaled + slack <= low + err
+        assert err <= 2
+
+
+@pytest.mark.parametrize("trace", (3, 62, -3970, 2 ** 200 + 1))
+def test_hyperbolic_dilatation_meets_width_over_sweep(trace):
+    for bits in SWEEP_BITS:
+        lam, log_lam = rep.hyperbolic_dilatation(trace, bits)
+        assert log_lam.relative_width() <= Fraction(1, 2 ** bits)
 
 
 @pytest.mark.parametrize("bits", BITS)
