@@ -230,7 +230,12 @@ def _log_precision(bits: int, e: int) -> tuple[int, int, int]:
 def _log_fixed(p: int, q: int, e: int, w: int, roots: int,
                block: int) -> tuple[int, int]:
     """(low, err) with low <= ln(p/q) * 2^w <= low + err, where
-    p/q = 2^e * y and 1 <= y < 2.  Counts below are in ulps, 2^-w."""
+    p/q = 2^e * y and 1 <= y < 2.
+
+    Every step floors a nonnegative value, so no computed value exceeds
+    the exact one it stands for; the comments count by how much each can
+    fall short, in ulps of 2^-w.
+    """
     one = 1 << w
     shift = w - e
     z = (p << shift) // q if shift >= 0 else p // (q << -shift)
@@ -256,10 +261,10 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int,
     powers = [one, s2]
     for _ in range(block - 1):
         powers.append(powers[-1] * s2 >> w)
-    # Every power is low by less than 2: s2 by less than 1, the floor; a
-    # later one by less than 1, plus less than 2 for the power before it
-    # times s2 / 2^w < 1/9, plus less than 1 for s2 times the power
-    # before it over 2^w, at most 1/9.
+    # Every power is low by less than 2, by induction: s2 loses less
+    # than 1 in its floor, and a later power less than 1 in its floor,
+    # 2 s2 / 2^w < 2/9 from the power before it, and that power over
+    # 2^w, at most 1/9, from s2.
     step = powers.pop()
     acc = 0
     for b in reversed(range(-(-n // block))):
