@@ -11,7 +11,7 @@ homomorphism on bounding-pair maps.
 
 from .intervals import Interval
 from .quadratic import QuadReal
-from .words import Word, commutator, cyclic_reduce, nested_commutator, reduce
+from .words import Word, commutator, nested_commutator
 from .rep import (IntMatrix, DilatationReport, generator_images, evaluate,
                   classify, dilatation)
 from .families import (IntersectionFamily, PFResult, torelli_family,

@@ -94,16 +94,12 @@ def torelli_cubic_root(precision_bits: int = _BITS) -> Interval:
     return cardano.intersect(bisect)
 
 
-def _cubic(x: Fraction) -> Fraction:
-    return x ** 3 + 2 * x ** 2 + x - 6
-
-
 def _bisect_cubic(precision_bits: int) -> Interval:
     lo, hi = Fraction(1), Fraction(2)
     target = Fraction(1, 2 ** (precision_bits + 2))
     while hi - lo > target:
         mid = (lo + hi) / 2
-        if _cubic(mid) < 0:
+        if mid ** 3 + 2 * mid ** 2 + mid - 6 < 0:
             lo = mid
         else:
             hi = mid
@@ -165,6 +161,12 @@ def filling_intersection_lower(g: int) -> int:
     return 2 * g - 1
 
 
+def _six_places(x: Fraction) -> str:
+    """x >= 0 rounded to 6 decimals; float(x) overflows past 1.8e308."""
+    whole, frac = divmod(round(x * 10 ** 6), 10 ** 6)
+    return f"{decimal_str(whole)}.{frac:06d}"
+
+
 def tau_cc_upper(g: int, log_lambda: Interval) -> BoundResult:
     """4*log(lambda)/log(g - 1/2), valid when lambda <= g - 1/2.
 
@@ -178,8 +180,8 @@ def tau_cc_upper(g: int, log_lambda: Interval) -> BoundResult:
     if log_lambda.hi > log_threshold.lo:
         raise HypothesisViolation(
             f"hypothesis lambda <= g - 1/2 = {threshold} not certified: "
-            f"log(lambda) upper endpoint {float(log_lambda.hi):.6f} exceeds "
-            f"certified log({threshold}) >= {float(log_threshold.lo):.6f}")
+            f"log(lambda) upper endpoint {_six_places(log_lambda.hi)} exceeds "
+            f"certified log({threshold}) >= {_six_places(log_threshold.lo)}")
     value = 4 * log_lambda / log_threshold
     return BoundResult(value, UPPER_TAU_C,
                        f"valid for pseudo-Anosov f on genus {g} with "

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds, families, johnson, rep, search, verify
@@ -29,6 +31,8 @@ MAX_PRECISION_BITS = 65536
 # the largest lcs-table --max-k; the deepest word has length 2^18, and
 # each further level about triples the time
 MAX_LCS_DEPTH = 18
+# the largest search --max-len: about 33 s and 280 MB, x3 per further letter
+MAX_SEARCH_LENGTH = 16
 
 
 class ComputationError(Exception):
@@ -51,7 +55,16 @@ def _bounded_int(low=None, high=None):
     return parse
 
 
-_positive_int = _bounded_int(low=1)
+def _rational(text: str) -> Fraction:
+    """An argparse type: p, p/q with q > 0, or a plain decimal.  Exponents
+    are refused: Fraction("1e1000000") spends 0.24 s building 10^1000000."""
+    if not re.fullmatch(r"[+-]?(\d+(/0*[1-9]\d*)?|\d*\.\d+|\d+\.)", text):
+        raise argparse.ArgumentTypeError(
+            f"expected p, p/q with q > 0 or a plain decimal, got {text!r}")
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # past the int-from-str digit limit
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _symplectic_pairs(text: str) -> list[tuple[str, str]]:
@@ -70,6 +83,14 @@ def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _float_text(x: Fraction) -> str:
+    """repr(float(x)), or 17 significant digits past the float range."""
+    try:
+        return repr(float(x))
+    except OverflowError:
+        return f"{Decimal(x.numerator) / x.denominator:.16e}"
+
+
 def _cmd_dilatation(args) -> int:
     w = Word.parse(args.word)
     report = rep.dilatation(w, args.mu, args.precision_bits)
@@ -82,8 +103,9 @@ def _cmd_dilatation(args) -> int:
         log_lam = report.log_dilatation_interval
         print(f"word {w or '1'}: hyperbolic, "
               f"|trace| = {decimal_str(abs(report.trace))}, "
-              f"lambda in [{float(lam.lo)!r}, {float(lam.hi)!r}], "
-              f"log(lambda) in [{float(log_lam.lo)!r}, {float(log_lam.hi)!r}]")
+              f"lambda in [{_float_text(lam.lo)}, {_float_text(lam.hi)}], "
+              f"log(lambda) in [{_float_text(log_lam.lo)}, "
+              f"{_float_text(log_lam.hi)}]")
     return 0
 
 
@@ -164,8 +186,7 @@ def _cmd_tau_cc(args) -> int:
     if args.log_lambda is None:
         result = bounds.tau_cc_infs_upper(args.genus)
     else:
-        result = bounds.tau_cc_upper(args.genus,
-                                     Interval.point(Fraction(args.log_lambda)))
+        result = bounds.tau_cc_upper(args.genus, Interval.point(args.log_lambda))
     _emit(result.to_json_dict())
     return 0
 
@@ -202,9 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     def precision_bits(p):
         p.add_argument("--precision-bits",
                        type=_bounded_int(low=1, high=MAX_PRECISION_BITS),
-                       default=60, dest="precision_bits",
-                       help="certified bits of the intervals, at most "
-                            f"{MAX_PRECISION_BITS} (default 60)")
+                       default=60, help="certified bits of the intervals, "
+                                        f"at most {MAX_PRECISION_BITS} (default 60)")
 
     p = sub.add_parser("dilatation", help="certified dilatation of a word")
     p.add_argument("--word", required=True,
@@ -229,9 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
-    p.add_argument("--max-len", type=int, required=True, dest="max_len")
+    p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
+                   required=True, help=f"at most {MAX_SEARCH_LENGTH} (about 33 s)")
     p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=_bounded_int(low=1), default=1,
                    help="worker processes for the class enumeration "
                         "from --max-len 13 on (at most one per core)")
     precision_bits(p)
@@ -239,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
     p.add_argument("--max-k", type=_bounded_int(high=MAX_LCS_DEPTH),
-                   required=True, dest="max_k",
-                   help=f"at most {MAX_LCS_DEPTH}")
+                   required=True, help=f"at most {MAX_LCS_DEPTH}")
     p.add_argument("--mu", type=int, required=True)
     output_format(p, "csv", "json")
     precision_bits(p)
@@ -257,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tau-cc", help="curve-complex translation-length bound")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--log-lambda", default=None, dest="log_lambda",
-                   help="exact rational, e.g. 6931/10000")
+    p.add_argument("--log-lambda", type=_rational,
+                   help="exact p, p/q or plain decimal, e.g. 6931/10000")
     p.set_defaults(func=_cmd_tau_cc)
 
     p = sub.add_parser("verify-paper", help="reproduce every headline constant")

@@ -135,13 +135,6 @@ def _is_irreducible(M) -> bool:
     return reaches_all(successors) and reaches_all(predecessors)
 
 
-def collatz_wielandt(M, v) -> tuple[Fraction, Fraction]:
-    """min and max of (Mv)_i / v_i over a positive vector v."""
-    ratios = [sum(row[j] * v[j] for j in range(len(v))) / v[i]
-              for i, row in enumerate(M)]
-    return min(ratios), max(ratios)
-
-
 def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9), max_iterations: int = 10_000) -> PFResult:
     """Perron-Frobenius eigenvalue with an exact rational certificate.
 
@@ -185,7 +178,7 @@ def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9), max_iterations: int = 10_000) -> 
                        f"in {max_iterations} iterations")
 
 
-def family_csv(f: IntersectionFamily, tol=Fraction(1, 10 ** 9)) -> str:
+def family_csv(f: IntersectionFamily) -> str:
     """CSV emission of N, N*N^t, and the PF certificate."""
     out = io.StringIO()
     out.write("section,row,values\n")
@@ -194,7 +187,7 @@ def family_csv(f: IntersectionFamily, tol=Fraction(1, 10 ** 9)) -> str:
     prod = f.nnt()
     for i, row in enumerate(prod):
         out.write(f"NNt,{i},{' '.join(str(x) for x in row)}\n")
-    pf = pf_eigenvalue(prod, tol=tol)
+    pf = pf_eigenvalue(prod)
     out.write(f"PF,lower,{pf.value_lower}\n")
     out.write(f"PF,upper,{pf.value_upper}\n")
     out.write(f"PF,exact,{str(pf.exact_flag).lower()}\n")

@@ -5,7 +5,7 @@ form omega = sum x_i ^ y_i.  A coset is represented by sparse terms
 ((i, j, k), c) of Lambda^3 H: triples i < j < k < 2g of basis indices,
 sorted and distinct, each with a nonzero int c.  The 2g generators
 omega ^ e of the sublattice have pairwise disjoint supports with entries
-+-1, so they are their own Hermite echelon form: the canonical
++1, so they are their own Hermite echelon form: the canonical
 representative of a coset zeroes one pivot coordinate per generator, and
 the quotient is free of rank C(2g, 3) - 2g.  Only `omega_wedge_basis`
 walks all C(2g, 3) triples.
@@ -185,12 +185,13 @@ def wedge3(h1: HomologyClass, h2: HomologyClass, h3: HomologyClass) -> Wedge3Cos
 @lru_cache(maxsize=None)
 def _omega_wedge_rows(
         g: int) -> tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]:
-    """Each generator omega ^ e as sparse (triple, +-1) entries.
+    """Each generator omega ^ e as sparse (triple, 1) entries.
 
     omega ^ e = sum over i with e not in {x_i, y_i} of x_i ^ y_i ^ e, so
     each of the 2g generators has g - 1 entries, and the triple
-    {x_i, y_i, e} names e: no two supports meet.  Entries are in triple
-    order.
+    {x_i, y_i, e} names e: no two supports meet.  Entries are +1 and in
+    triple order: x_i, y_i are the adjacent indices 2i, 2i + 1, so e lies
+    below or above both and sorts (x_i, y_i, e) by an even permutation.
     """
     if g < 2:
         raise ValueError("quotient needs g >= 2")
@@ -200,8 +201,7 @@ def _omega_wedge_rows(
         for i in range(g):
             xi, yi = 2 * i, 2 * i + 1
             if e not in (xi, yi):
-                row.append((tuple(sorted((xi, yi, e))),
-                            _sort_sign((xi, yi, e))))
+                row.append((tuple(sorted((xi, yi, e))), 1))
         rows.append(tuple(sorted(row)))
     return tuple(rows)
 
@@ -213,30 +213,17 @@ def omega_wedge_basis(g: int) -> list[tuple[int, ...]]:
     return [tuple(dict(row).get(t, 0) for t in triples) for row in rows]
 
 
-def _sort_sign(t: tuple[int, int, int]) -> int:
-    a, b, c = t
-    sign = 1
-    # bubble sort parity on 3 elements
-    if a > b:
-        a, b, sign = b, a, -sign
-    if b > c:
-        b, c, sign = c, b, -sign
-    if a > b:
-        a, b, sign = b, a, -sign
-    return sign
-
-
 class _EchelonLattice:
     """Lattice spanned by sparse rows with pairwise disjoint supports, each
-    led by a pivot entry of +-1.
+    led by a pivot entry of 1.
 
     Such rows are already in Hermite echelon form, so a coset of the
     lattice has exactly one representative that is zero at every pivot.
     """
 
     def __init__(self, rows):
-        if any(abs(row[0][1]) != 1 for row in rows):
-            raise ValueError("pivot entry must be +-1")
+        if any(row[0][1] != 1 for row in rows):
+            raise ValueError("pivot entry must be 1")
         support = [n for row in rows for n, _ in row]
         if len(set(support)) != len(support):
             raise ValueError("generator supports overlap")
@@ -246,8 +233,7 @@ class _EchelonLattice:
         """Coset representative of the (key, c) terms, zero at every pivot."""
         w = dict(terms)
         for row in self.rows:
-            pivot, sign = row[0]
-            q = w.get(pivot, 0) * sign
+            q = w.get(row[0][0], 0)
             if q:
                 for n, x in row:
                     w[n] = w.get(n, 0) - q * x

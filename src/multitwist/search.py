@@ -262,9 +262,9 @@ class LcsRow:
 
 
 def lcs_table(k_max: int, mu: int, precision_bits: int = 60) -> list[LcsRow]:
-    """Nested-commutator words down the lower central series with their
-    certified log dilatations; row k is a genus-independent upper bound
-    for the level-k Johnson filtration subgroup."""
+    """Nested-commutator words w(k) and their certified log dilatations.
+    w(k) lies in gamma_k of <T_A, T_B> (gamma_1 = F) by construction, so
+    row k bounds the least dilatation in gamma_k from above at any genus."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if mu < 1:

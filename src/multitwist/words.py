@@ -28,7 +28,7 @@ def _reduce_chars(chars: Iterable[str]) -> str:
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word; construct via parse() or reduce()."""
+    """A freely reduced word; Word.parse builds one from any letter string."""
 
     letters: str = ""
 
@@ -67,28 +67,6 @@ class Word:
         """All cyclic rotations; only meaningful for cyclically reduced words."""
         s = self.letters
         return [Word(s[i:] + s[:i]) for i in range(max(len(s), 1))]
-
-
-def reduce(raw: str | Word) -> Word:
-    """Freely reduce a letter string; a Word is returned as it is."""
-    if isinstance(raw, Word):
-        return raw
-    return Word.parse(raw)
-
-
-def cyclic_reduce(w: Word) -> Word:
-    """Strip conjugating prefix/suffix pairs; result is conjugate to w."""
-    s = w.letters
-    i, j = 0, len(s)
-    while j - i >= 2 and s[i] == s[j - 1].swapcase():
-        i += 1
-        j -= 1
-    return Word(s[i:j])
-
-
-def is_cyclically_reduced(w: Word) -> bool:
-    s = w.letters
-    return len(s) < 2 or s[0] != s[-1].swapcase()
 
 
 def commutator(u: Word, v: Word) -> Word:

@@ -5,12 +5,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import multitwist
-from multitwist import rep, search, verify, words
+from multitwist import bounds, rep, search, verify, words
 from multitwist.cli import run
-from multitwist.intervals import PrecisionError
+from multitwist.intervals import Interval, PrecisionError
 from multitwist.words import Word
 
 
@@ -257,6 +258,88 @@ def test_lcs_table_depth_cap(capsys):
         assert f"--max-k: must be <= 18, got {k}" in captured.err
     assert run(["lcs-table", "--help"]) == 0
     assert "at most 18" in capsys.readouterr().out
+
+
+def test_search_length_cap(capsys):
+    for n in ("17", "100"):
+        code = run(["search", "--max-len", n, "--mu", "64"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert f"--max-len: must be <= 16, got {n}" in captured.err
+    # below the search's own minimum it stays a computation error
+    assert run(["search", "--max-len", "1", "--mu", "64"]) == 1
+    assert "max_length must be >= 2" in capsys.readouterr().err
+    assert run(["search", "--help"]) == 0
+    assert "at most 16" in capsys.readouterr().out
+
+
+def test_dilatation_text_unchanged_in_float_range(capsys):
+    assert run(["dilatation", "--word", "ab", "--mu", "64",
+                "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "word ab: hyperbolic, |trace| = 62, lambda in [61.983866769659336, "
+        "61.983866769659336], log(lambda) in [4.126874137791121, "
+        "4.126874137791121]\n")
+
+
+def test_dilatation_text_beyond_float_range(capsys):
+    # lambda of (ab)^200 at mu 64 is about 2.86e358, past the float range
+    word = "ab" * 200
+    code = run(["dilatation", "--word", word, "--mu", "64",
+                "--format", "text"])
+    out = capsys.readouterr().out
+    assert code == 0
+    head, lam, log_lam = out.split("[")
+    assert head.startswith(f"word {word}: hyperbolic, |trace| = ")
+    lam_lo, lam_hi = (Fraction(x) for x in lam.split("]")[0].split(", "))
+    log_lo, log_hi = (float(x) for x in log_lam.split("]")[0].split(", "))
+    mpmath.mp.prec = 80
+    t = mpmath.mpf(62)
+    exact = ((t + mpmath.sqrt(t * t - 4)) / 2) ** 200
+    for x in (lam_lo, lam_hi):
+        assert abs(mpmath.mpf(x.numerator) / x.denominator / exact - 1) < 1e-15
+    assert log_lo == log_hi == pytest.approx(float(mpmath.log(exact)),
+                                             rel=1e-15)
+
+
+def test_tau_cc_hypothesis_message_beyond_float_range(capsys):
+    big = "1" + "0" * 399
+    code = run(["tau-cc", "--genus", "3", "--log-lambda", big])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert (f"log(lambda) upper endpoint {big}.000000 exceeds certified "
+            f"log(5/2) >= 0.916291" in err)
+    # exponents are refused before any work, so 1e309 is a usage error
+    assert run(["tau-cc", "--genus", "3", "--log-lambda", "1e309"]) == 2
+    # so is a numerator past the int-from-str digit limit, plainly worded
+    assert run(["tau-cc", "--genus", "3", "--log-lambda", "1" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert "Exceeds the limit" in err and "_rational" not in err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", 1), ("-2", -2), ("+3", 3), ("6931/10000", Fraction(6931, 10000)),
+    ("0.5", Fraction(1, 2)), (".5", Fraction(1, 2)), ("2.", 2),
+])
+def test_log_lambda_accepts_rationals(capsys, text, value):
+    code, payload = _run_json(capsys, ["tau-cc", "--genus", "64",
+                                       "--log-lambda", text])
+    assert code == 0
+    expected = bounds.tau_cc_upper(64, Interval.point(Fraction(value)))
+    assert payload == json.loads(json.dumps(expected.to_json_dict()))
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", "1e3", "1e1000000", "0x10",
+                                  "1/2/3", "1.5/2", "", "inf", "nan"])
+def test_log_lambda_refuses_non_rationals(capsys, text):
+    code = run(["tau-cc", "--genus", "3", "--log-lambda", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert "--log-lambda" in captured.err
 
 
 def test_precision_error_exit_code(capsys, monkeypatch):

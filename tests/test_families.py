@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,7 @@ import pytest
 from multitwist import families
 from multitwist.families import (IntersectionFamily, ReducibleMatrixError,
                                  _is_irreducible, braid_family,
-                                 collatz_wielandt, pf_eigenvalue,
-                                 torelli_family)
+                                 pf_eigenvalue, torelli_family)
 
 
 def test_torelli_examples():
@@ -88,39 +88,43 @@ def test_mu_is_square_of_offdiagonal_entry():
 
 
 def test_collatz_wielandt_soundness():
+    # pf_eigenvalue's brackets at shrinking tol: each holds numpy's PF
+    # eigenvalue and lies inside the last
     rng = random.Random(99)
     for _ in range(100):
         mat = [[Fraction(rng.randint(1, 9)) for _ in range(5)] for _ in range(5)]
         true_pf = max(abs(x) for x in
                       np.linalg.eigvals(np.array(mat, dtype=float)))
-        v = [Fraction(1)] * 5
-        prev_lo, prev_hi = collatz_wielandt(mat, v)
-        for _ in range(12):
-            w = [sum(mat[i][j] * v[j] for j in range(5)) for i in range(5)]
-            top = max(w)
-            v = [x / top for x in w]
-            lo, hi = collatz_wielandt(mat, v)
-            # positive matrices: the bracket nests monotonically
-            assert lo >= prev_lo - Fraction(1, 10 ** 15)
-            assert hi <= prev_hi + Fraction(1, 10 ** 15)
+        prev_lo, prev_hi = 0, math.inf
+        for digits in (1, 3, 6, 9):
+            pf = pf_eigenvalue(mat, tol=Fraction(1, 10 ** digits))
+            lo, hi = pf.value_lower, pf.value_upper
+            assert prev_lo <= lo <= hi <= prev_hi
+            assert hi - lo <= Fraction(1, 10 ** digits)
+            assert (float(lo) * (1 - 1e-12) <= true_pf
+                    <= float(hi) * (1 + 1e-12))
             prev_lo, prev_hi = lo, hi
-        assert float(prev_lo) - 1e-6 <= true_pf <= float(prev_hi) + 1e-6
-
 
 
 def _pf_two_products(mat, tol):
     """The power iteration with M*v formed twice per step: once for the
     next vector, once more for the bracket at it."""
     n = len(mat)
+
+    def bracket(v):
+        ratios = [sum(mat[i][j] * v[j] for j in range(n)) / v[i]
+                  for i in range(n)]
+        return min(ratios), max(ratios)
+
     v = [Fraction(1)] * n
-    lo, hi = collatz_wielandt(mat, v)
+    lo, hi = bracket(v)
     for it in range(1, 10_001):
         if hi - lo <= tol:
             return lo, hi, tuple(v), it - 1
         w = [sum(mat[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
         top = max(w)
         v = [x / top for x in w]
-        new_lo, new_hi = collatz_wielandt(mat, v)
+        new_lo, new_hi = bracket(v)
         lo, hi = max(lo, new_lo), min(hi, new_hi)
     raise AssertionError("no convergence")
 

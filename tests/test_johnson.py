@@ -15,6 +15,9 @@ from multitwist.johnson import (GenusMismatch, HomologyClass,
                                 quotient_rank, tau_bounding_pair, wedge3)
 from sympy.matrices.normalforms import smith_normal_form
 
+# the even permutations of (0, 1, 2): the identity and the two 3-cycles
+EVEN_PERMUTATIONS = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+
 
 def _x(i, g):
     return HomologyClass.basis_x(i, g)
@@ -128,7 +131,7 @@ def test_wedge3_full_alternation_random():
              for _ in range(3)]
         base = wedge3(*h)
         for perm in itertools.permutations(range(3)):
-            sign = johnson._sort_sign(tuple(perm))
+            sign = 1 if perm in EVEN_PERMUTATIONS else -1
             permuted = wedge3(h[perm[0]], h[perm[1]], h[perm[2]])
             expected = base if sign == 1 else -base
             assert permuted.representative == expected.representative
@@ -142,6 +145,21 @@ def test_omega_wedge_basis_g2():
     assert vecs[0] == expected
     with pytest.raises(ValueError):
         omega_wedge_basis(1)
+
+
+def test_omega_wedge_rows_signs_by_inversions():
+    # omega ^ e = sum of x_i ^ y_i ^ e; each entry is the sign of the sort
+    # of (x_i, y_i, e), counted here by its inversions
+    for g in (2, 3, 4, 5, 17, 64):
+        for e, row in enumerate(johnson._omega_wedge_rows(g)):
+            expected = {}
+            for i in range(g):
+                t = (2 * i, 2 * i + 1, e)
+                if e not in t[:2]:
+                    inversions = sum(p > q for p, q in
+                                     itertools.combinations(t, 2))
+                    expected[tuple(sorted(t))] = (-1) ** inversions
+            assert dict(row) == expected
 
 
 def test_omega_wedge_basis_independent():
@@ -182,18 +200,13 @@ def test_reduce_is_idempotent_and_compares_equal():
     assert out.reduce() == out
 
 
-def test_lattice_with_negative_pivot():
-    # v - canonical(v) = (5, 7, -15) = -5 * (-1, 0, 3) + 7 * (0, 1, 0)
-    t0, t1, t2 = _triples(2)[:3]
-    lat = johnson._EchelonLattice([[(t0, -1), (t2, 3)], [(t1, 1)]])
-    assert lat.canonical({t0: 5, t1: 7}) == {t0: 0, t1: 0, t2: 15}
-
-
 def test_lattice_refuses_rows_outside_the_closed_form():
     with pytest.raises(ValueError):
         johnson._EchelonLattice([[(0, 1), (2, -1)], [(1, 1), (2, 1)]])
     with pytest.raises(ValueError):
         johnson._EchelonLattice([[(0, 2), (1, 1)]])
+    with pytest.raises(ValueError):
+        johnson._EchelonLattice([[(0, -1), (1, 3)]])
 
 
 def test_coset_equal_examples():

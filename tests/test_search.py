@@ -44,10 +44,10 @@ def test_enumerate_count_matches_brute_force():
 
 
 def test_enumerate_reps_are_canonical():
-    from multitwist import words as words_mod
     for w in enumerate_classes(8):
-        assert w.letters.startswith("a")
-        assert words_mod.is_cyclically_reduced(w)
+        s = w.letters
+        assert s.startswith("a")
+        assert len(s) < 2 or s[0] != s[-1].swapcase()  # cyclically reduced
         assert orbit_representative(w) == w
 
 

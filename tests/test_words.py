@@ -4,22 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitwist import words
-from multitwist.words import Word, commutator, cyclic_reduce, nested_commutator, reduce
+from multitwist.words import Word, commutator, nested_commutator
 
 letters = st.sampled_from("abAB")
 raw_strings = st.text(alphabet="abAB", max_size=50)
 
 
 def test_reduce_examples():
-    assert reduce("").is_identity()
-    assert reduce("aA").is_identity()
-    assert str(reduce("abBb")) == "ab"
+    assert Word.parse("").is_identity()
+    assert Word.parse("aA").is_identity()
+    assert str(Word.parse("abBb")) == "ab"
 
 
 def test_reduce_rejects_bad_letters():
     with pytest.raises(ValueError):
-        reduce("abc")
+        Word.parse("abc")
     with pytest.raises(ValueError):
         Word.parse("a b")
 
@@ -27,12 +26,6 @@ def test_reduce_rejects_bad_letters():
 def test_word_constructor_requires_reduced():
     with pytest.raises(ValueError):
         Word("aA")
-
-
-def test_cyclic_reduce_examples():
-    assert str(cyclic_reduce(Word("baB"))) == "a"
-    assert str(cyclic_reduce(Word("ab"))) == "ab"
-    assert str(cyclic_reduce(Word("abAB"))) == "abAB"
 
 
 def test_commutator_examples():
@@ -59,35 +52,26 @@ def test_reduce_idempotent_exhaustive():
     # exhaustive through length 9; longer lengths randomized below
     for length in range(0, 10):
         for chars in itertools.product("abAB", repeat=length):
-            w = reduce("".join(chars))
-            assert reduce(w.letters) == w
+            w = Word.parse("".join(chars))
+            assert Word.parse(w.letters) == w
 
 
 @given(raw_strings)
 def test_reduce_idempotent_random(s):
-    w = reduce(s)
-    assert reduce(w.letters) == w
+    w = Word.parse(s)
+    assert Word.parse(w.letters) == w
 
 
 @given(raw_strings)
 def test_inverse_cancels(s):
-    w = reduce(s)
+    w = Word.parse(s)
     assert (w * w.inverse()).is_identity()
     assert (w.inverse() * w).is_identity()
 
 
-@given(raw_strings)
-def test_cyclic_reduce_properties(s):
-    w = reduce(s)
-    cr = cyclic_reduce(w)
-    assert len(cr) <= len(w)
-    assert cyclic_reduce(cr) == cr
-    assert words.is_cyclically_reduced(cr)
-
-
 @given(raw_strings, raw_strings)
 def test_commutator_is_product(s, t):
-    u, v = reduce(s), reduce(t)
+    u, v = Word.parse(s), Word.parse(t)
     assert commutator(u, v) == u * v * u.inverse() * v.inverse()
 
 
