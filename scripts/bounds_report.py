@@ -6,14 +6,14 @@ Usage: python scripts/bounds_report.py [--g-max G] [--p-max P]
 
 import argparse
 
-from multitwist import bounds
+from multitwist import bounds, cli
 
 
 def _mid(result) -> float:
     return float((result.value.lo + result.value.hi) / 2)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--g-max", type=int, default=10)
     parser.add_argument("--p-max", type=int, default=10)
@@ -34,7 +34,9 @@ def main() -> None:
         print(f"{g:2d}  {_mid(bounds.hk_upper(g)):.7f}   "
               f"{_mid(bounds.tau_cc_infs_upper(g)):.7f}          "
               f"{bounds.filling_intersection_lower(g)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    # exits 1 without a traceback when the reader of stdout closes early
+    cli.main(main)

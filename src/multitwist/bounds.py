@@ -168,13 +168,18 @@ def _six_places(x: Fraction) -> str:
 
 
 def tau_cc_upper(g: int, log_lambda: Interval) -> BoundResult:
-    """4*log(lambda)/log(g - 1/2), valid when lambda <= g - 1/2.
+    """4*log(lambda)/log(g - 1/2), valid when 1 < lambda <= g - 1/2.
 
     The hypothesis is enforced with a certified comparison; violations
     raise HypothesisViolation, bad parameters raise ValueError.
     """
     if g < 2:
         raise ValueError("curve-complex bound requires g >= 2")
+    if log_lambda.lo <= 0:
+        # a pseudo-Anosov dilatation exceeds 1
+        raise HypothesisViolation(
+            "hypothesis lambda > 1 not certified: log(lambda) lower "
+            "endpoint is not positive")
     threshold = Fraction(2 * g - 1, 2)
     log_threshold = _log_rational(threshold)
     if log_lambda.hi > log_threshold.lo:

@@ -31,7 +31,7 @@ MAX_PRECISION_BITS = 65536
 # the largest lcs-table --max-k; the deepest word has length 2^18, and
 # each further level about triples the time
 MAX_LCS_DEPTH = 18
-# the largest search --max-len: about 33 s and 280 MB, x3 per further letter
+# the largest search --max-len: about 10 s and 100 MB, x3 per further letter
 MAX_SEARCH_LENGTH = 16
 
 
@@ -156,8 +156,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_search(args) -> int:
     report = search.min_dilatation_search(args.max_len, args.mu,
-                                          jobs=args.jobs,
-                                          precision_bits=args.precision_bits)
+                                          args.precision_bits)
     _emit(report.to_json_dict())
     return 0
 
@@ -250,11 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
-                   required=True, help=f"at most {MAX_SEARCH_LENGTH} (about 33 s)")
+                   required=True, help=f"at most {MAX_SEARCH_LENGTH} (about 10 s)")
     p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--jobs", type=_bounded_int(low=1), default=1,
-                   help="worker processes for the class enumeration "
-                        "from --max-len 13 on (at most one per core)")
     precision_bits(p)
     p.set_defaults(func=_cmd_search)
 
@@ -302,13 +298,15 @@ def run(argv=None) -> int:
         return 1
 
 
-def main() -> None:
+def main(entry=run) -> None:
+    """Exit with entry()'s code, or with 1 and no traceback when the
+    reader of stdout closed early."""
     try:
-        code = run()
+        code = entry()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed early; point stdout at devnull so that the
-        # interpreter's flush at exit cannot fail a second time
+        # point stdout at devnull so that the interpreter's flush at exit
+        # cannot fail a second time
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -12,15 +12,15 @@ depth-first search over freely reduced words with the FKM prenecklace
 rule (Ruskey, Savage and Wang, "Generating necklaces", J. Algorithms
 1992) visits only words that can start a least rotation, and each word
 that is a cyclically reduced necklace is kept when no rotation of its
-inverse, swap or swapped inverse is smaller.  orbit_representative is the
-definitional canonical form that the tests check this against.
+inverse, swap or swapped inverse is smaller.  The search also cuts every
+word with a letter run longer than its leading run of a's, which can
+start no least word.  orbit_representative is the definitional
+canonical form that the tests check this against.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -72,15 +72,6 @@ _FOLLOWERS = {"0": "013", "1": "012", "2": "123", "3": "023"}
 _INVERT_KEYS = str.maketrans("0123", "2301")
 _SWAP_KEYS = str.maketrans("0123", "1032")
 _SWAP_INVERT_KEYS = str.maketrans("0123", "3210")
-# depth of the roots of the subtrees that min_dilatation_search hands to
-# worker processes: 24 roots, the largest of which holds about an eighth
-# of the work at length 14
-_SPLIT_DEPTH = 4
-# shortest max_length at which jobs > 1 starts a worker pool; starting two
-# spawned workers costs about 0.25 s, so on two cores the pool is slower
-# than one process up to length 12 (0.54 s against 0.41 s) and faster
-# from 13 on (1.28 s against 1.51 s; 2.84 s against 3.90 s at 14)
-_PARALLEL_MIN_LENGTH = 13
 
 
 def _word_key(s: str) -> str:
@@ -99,53 +90,68 @@ def orbit_representative(w: Word) -> Word:
     return Word(min(candidates, key=_word_key))
 
 
-def _least_in_orbit(key: str) -> bool:
-    """Whether a necklace key starting with 0 is no greater than any
-    rotation of its inverse, swap and swapped inverse."""
-    reverse = key[::-1]
-    for variant in (reverse.translate(_INVERT_KEYS), key.translate(_SWAP_KEYS),
-                    reverse.translate(_SWAP_INVERT_KEYS)):
-        # only a rotation that starts with 0 can be smaller than key
-        i = variant.find("0")
-        while i != -1:
-            if variant[i:] + variant[:i] < key:
+def _least_in_orbit(key: str, lead: int) -> bool:
+    """Whether a necklace key whose leading run of 0s has length lead is
+    no greater than any rotation of its inverse, swap and swapped
+    inverse."""
+    n = len(key)
+    # only a rotation that starts with lead 0s can be smaller than key
+    head = key[:lead]
+    for variant in (key[::-1].translate(_INVERT_KEYS),
+                    key.translate(_SWAP_KEYS),
+                    key[::-1].translate(_SWAP_INVERT_KEYS)):
+        doubled = variant + variant
+        i = doubled.find(head)
+        while -1 < i < n:
+            if doubled[i:i + n] < key:
                 return False
-            i = variant.find("0", i + 1)
+            i = doubled.find(head, i + 1)
     return True
 
 
-def _class_keys(max_length: int, root: tuple[str, int] = ("0", 1),
-                split_at: int = 0):
-    """Keys of the canonical class words in the search tree below root.
+def _class_keys(max_length: int) -> list[list[str]]:
+    """Keys of the canonical class words: entry n lists those of length n
+    in increasing order.
 
-    root is a prenecklace key with its FKM period.  Returns (keys,
-    frontier): keys[n] lists the keys of length n in increasing order;
-    when split_at > 0, the nodes at that depth are neither tested nor
-    expanded but returned in increasing order as frontier roots.
+    The depth-first search carries each key's FKM period, the length of
+    its leading run of 0s and the length of its last run, and cuts every
+    child in which a run of one letter would be longer than the leading
+    run.  The cut is sound.  The word itself, its swap, its inverse and
+    its swapped inverse carry a run of a, b, A or B respectively to a run
+    of a of the same length.  Once a key has a letter other than 0, all
+    its extensions start with exactly its leading run of 0s, so an
+    extension holding a longer run has a rotation of one of those
+    variants that starts with more 0s and is therefore smaller than the
+    extension: it is never the least word of its orbit.
     """
     keys: list[list[str]] = [[] for _ in range(max_length + 1)]
-    frontier: list[tuple[str, int]] = []
 
-    def grow(key: str, period: int) -> None:
+    def grow(key: str, period: int, lead: int, run: int) -> None:
         n = len(key)
-        if n == split_at:
-            frontier.append((key, period))
-            return
+        last = key[-1]
         # every key starts with 0, so it is cyclically reduced unless it
         # ends with 2 (a word ending in A)
-        if n % period == 0 and key[-1] != "2" and _least_in_orbit(key):
+        if n % period == 0 and last != "2" and _least_in_orbit(key, lead):
             keys[n].append(key)
         if n == max_length:
             return
         ref = key[n - period]
-        for c in _FOLLOWERS[key[-1]]:
-            if c > ref:
-                grow(key + c, n + 1)
-            elif c == ref:
-                grow(key + c, period)
+        for c in _FOLLOWERS[last]:
+            if c < ref:
+                continue
+            if c != last:
+                child_lead, child_run = lead, 1
+            elif lead == n:  # the key is all 0s and c extends that run
+                child_lead = child_run = n + 1
+            elif run < lead:
+                child_lead, child_run = lead, run + 1
+            else:
+                continue
+            grow(key + c, n + 1 if c > ref else period, child_lead, child_run)
 
-    grow(*root)
-    return keys, frontier
+    # every orbit has a word starting with a, so the tree has one root
+    grow("0", 1, 1, 1)
+    return keys
 
 
 def enumerate_classes(max_length: int) -> Iterator[Word]:
@@ -154,33 +160,9 @@ def enumerate_classes(max_length: int) -> Iterator[Word]:
     then in the letter order a < b < A < B."""
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    # every orbit has a word starting with a, so the tree has one root
-    keys, _ = _class_keys(max_length)
-    for bucket in keys:
+    for bucket in _class_keys(max_length):
         for key in bucket:
             yield Word(key.translate(_FROM_KEY))
-
-
-def _parallel_classes(max_length: int, jobs: int) -> list[Word]:
-    """enumerate_classes(max_length) as a list, its subtrees below depth
-    _SPLIT_DEPTH spread over jobs worker processes."""
-    # imported here: only this path needs them, and they cost every
-    # command's start-up time and memory
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    keys, frontier = _class_keys(max_length, split_at=_SPLIT_DEPTH)
-    # spawn, not the fork default on Linux: a fresh interpreter is safe in
-    # a caller that runs threads, where a forked child can deadlock on a
-    # lock held by another thread, and it behaves alike on every platform
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        # subtrees come back in root order, so each length stays sorted
-        for subtree, _ in pool.map(_class_keys, itertools.repeat(max_length),
-                                   frontier):
-            for bucket, more in zip(keys, subtree):
-                bucket.extend(more)
-    return [Word(key.translate(_FROM_KEY)) for bucket in keys for key in bucket]
 
 
 @dataclass(frozen=True)
@@ -203,28 +185,19 @@ class SearchReport:
         }
 
 
-def min_dilatation_search(max_length: int, mu: int, jobs: int = 1,
+def min_dilatation_search(max_length: int, mu: int,
                           precision_bits: int = 60) -> SearchReport:
-    """Exact minimum of |trace| over hyperbolic classes up to max_length.
-
-    With jobs > 1 and max_length >= _PARALLEL_MIN_LENGTH the class
-    enumeration is split over that many worker processes, at most one per
-    core; shorter searches run in this process."""
+    """Exact minimum of |trace| over hyperbolic classes up to max_length."""
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and max_length >= _PARALLEL_MIN_LENGTH:
-        classes = _parallel_classes(max_length, jobs)
-    else:
-        classes = list(enumerate_classes(max_length))
 
     best_abs: Optional[int] = None
     minima: list[Word] = []
-    for w in classes:
+    examined = 0
+    for w in enumerate_classes(max_length):
+        examined += 1
         m = rep.evaluate(w, mu)
         if rep.classify(m) != rep.HYPERBOLIC:
             continue
@@ -238,7 +211,7 @@ def min_dilatation_search(max_length: int, mu: int, jobs: int = 1,
             f"no hyperbolic class with word length <= {max_length} at mu={mu}")
     minima.sort(key=lambda w: _word_key(w.letters))
     report = rep.dilatation(minima[0], mu, precision_bits)
-    return SearchReport(mu, max_length, len(classes), report, tuple(minima))
+    return SearchReport(mu, max_length, examined, report, tuple(minima))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 ALPHABET = "abAB"
+_LETTERS = frozenset(ALPHABET)
 _SWAP = str.maketrans("abAB", "baBA")
 
 
@@ -33,11 +34,12 @@ class Word:
     letters: str = ""
 
     def __post_init__(self):
-        for i, c in enumerate(self.letters):
-            if c not in ALPHABET:
-                raise ValueError(f"invalid letter {c!r}")
-            if i and self.letters[i - 1] == c.swapcase():
-                raise ValueError(f"word {self.letters!r} is not freely reduced")
+        s = self.letters
+        if not _LETTERS.issuperset(s):
+            bad = next(c for c in s if c not in _LETTERS)
+            raise ValueError(f"invalid letter {bad!r}")
+        if "aA" in s or "Aa" in s or "bB" in s or "Bb" in s:
+            raise ValueError(f"word {s!r} is not freely reduced")
 
     @classmethod
     def parse(cls, s: str) -> "Word":

@@ -103,6 +103,10 @@ def test_tau_cc_upper_examples():
 
     with pytest.raises(HypothesisViolation):
         bounds.tau_cc_upper(2, Interval.point(1))
+    for log_lambda in (Interval.point(0), Interval.point(Fraction(-1, 2)),
+                       Interval(Fraction(-1, 10**6), Fraction(1, 2))):
+        with pytest.raises(HypothesisViolation):
+            bounds.tau_cc_upper(3, log_lambda)
     with pytest.raises(ValueError) as info:
         bounds.tau_cc_upper(1, log2)
     assert not isinstance(info.value, HypothesisViolation)

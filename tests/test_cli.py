@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 import multitwist
-from multitwist import bounds, rep, search, verify, words
+from multitwist import bounds, rep, verify, words
 from multitwist.cli import run
 from multitwist.intervals import Interval, PrecisionError
 from multitwist.words import Word
@@ -87,18 +87,6 @@ def test_search_subcommand(capsys):
     assert code == 0
     assert payload["all_minima"] == ["ab"]
     assert "word length <= 4" in payload["note"]
-
-
-def test_search_jobs_deterministic(capsys, monkeypatch):
-    # start the worker pool at length 9 on any machine
-    monkeypatch.setattr(search, "_PARALLEL_MIN_LENGTH", 5)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    code1, p1 = _run_json(capsys, ["search", "--max-len", "9", "--mu", "64",
-                                   "--jobs", "1"])
-    code2, p2 = _run_json(capsys, ["search", "--max-len", "9", "--mu", "64",
-                                   "--jobs", "2"])
-    assert code1 == code2 == 0
-    assert p1 == p2
 
 
 def test_lcs_table_default_csv(capsys):
@@ -194,7 +182,7 @@ def test_johnson_tau_genus_cap(capsys):
     ["family", "--genus", "x", "--kind", "torelli"],
     ["johnson-tau", "--genus", "2.5", "--a", "x1"],
     ["dilatation", "--word", "ab", "--mu", "64", "--precision-bits", "x"],
-    ["search", "--max-len", "4", "--mu", "64", "--jobs", "two"],
+    ["search", "--max-len", "four", "--mu", "64"],
 ])
 def test_non_integer_argument_message_is_plain(capsys, argv):
     code = run(argv)
@@ -322,8 +310,18 @@ def test_tau_cc_hypothesis_message_beyond_float_range(capsys):
 @pytest.mark.parametrize("text, value", [
     ("1", 1), ("-2", -2), ("+3", 3), ("6931/10000", Fraction(6931, 10000)),
     ("0.5", Fraction(1, 2)), (".5", Fraction(1, 2)), ("2.", 2),
+    ("-.5", Fraction(-1, 2)), ("0", 0),
 ])
 def test_log_lambda_accepts_rationals(capsys, text, value):
+    if value <= 0:
+        # parsed, then refused by the hypothesis lambda > 1
+        code = run(["tau-cc", "--genus", "64", "--log-lambda", text])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: hypothesis lambda > 1 not certified: "
+                                "log(lambda) lower endpoint is not positive\n")
+        return
     code, payload = _run_json(capsys, ["tau-cc", "--genus", "64",
                                        "--log-lambda", text])
     assert code == 0
@@ -412,6 +410,7 @@ def test_dilatation_prints_endpoints_beyond_digit_limit(capsys):
     ["tau-cc", "--genus", "3", "--precision-bits", "7"],
     ["verify-paper", "--format", "csv"],
     ["verify-paper", "--precision-bits", "7"],
+    ["search", "--max-len", "4", "--mu", "64", "--jobs", "2"],
 ])
 def test_unhonoured_flag_is_usage_error(capsys, argv):
     code = run(argv)
@@ -419,15 +418,6 @@ def test_unhonoured_flag_is_usage_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "usage:" in captured.err
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_usage_error(capsys, jobs):
-    code = run(["search", "--max-len", "4", "--mu", "64", "--jobs", jobs])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "--jobs" in captured.err
 
 
 def test_verify_paper_json(capsys, monkeypatch):
@@ -459,3 +449,21 @@ def test_reader_closing_early_leaves_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+def test_bounds_report_reader_closing_early_leaves_no_traceback():
+    src = str(Path(multitwist.__file__).resolve().parents[1])
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # about 80 kB of output: more than a pipe holds, so a write must fail
+    proc = subprocess.Popen(
+        [sys.executable, str(root / "scripts" / "bounds_report.py"),
+         "--g-max", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"torelli_lower")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Error" not in err

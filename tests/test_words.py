@@ -24,8 +24,22 @@ def test_reduce_rejects_bad_letters():
 
 
 def test_word_constructor_requires_reduced():
-    with pytest.raises(ValueError):
-        Word("aA")
+    # one cancelling pair each, inside other letters
+    for text in ("baAb", "bAab", "abBa", "aBba"):
+        with pytest.raises(ValueError):
+            Word(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("abc", "invalid letter 'c'"),
+    ("a\u00e9bB", "invalid letter '\u00e9'"),
+    ("aA", "word 'aA' is not freely reduced"),
+    ("abABbB", "word 'abABbB' is not freely reduced"),
+])
+def test_word_constructor_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        Word(text)
+    assert str(info.value) == message
 
 
 def test_commutator_examples():
