@@ -95,15 +95,20 @@ def torelli_cubic_root(precision_bits: int = _BITS) -> Interval:
 
 
 def _bisect_cubic(precision_bits: int) -> Interval:
-    lo, hi = Fraction(1), Fraction(2)
-    target = Fraction(1, 2 ** (precision_bits + 2))
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        if mid ** 3 + 2 * mid ** 2 + mid - 6 < 0:
+    """Bisection of [1, 2] down to width 2^-(precision_bits + 2), on the
+    int grid m / 2^e with e = precision_bits + 2: every midpoint lies on
+    it, and x = m / 2^e has x^3 + 2x^2 + x - 6 < 0 exactly when
+    ((m + 2^(e+1)) m + 4^e) m - 6 * 8^e < 0."""
+    e = precision_bits + 2
+    one = 1 << e
+    lo, hi = one, 2 * one
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if ((mid + 2 * one) * mid + one * one) * mid < 6 * one ** 3:
             lo = mid
         else:
             hi = mid
-    return Interval(lo, hi)
+    return Interval(Fraction(lo, one), Fraction(hi, one))
 
 
 def torelli_lower() -> BoundResult:

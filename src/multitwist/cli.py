@@ -29,14 +29,12 @@ MAX_JOHNSON_GENUS = 64
 # and its cost grows faster than quadratically in the bit count
 MAX_PRECISION_BITS = 65536
 # the largest lcs-table --max-k; the deepest word has length 2^18, and
-# each further level about triples the time
+# --max-k 18 --mu 64 takes about 3 s, most of it in the isqrt of the
+# certificate and the decimal digits of the trace; each further level
+# costs 3-4 times as much (about 12 s at depth 19)
 MAX_LCS_DEPTH = 18
 # the largest search --max-len: about 10 s and 100 MB, x3 per further letter
 MAX_SEARCH_LENGTH = 16
-
-
-class ComputationError(Exception):
-    pass
 
 
 def _bounded_int(low=None, high=None):
@@ -137,18 +135,29 @@ def _cmd_family(args) -> int:
     return 0
 
 
+# the one bounds group that takes each parameter flag
+_BOUNDS_PARAMETERS = {"r": "congruence", "p": "brunnian"}
+
+
+def _check_bounds_parameters(args) -> None:
+    """Each of --r and --p is required with its group and refused with
+    every other group, as a usage error of the bounds subparser."""
+    for name, group in _BOUNDS_PARAMETERS.items():
+        given = getattr(args, name) is not None
+        if args.group == group and not given:
+            args.usage_error(f"--{name} is required for --group {group}")
+        if args.group != group and given:
+            args.usage_error(f"--{name} is only valid with --group {group}")
+
+
 def _cmd_bounds(args) -> int:
     if args.group == "torelli":
         result = bounds.torelli_lower()
     elif args.group == "johnson":
         result = bounds.surgery_lower(4, 1)
     elif args.group == "congruence":
-        if args.r is None:
-            raise ComputationError("--r is required for --group congruence")
         result = bounds.congruence_lower(args.r)
     else:  # brunnian
-        if args.p is None:
-            raise ComputationError("--p is required for --group brunnian")
         result = bounds.brunnian_lower(args.p)
     _emit(result.to_json_dict())
     return 0
@@ -243,9 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form lower bounds by subgroup")
     p.add_argument("--group", choices=["torelli", "johnson", "congruence",
                                        "brunnian"], required=True)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.set_defaults(func=_cmd_bounds)
+    p.add_argument("--r", type=int, default=None,
+                   help="congruence level, with --group congruence only")
+    p.add_argument("--p", type=int, default=None,
+                   help="number of punctures, with --group brunnian only")
+    p.set_defaults(func=_cmd_bounds, usage_error=p.error)
 
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
@@ -256,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
     p.add_argument("--max-k", type=_bounded_int(high=MAX_LCS_DEPTH),
-                   required=True, help=f"at most {MAX_LCS_DEPTH}")
+                   required=True,
+                   help=f"at most {MAX_LCS_DEPTH} (about 3 s at mu 64)")
     p.add_argument("--mu", type=int, required=True)
     output_format(p, "csv", "json")
     precision_bits(p)
@@ -288,11 +300,13 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "bounds":
+            _check_bounds_parameters(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, RuntimeError, ComputationError,
+    except (ValueError, ZeroDivisionError, RuntimeError,
             PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,8 +4,8 @@ Two built-in families: the separating-curve family on the closed genus-g
 surface (intersection numbers 4, N*N^t row sums 64) and its sphere/braid
 quotient (intersection numbers 2, row sums 16).  Perron-Frobenius
 eigenvalues are certified exactly by equal integer row sums (the all-ones
-eigenvector); unequal row sums fall back to Collatz-Wielandt brackets in
-rational arithmetic.
+eigenvector); unequal row sums fall back to Collatz-Wielandt brackets from
+power iteration in ints with a common denominator.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ BRAID = "braid_sphere"
 
 TORELLI_MU = 64
 BRAID_MU = 16
+
+
+_INT_TYPE = {int}
 
 
 class ReducibleMatrixError(ValueError):
@@ -98,6 +101,9 @@ def _check_matrix(M) -> None:
     for row in M:
         if len(row) != n:
             raise ValueError("matrix must be square")
+        # a row of plain nonnegative ints passes without the slow ABC test
+        if set(map(type, row)) == _INT_TYPE and min(row) >= 0:
+            continue
         for x in row:
             if not isinstance(x, numbers.Rational):
                 raise TypeError(f"matrix entry {x!r} is not an int or a "
@@ -141,8 +147,9 @@ def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9), max_iterations: int = 10_000) -> 
     M is a square matrix of nonnegative ints or Fractions (floats raise
     TypeError).  Equal row sums, taken on the entries as given, give the
     exact answer with the all-ones eigenvector.  Otherwise power iteration
-    with M + I (primitive for irreducible M), in Fractions, tightens the
-    Collatz-Wielandt bracket of M below tol.
+    with M + I (primitive for irreducible M), in ints with a common
+    denominator, tightens the Collatz-Wielandt bracket of M below tol; the
+    bracket endpoints and the eigenvector are exact Fractions.
     """
     _check_matrix(M)
     n = len(M)
@@ -158,22 +165,28 @@ def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9), max_iterations: int = 10_000) -> 
         s = Fraction(row_sums.pop())
         return PFResult(s, s, ones, exact_flag=True)
 
-    rows = [[Fraction(x) for x in row] for row in M]
-    v = list(ones)
+    # v = V / max(V) with the int vector V = (D*M + D*I)^it * 1, where D is
+    # the common denominator of M: the ratios (M*v)_i / v_i are the
+    # Fractions (D*M*V)_i / (D*V_i), and no step needs a gcd
+    fractions = [[Fraction(x) for x in row] for row in M]
+    D = math.lcm(*(x.denominator for row in fractions for x in row))
+    DM = [[x.numerator * (D // x.denominator) for x in row]
+          for row in fractions]
+    V = [1] * n
     for it in range(max_iterations):
-        # M*v gives both the Collatz-Wielandt bracket at v and the next step
-        mv = [sum(row[j] * v[j] for j in range(n)) for row in rows]
-        ratios = [x / y for x, y in zip(mv, v)]
+        # D*M*V gives both the Collatz-Wielandt bracket at V and the next step
+        DMV = [sum(x * y for x, y in zip(row, V)) for row in DM]
+        ratios = [Fraction(x, D * y) for x, y in zip(DMV, V)]
         if it:
             lo, hi = max(lo, min(ratios)), min(hi, max(ratios))
         else:
             lo, hi = min(ratios), max(ratios)
         if hi - lo <= tol:
-            return PFResult(lo, hi, tuple(v), exact_flag=False, iterations=it)
+            top = max(V)
+            return PFResult(lo, hi, tuple(Fraction(x, top) for x in V),
+                            exact_flag=False, iterations=it)
         # iterate with M + I to handle periodic irreducible matrices
-        w = [x + y for x, y in zip(mv, v)]
-        top = max(w)
-        v = [x / top for x in w]
+        V = [x + D * y for x, y in zip(DMV, V)]
     raise RuntimeError(f"PF bracket did not reach tol={tol} "
                        f"in {max_iterations} iterations")
 

@@ -237,19 +237,37 @@ class LcsRow:
 def lcs_table(k_max: int, mu: int, precision_bits: int = 60) -> list[LcsRow]:
     """Nested-commutator words w(k) and their certified log dilatations.
     w(k) lies in gamma_k of <T_A, T_B> (gamma_1 = F) by construction, so
-    row k bounds the least dilatation in gamma_k from above at any genus."""
+    row k bounds the least dilatation in gamma_k from above at any genus.
+
+    w(k) = w(k-1) b w(k-1)^-1 b^-1, so its image is
+    M(k) = M(k-1) T_B adj(M(k-1)) T_B^-1: images have det 1, so the
+    adjugate is the inverse.  Each level costs one product of 2x2 int
+    matrices instead of an evaluation of 2^k letters.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if mu < 1:
         raise ValueError("mu must be >= 1")
+    b = Word("b")
+    w = Word("ab")
+    m = rep.evaluate(w, mu)
     table = []
     for k in range(1, k_max + 1):
-        w = words.nested_commutator(k)
-        report = rep.dilatation(w, mu, precision_bits)
-        if report.isometry_class != rep.HYPERBOLIC:
+        if k > 1:
+            w = words.commutator(w, b)
+            p, q, r, s = m
+            # M T_B and adj(M) T_B^-1, each one column operation
+            x = (p - mu * q, q, r - mu * s, s)
+            y = (s - mu * q, -q, mu * p - r, p)
+            m = rep.IntMatrix(x[0] * y[0] + x[1] * y[2],
+                              x[0] * y[1] + x[1] * y[3],
+                              x[2] * y[0] + x[3] * y[2],
+                              x[2] * y[1] + x[3] * y[3])
+        if rep.classify(m) != rep.HYPERBOLIC:
             raise RuntimeError(f"nested commutator at k={k} is not hyperbolic")
-        table.append(LcsRow(k, w, len(w), mu, report.trace,
-                            report.log_dilatation_interval))
+        trace = m.trace()
+        _, log_lam = rep.hyperbolic_dilatation(trace, precision_bits)
+        table.append(LcsRow(k, w, len(w), mu, trace, log_lam))
     return table
 
 

@@ -104,33 +104,42 @@ def check_curve_complex():
 
 
 def brute_force_min_abs_trace(max_length: int, mu: int):
-    """No-dedup oracle: minimum |trace| over ALL cyclically reduced words.
+    """No-dedup oracle: minimum |trace| over ALL cyclically reduced words,
+    and every word that attains it, by length and then in the letter
+    order a < b < A < B.
 
-    Independent of rep: each word is multiplied out with the original
-    generators [[1, r], [0, 1]] and [[1, 0], [-r, 1]], r = sqrt(mu), as
-    plain-int matrices, so mu must be a perfect square.
+    Independent of rep and search: a depth-first walk over the freely
+    reduced words carries each prefix's product of the original generators
+    [[1, r], [0, 1]] and [[1, 0], [-r, 1]], r = sqrt(mu), as a plain-int
+    matrix, so mu must be a perfect square.  Only the current minima are
+    kept.
     """
     r = isqrt(mu)
     if r * r != mu:
         raise ValueError(f"mu = {mu} is not a perfect square")
     images = {"a": (1, r, 0, 1), "A": (1, -r, 0, 1),
               "b": (1, 0, -r, 1), "B": (1, 0, r, 1)}
+    follow = {c: [d for d in images if d != c.swapcase()] for c in images}
     best = None
     best_words = []
-    for length in range(1, max_length + 1):
-        for s in search._cyclically_reduced_strings(length):
-            p, q, u, v = 1, 0, 0, 1
-            for c in s:
-                e, f, g, h = images[c]
-                p, q, u, v = (p * e + q * g, p * f + q * h,
-                              u * e + v * g, u * f + v * h)
-            t = abs(p + v)
-            if t <= 2:  # identity, elliptic or parabolic
-                continue
+    stack = [(c, *images[c]) for c in images]
+    while stack:
+        s, p, q, u, v = stack.pop()
+        t = abs(p + v)
+        # the last letter must not cancel the first; |trace| <= 2 is the
+        # identity, elliptic or parabolic
+        if t > 2 and s[-1] != s[0].swapcase():
             if best is None or t < best:
                 best, best_words = t, [s]
             elif t == best:
                 best_words.append(s)
+        if len(s) < max_length:
+            for c in follow[s[-1]]:
+                e, f, g, h = images[c]
+                stack.append((s + c, p * e + q * g, p * f + q * h,
+                              u * e + v * g, u * f + v * h))
+    order = str.maketrans("abAB", "0123")
+    best_words.sort(key=lambda w: (len(w), w.translate(order)))
     return best, best_words
 
 

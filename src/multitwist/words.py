@@ -15,6 +15,10 @@ _LETTERS = frozenset(ALPHABET)
 _SWAP = str.maketrans("abAB", "baBA")
 
 
+def _is_reduced(s: str) -> bool:
+    return not ("aA" in s or "Aa" in s or "bB" in s or "Bb" in s)
+
+
 def _reduce_chars(chars: Iterable[str]) -> str:
     stack: list[str] = []
     for c in chars:
@@ -38,12 +42,14 @@ class Word:
         if not _LETTERS.issuperset(s):
             bad = next(c for c in s if c not in _LETTERS)
             raise ValueError(f"invalid letter {bad!r}")
-        if "aA" in s or "Aa" in s or "bB" in s or "Bb" in s:
+        if not _is_reduced(s):
             raise ValueError(f"word {s!r} is not freely reduced")
 
     @classmethod
     def parse(cls, s: str) -> "Word":
         """Parse the a/b/A/B encoding, freely reducing the input."""
+        if _LETTERS.issuperset(s) and _is_reduced(s):
+            return cls(s)
         return cls(_reduce_chars(s))
 
     def __str__(self):
@@ -53,7 +59,18 @@ class Word:
         return len(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(_reduce_chars(self.letters + other.letters))
+        # Only the seam can cancel.  Stack reduction of u v pushes all of
+        # u without a cancellation, because u is reduced.  Each letter of v
+        # then cancels the top of the stack or is pushed; once one is
+        # pushed, the next letter of v is not its inverse, because v is
+        # reduced, so no later letter cancels either.  The product is u
+        # without its longest suffix that is the inverse of a prefix of v,
+        # followed by v without that prefix.
+        u, v = self.letters, other.letters
+        cut, limit = 0, min(len(u), len(v))
+        while cut < limit and u[-1 - cut] == v[cut].swapcase():
+            cut += 1
+        return Word(u[:len(u) - cut] + v[cut:])
 
     def inverse(self) -> "Word":
         return Word(self.letters[::-1].swapcase())

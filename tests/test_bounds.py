@@ -200,3 +200,16 @@ def test_interval_endpoints_are_exact():
                                Fraction(2 ** 100 + 1, 3 ** 50), Fraction(5)])
 def test_decimal_str_matches_str(x):
     assert intervals.decimal_str(x) == str(x)
+
+
+def test_int_bisection_matches_fraction_bisection():
+    for bits in range(1, 201):
+        lo, hi = Fraction(1), Fraction(2)
+        while hi - lo > Fraction(1, 2 ** (bits + 2)):
+            mid = (lo + hi) / 2
+            if _cubic(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        iv = bounds._bisect_cubic(bits)
+        assert (iv.lo, iv.hi) == (lo, hi), bits

@@ -76,9 +76,41 @@ def test_bounds_subcommand(capsys):
 
 
 def test_bounds_missing_parameter(capsys):
-    code = run(["bounds", "--group", "congruence"])
+    for group, flag in (("congruence", "--r"), ("brunnian", "--p")):
+        code = run(["bounds", "--group", group])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"error: {flag} is required for --group {group}" in \
+            captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--group", "torelli", "--r", "5"],
+     "--r is only valid with --group congruence"),
+    (["--group", "johnson", "--p", "8"],
+     "--p is only valid with --group brunnian"),
+    (["--group", "congruence", "--r", "3", "--p", "7"],
+     "--p is only valid with --group brunnian"),
+    (["--group", "brunnian", "--p", "8", "--r", "3"],
+     "--r is only valid with --group congruence"),
+])
+def test_bounds_parameter_of_another_group_is_usage_error(capsys, argv,
+                                                          message):
+    code = run(["bounds", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"multitwist bounds: error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bounds_parameter_out_of_range_is_computation_error(capsys):
+    code = run(["bounds", "--group", "brunnian", "--p", "3"])
+    captured = capsys.readouterr()
     assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err == "error: Brunnian bound requires p >= 5\n"
 
 
 def test_search_subcommand(capsys):

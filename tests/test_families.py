@@ -234,3 +234,54 @@ def test_pf_refuses_float_entries():
         pf_eigenvalue([[2, 1], [1, 1.0]])
     with pytest.raises(TypeError):
         pf_eigenvalue(np.array([[2.0, 1.0], [1.0, 1.0]]))
+
+
+def _fraction_power_iteration(M, tol):
+    """Oracle: the Collatz-Wielandt loop in Fractions, normalising v by its
+    largest entry at every step."""
+    rows = [[Fraction(x) for x in row] for row in M]
+    n = len(rows)
+    v = [Fraction(1)] * n
+    for it in range(10_000):
+        mv = [sum(row[j] * v[j] for j in range(n)) for row in rows]
+        ratios = [x / y for x, y in zip(mv, v)]
+        if it:
+            lo, hi = max(lo, min(ratios)), min(hi, max(ratios))
+        else:
+            lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol:
+            return lo, hi, tuple(v), it
+        w = [x + y for x, y in zip(mv, v)]
+        top = max(w)
+        v = [x / top for x in w]
+    raise AssertionError("oracle did not converge")
+
+
+def test_int_power_iteration_matches_fraction_loop():
+    rng = random.Random(61)
+    cases = [[[2, 1], [1, 1]], [[0, 1], [1, 0]], [[0, 2], [3, 0]]]
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        cases.append([[rng.randint(0, 9) for _ in range(n)] for _ in range(n)])
+        # entries k/6: the common denominator D is 6, 3 or 2
+        cases.append([[Fraction(rng.randint(0, 12), 6) for _ in range(n)]
+                      for _ in range(n)])
+        cases.append([[Fraction(rng.randint(1, 9), rng.randint(1, 7)) if
+                       rng.random() < 0.7 else 0 for _ in range(n)]
+                      for _ in range(n)])
+    checked, denominators = 0, set()
+    for mat in cases:
+        if not _is_irreducible(mat) or len({sum(r) for r in mat}) == 1:
+            continue
+        denominators.add(math.lcm(*(Fraction(x).denominator
+                                    for row in mat for x in row)))
+        for tol in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 9)):
+            pf = pf_eigenvalue(mat, tol=tol)
+            lo, hi, v, it = _fraction_power_iteration(mat, tol)
+            assert not pf.exact_flag
+            assert (pf.value_lower, pf.value_upper) == (lo, hi), mat
+            assert pf.eigenvector == v, mat
+            assert pf.iterations == it, mat
+        checked += 1
+    assert checked >= 40
+    assert {1, 6} <= denominators

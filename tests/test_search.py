@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import pytest
 
-from multitwist import rep, search
+from multitwist import rep, search, verify, words
 from multitwist.search import (NoHyperbolicClassError, enumerate_classes,
                                lcs_csv, lcs_table, min_dilatation_search,
                                orbit_representative)
@@ -186,3 +187,64 @@ def test_word_key_order():
     # canonical letter order a < b < A < B
     assert sorted(["aB", "ba", "ab"], key=search._word_key) == \
         ["ab", "aB", "ba"]
+
+
+def test_lcs_table_matches_evaluated_nested_commutators():
+    for mu in [*range(2, 11), 16, 64]:
+        expected = []
+        for k in range(1, 13):
+            w = words.nested_commutator(k)
+            m = rep.evaluate(w, mu)
+            if rep.classify(m) != rep.HYPERBOLIC:
+                break
+            expected.append((k, w, m.trace()))
+        if len(expected) < 12:
+            with pytest.raises(RuntimeError,
+                               match=f"k={len(expected) + 1} is not"):
+                lcs_table(12, mu)
+            continue
+        rows = lcs_table(12, mu)
+        assert [(r.depth, r.word, r.trace) for r in rows] == expected, mu
+        for r in rows:
+            assert r.word_length == len(r.word)
+            direct = rep.hyperbolic_dilatation(r.trace, 60)[1]
+            assert r.log_dilatation == direct
+    with pytest.raises(RuntimeError):
+        lcs_table(3, 1)
+
+
+def _product_order_minima(max_length, mu):
+    """Oracle: every cyclically reduced word by itertools.product, each
+    multiplied out from scratch in the original generators."""
+    r = math.isqrt(mu)
+    images = {"a": (1, r, 0, 1), "A": (1, -r, 0, 1),
+              "b": (1, 0, -r, 1), "B": (1, 0, r, 1)}
+    inverse = {"a": "A", "A": "a", "b": "B", "B": "b"}
+    best, found = None, []
+    for length in range(1, max_length + 1):
+        for chars in itertools.product("abAB", repeat=length):
+            s = "".join(chars)
+            if any(inverse[x] == y for x, y in zip(s, s[1:] + s[0])):
+                continue
+            p, q, u, v = 1, 0, 0, 1
+            for c in s:
+                e, f, g, h = images[c]
+                p, q, u, v = (p * e + q * g, p * f + q * h,
+                              u * e + v * g, u * f + v * h)
+            t = abs(p + v)
+            if t <= 2:
+                continue
+            if best is None or t < best:
+                best, found = t, [s]
+            elif t == best:
+                found.append(s)
+    return best, found
+
+
+def test_prefix_dfs_oracle_matches_product_order_brute_force():
+    for mu in (1, 4, 9, 16, 64):
+        for max_length in range(1, 8):
+            assert verify.brute_force_min_abs_trace(max_length, mu) == \
+                _product_order_minima(max_length, mu), (mu, max_length)
+    with pytest.raises(ValueError):
+        verify.brute_force_min_abs_trace(4, 5)

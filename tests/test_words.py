@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -94,3 +95,53 @@ def test_swap_and_rotations():
     assert str(w.swap_generators()) == "baB"
     assert [r.letters for r in Word("ab").rotations()] == ["ab", "ba"]
 
+
+
+def _stack_reduce(text):
+    """Oracle: free reduction by a stack, raising on the first bad letter."""
+    stack = []
+    for c in text:
+        if c not in "abAB":
+            raise ValueError(f"invalid letter {c!r}")
+        if stack and stack[-1] == {"a": "A", "A": "a", "b": "B", "B": "b"}[c]:
+            stack.pop()
+        else:
+            stack.append(c)
+    return "".join(stack)
+
+
+def _random_reduced(rng, length):
+    return Word(_stack_reduce("".join(rng.choice("abAB")
+                                      for _ in range(length))))
+
+
+def test_seam_product_matches_stack_reduction():
+    rng = random.Random(14)
+    empty = Word("")
+    for _ in range(3000):
+        u = _random_reduced(rng, rng.randint(0, 40))
+        v = _random_reduced(rng, rng.randint(0, 40))
+        for x, y in ((u, v), (u, u.inverse()), (u.inverse(), u),
+                     (u, empty), (empty, v)):
+            assert (x * y).letters == _stack_reduce(x.letters + y.letters)
+        # a long common cancellation, then a tail on either side
+        tail = _random_reduced(rng, 5)
+        assert ((u * tail) * (tail.inverse() * v)).letters == \
+            _stack_reduce(u.letters + v.letters)
+    assert (empty * empty).is_identity()
+
+
+def test_parse_matches_stack_reduction():
+    rng = random.Random(15)
+    for _ in range(5000):
+        text = "".join(rng.choice("abABxé ") if rng.random() < 0.05
+                       else rng.choice("abAB")
+                       for _ in range(rng.randint(0, 30)))
+        try:
+            expected = _stack_reduce(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                Word.parse(text)
+            assert str(info.value) == str(exc)
+        else:
+            assert Word.parse(text).letters == expected
