@@ -12,8 +12,7 @@ homomorphism on bounding-pair maps.
 from .intervals import Interval
 from .quadratic import QuadReal
 from .words import Word, commutator, nested_commutator
-from .rep import (IntMatrix, DilatationReport, generator_images, evaluate,
-                  classify, dilatation)
+from .rep import IntMatrix, DilatationReport, evaluate, classify, dilatation
 from .families import (IntersectionFamily, PFResult, torelli_family,
                        braid_family, pf_eigenvalue)
 from .johnson import (HomologyClass, Wedge3Coset, wedge3, omega_wedge_basis,

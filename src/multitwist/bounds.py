@@ -111,17 +111,22 @@ def _bisect_cubic(precision_bits: int) -> Interval:
     return Interval(Fraction(lo, one), Fraction(hi, one))
 
 
+def _lesser_case(case1: Interval, name1: str,
+                 case2: Interval, name2: str) -> tuple[Interval, str]:
+    """An enclosure of the smaller of two certified case bounds, and the
+    name of the case that binds, or "tie" when the enclosures overlap."""
+    if case2.hi < case1.lo:
+        return case2, name2
+    if case1.hi < case2.lo:
+        return case1, name1
+    return Interval(min(case1.lo, case2.lo), min(case1.hi, case2.hi)), "tie"
+
+
 def torelli_lower() -> BoundResult:
     """min(log sqrt(2), log of the cubic root); the cubic case binds."""
-    case1 = _log_rational(2) * Fraction(1, 2)
-    case2 = intervals.log(torelli_cubic_root(), _BITS)
-    if case2.hi < case1.lo:
-        value, binding = case2, "case2_cubic"
-    elif case1.hi < case2.lo:
-        value, binding = case1, "case1_sqrt2"
-    else:
-        value, binding = Interval(min(case1.lo, case2.lo),
-                                  min(case1.hi, case2.hi)), "tie"
+    value, binding = _lesser_case(
+        _log_rational(2) * Fraction(1, 2), "case1_sqrt2",
+        intervals.log(torelli_cubic_root(), _BITS), "case2_cubic")
     return BoundResult(value, LOWER_LOG_DILATATION,
                        "valid for every pseudo-Anosov acting trivially on "
                        "integral first homology, g >= 2",
@@ -138,12 +143,9 @@ def congruence_lower(r: int) -> BoundResult:
                            f"valid for the level-{r} congruence subgroup, g >= 2",
                            binding_case=base.binding_case)
     # r = 3: case 1 weakens to intersection number 3 on f or f^2
-    case1 = surgery_lower(3, 2).value
-    case2 = intervals.log(torelli_cubic_root(), _BITS)
-    if case2.hi < case1.lo:
-        value, binding = case2, "case2_cubic"
-    else:
-        value, binding = case1, "case1_surgery_3_2"
+    value, binding = _lesser_case(
+        surgery_lower(3, 2).value, "case1_surgery_3_2",
+        intervals.log(torelli_cubic_root(), _BITS), "case2_cubic")
     return BoundResult(value, LOWER_LOG_DILATATION,
                        "valid for the level-3 congruence subgroup, g >= 2",
                        binding_case=binding)

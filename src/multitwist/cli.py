@@ -33,7 +33,9 @@ MAX_PRECISION_BITS = 65536
 # certificate and the decimal digits of the trace; each further level
 # costs 3-4 times as much (about 12 s at depth 19)
 MAX_LCS_DEPTH = 18
-# the largest search --max-len: about 10 s and 100 MB, x3 per further letter
+# the largest search --max-len, bound by time alone: --max-len 16 --mu 64
+# takes about 11-15 s and 17 MB peak RSS; each further letter triples the
+# time, while the streamed classes keep the RSS flat
 MAX_SEARCH_LENGTH = 16
 
 
@@ -260,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
-                   required=True, help=f"at most {MAX_SEARCH_LENGTH} (about 10 s)")
+                   required=True,
+                   help=f"at most {MAX_SEARCH_LENGTH} (about 13 s at mu 64)")
     p.add_argument("--mu", type=int, required=True)
     precision_bits(p)
     p.set_defaults(func=_cmd_search)

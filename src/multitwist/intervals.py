@@ -71,10 +71,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def relative_width(self) -> Fraction:
         scale = max(Fraction(1), abs(self.lo), abs(self.hi))
         return self.width / scale

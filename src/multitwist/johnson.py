@@ -18,9 +18,14 @@ side R carrying a symplectic family (u_1, v_1), ..., (u_k, v_k) is
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+
+
+# one term of HomologyClass.parse: [sign][coefficient](x|y)<index>
+_TERM = re.compile(r"([+-]?)(\d*)([xy])(\d+)")
 
 
 class GenusMismatch(ValueError):
@@ -39,10 +44,6 @@ class HomologyClass:
     def __post_init__(self):
         if len(self.coordinates) != 2 * self.genus:
             raise ValueError("coordinate length must be 2g")
-
-    @classmethod
-    def zero(cls, g: int) -> "HomologyClass":
-        return cls(g, (0,) * (2 * g))
 
     @classmethod
     def basis_x(cls, i: int, g: int) -> "HomologyClass":
@@ -66,11 +67,9 @@ class HomologyClass:
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty homology class")
-        import re
         pos = 0
-        pattern = re.compile(r"([+-]?)(\d*)([xy])(\d+)")
         while pos < len(s):
-            m = pattern.match(s, pos)
+            m = _TERM.match(s, pos)
             if not m:
                 raise ValueError(f"cannot parse homology class {text!r} at {s[pos:]!r}")
             sign, coeff, kind, idx = m.groups()

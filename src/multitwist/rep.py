@@ -44,13 +44,6 @@ class IntMatrix(NamedTuple):
         return self.a + self.d
 
 
-def generator_images(mu: int) -> tuple[IntMatrix, IntMatrix]:
-    """Conjugate images of T_A and T_B."""
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
-    return IntMatrix(1, 1, 0, 1), IntMatrix(1, 0, -mu, 1)
-
-
 def evaluate(w: Word, mu: int) -> IntMatrix:
     """Conjugate image of a word, multiplying letter images left to right.
 

@@ -14,7 +14,9 @@ rule (Ruskey, Savage and Wang, "Generating necklaces", J. Algorithms
 that is a cyclically reduced necklace is kept when no rotation of its
 inverse, swap or swapped inverse is smaller.  The search also cuts every
 word with a letter run longer than its leading run of a's, which can
-start no least word.  orbit_representative is the definitional
+start no least word.  The words stream out in the letter order, a word
+before its extensions, and the search holds only its stack of at most
+3 * max_length open nodes.  orbit_representative is the definitional
 canonical form that the tests check this against.
 """
 
@@ -65,8 +67,9 @@ def _cyclically_reduced_strings(length: int) -> Iterator[str]:
 # 0 1 2 3 compare in that order
 _LEX_KEY = str.maketrans("abAB", "0123")
 _FROM_KEY = str.maketrans("0123", "abAB")
-# keys that may follow each key in a freely reduced word
-_FOLLOWERS = {"0": "013", "1": "012", "2": "123", "3": "023"}
+# keys that may follow each key in a freely reduced word, in decreasing
+# order, the order in which enumerate_classes pushes them
+_FOLLOWERS = {"0": "310", "1": "210", "2": "321", "3": "320"}
 # letter maps that, applied to a reversed key, give the inverse word and
 # the swapped inverse word; _SWAP_KEYS alone gives the swapped word
 _INVERT_KEYS = str.maketrans("0123", "2301")
@@ -109,36 +112,43 @@ def _least_in_orbit(key: str, lead: int) -> bool:
     return True
 
 
-def _class_keys(max_length: int) -> list[list[str]]:
-    """Keys of the canonical class words: entry n lists those of length n
-    in increasing order.
+def enumerate_classes(max_length: int) -> Iterator[Word]:
+    """One representative per symmetry orbit of cyclically reduced words
+    of length <= max_length: the least word of the orbit in the letter
+    order a < b < A < B.  The words come in that order, a word before its
+    extensions, each as soon as the search finds it.
 
-    The depth-first search carries each key's FKM period, the length of
-    its leading run of 0s and the length of its last run, and cuts every
-    child in which a run of one letter would be longer than the leading
-    run.  The cut is sound.  The word itself, its swap, its inverse and
-    its swapped inverse carry a run of a, b, A or B respectively to a run
-    of a of the same length.  Once a key has a letter other than 0, all
-    its extensions start with exactly its leading run of 0s, so an
-    extension holding a longer run has a rotation of one of those
-    variants that starts with more 0s and is therefore smaller than the
-    extension: it is never the least word of its orbit.
+    An explicit-stack depth-first search over keys, each carrying its FKM
+    period, the length of its leading run of 0s and the length of its last
+    run.  A node's children are pushed in decreasing key order, so they
+    pop in increasing order and the preorder is increasing string order.
+    The search cuts every child in which a run of one letter would be
+    longer than the leading run.  The cut is sound.  The word itself, its
+    swap, its inverse and its swapped inverse carry a run of a, b, A or B
+    respectively to a run of a of the same length.  Once a key has a
+    letter other than 0, all its extensions start with exactly its leading
+    run of 0s, so an extension holding a longer run has a rotation of one
+    of those variants that starts with more 0s and is therefore smaller
+    than the extension: it is never the least word of its orbit.
     """
-    keys: list[list[str]] = [[] for _ in range(max_length + 1)]
-
-    def grow(key: str, period: int, lead: int, run: int) -> None:
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
+    # every orbit has a word starting with a, so the tree has one root
+    stack = [("0", 1, 1, 1)]
+    while stack:
+        key, period, lead, run = stack.pop()
         n = len(key)
         last = key[-1]
         # every key starts with 0, so it is cyclically reduced unless it
         # ends with 2 (a word ending in A)
         if n % period == 0 and last != "2" and _least_in_orbit(key, lead):
-            keys[n].append(key)
+            yield Word(key.translate(_FROM_KEY))
         if n == max_length:
-            return
+            continue
         ref = key[n - period]
         for c in _FOLLOWERS[last]:
             if c < ref:
-                continue
+                break
             if c != last:
                 child_lead, child_run = lead, 1
             elif lead == n:  # the key is all 0s and c extends that run
@@ -147,22 +157,8 @@ def _class_keys(max_length: int) -> list[list[str]]:
                 child_lead, child_run = lead, run + 1
             else:
                 continue
-            grow(key + c, n + 1 if c > ref else period, child_lead, child_run)
-
-    # every orbit has a word starting with a, so the tree has one root
-    grow("0", 1, 1, 1)
-    return keys
-
-
-def enumerate_classes(max_length: int) -> Iterator[Word]:
-    """One representative per symmetry orbit of cyclically reduced words
-    of length <= max_length: the least word of the orbit, by length and
-    then in the letter order a < b < A < B."""
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
-    for bucket in _class_keys(max_length):
-        for key in bucket:
-            yield Word(key.translate(_FROM_KEY))
+            stack.append((key + c, n + 1 if c > ref else period,
+                          child_lead, child_run))
 
 
 @dataclass(frozen=True)
@@ -209,7 +205,8 @@ def min_dilatation_search(max_length: int, mu: int,
     if best_abs is None:
         raise NoHyperbolicClassError(
             f"no hyperbolic class with word length <= {max_length} at mu={mu}")
-    minima.sort(key=lambda w: _word_key(w.letters))
+    # enumerate_classes yields in increasing _word_key order, so minima is
+    # already sorted and minima[0] is the least of them
     report = rep.dilatation(minima[0], mu, precision_bits)
     return SearchReport(mu, max_length, examined, report, tuple(minima))
 

@@ -87,7 +87,7 @@ def test_wedge3_matches_dense_expansion():
     rng = random.Random(23)
     for g in range(2, 7):
         n = 2 * g
-        pool = [HomologyClass.zero(g),
+        pool = [HomologyClass(g, (0,) * n),
                 HomologyClass(g, tuple(rng.choice((-1, 1)) * rng.randint(1, 5)
                                        for _ in range(n)))]
         for _ in range(6):

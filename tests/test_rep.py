@@ -33,17 +33,17 @@ def _conjugate_of_oracle(oracle: np.ndarray, root: int) -> tuple:
 def test_generator_images():
     # conjugates of [[1, sqrt(mu)], [0, 1]] and [[1, 0], [-sqrt(mu), 1]]
     for mu, entry in ((64, 8), (16, 4)):
-        mat_a, mat_b = rep.generator_images(mu)
+        mat_a = rep.evaluate(Word("a"), mu)
+        mat_b = rep.evaluate(Word("b"), mu)
         assert mat_a == _conjugate_of_oracle(_int_matrix_oracle("a", entry),
                                              entry)
         assert mat_b == _conjugate_of_oracle(_int_matrix_oracle("b", entry),
                                              entry)
         assert mat_b.c == -entry * entry
-    mat_a, mat_b = rep.generator_images(2)
-    assert mat_a == (1, 1, 0, 1)
-    assert mat_b == (1, 0, -2, 1)
+    assert rep.evaluate(Word("a"), 2) == (1, 1, 0, 1)
+    assert rep.evaluate(Word("b"), 2) == (1, 0, -2, 1)
     with pytest.raises(ValueError):
-        rep.generator_images(0)
+        rep.evaluate(Word("a"), 0)
 
 
 def test_evaluate_ab_mu64():
@@ -132,7 +132,8 @@ def test_trace_invariances():
 
 def test_power_law():
     base = rep.dilatation(Word("ab"), 64, precision_bits=80)
-    mid = base.log_dilatation_interval.mid
+    mid = (base.log_dilatation_interval.lo
+           + base.log_dilatation_interval.hi) / 2
     w = Word("ab")
     power = Word("")
     for n in range(1, 5):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -52,16 +53,31 @@ def test_enumerate_reps_are_canonical():
 
 
 def test_enumerate_matches_definitional_pipeline():
-    # first appearances of orbit representatives in product order
-    expected = []
+    # every orbit representative, in the letter order a < b < A < B
+    expected = set()
     for length in range(1, 9):
-        seen = set()
         for s in search._cyclically_reduced_strings(length):
-            canonical = orbit_representative(Word(s)).letters
-            if canonical not in seen:
-                seen.add(canonical)
-                expected.append(canonical)
-    assert [w.letters for w in enumerate_classes(8)] == expected
+            expected.add(orbit_representative(Word(s)).letters)
+    assert [w.letters for w in enumerate_classes(8)] == \
+        sorted(expected, key=search._word_key)
+
+
+def test_enumerate_keys_strictly_increase():
+    keys = [search._word_key(w.letters) for w in enumerate_classes(11)]
+    assert len(keys) == CLASS_COUNTS[10]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+
+
+def test_enumerate_streams():
+    # the classes are yielded as they are found, not collected first
+    tracemalloc.start()
+    try:
+        produced = sum(1 for _ in enumerate_classes(12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert produced == CLASS_COUNTS[11]
+    assert peak < 64 * 1024
 
 
 def test_cyclically_reduced_strings_match_product_filter():
@@ -145,6 +161,25 @@ def test_search_monotone_in_max_length():
         if prev is not None:
             assert cur <= prev
         prev = cur
+
+
+def test_all_minima_match_no_dedup_oracle():
+    # all_minima is the enumeration order, with no sort of its own; the
+    # oracle's minima, one per class, sorted by key must give it back
+    for mu in (1, 4):
+        for max_length in range(2, 9):
+            best, found = verify.brute_force_min_abs_trace(max_length, mu)
+            expected = sorted({orbit_representative(Word(s)).letters
+                               for s in found}, key=search._word_key)
+            report = min_dilatation_search(max_length, mu)
+            assert abs(report.minimum.trace) == best
+            assert [w.letters for w in report.all_minima] == expected, \
+                (mu, max_length)
+    # key order is not length order here
+    assert expected == ["aab", "aB"]
+    at_mu_1 = min_dilatation_search(8, 1).all_minima
+    assert len(at_mu_1) == 24
+    assert len({len(w) for w in at_mu_1}) > 1
 
 
 def test_minimum_reproduces_trace():
