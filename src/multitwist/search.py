@@ -7,23 +7,31 @@ of the PSL2 image unchanged.  Minimization is on |trace|, an exact and
 strictly monotone proxy for the dilatation of hyperbolic elements.
 
 Each class is represented by the least word of its orbit in the letter
-order a < b < A < B.  enumerate_classes generates exactly those words: a
+order a < b < A < B.  _necklaces is the one search over words: a
 depth-first search over freely reduced words with the FKM prenecklace
 rule (Ruskey, Savage and Wang, "Generating necklaces", J. Algorithms
-1992) visits only words that can start a least rotation, and each word
-that is a cyclically reduced necklace is kept when no rotation of its
-inverse, swap or swapped inverse is smaller.  The search also cuts every
+1992) that visits only words that can start a least rotation, cuts every
 word with a letter run longer than its leading run of a's, which can
-start no least word.  The words stream out in the letter order, a word
-before its extensions, and the search holds only its stack of at most
-3 * max_length open nodes.  orbit_representative is the definitional
-canonical form that the tests check this against.
+start no least word, and yields each cyclically reduced necklace in the
+letter order, a word before its extensions, together with its trace.
+Each node carries the image of its word, so a child costs one column
+operation and the search holds only its stack of at most
+3 * max_length open nodes.
+
+enumerate_classes keeps the candidates that no rotation of their inverse,
+swap or swapped inverse undercuts.  min_dilatation_search runs that orbit
+test only on candidates whose |trace| ties the least so far: one below it
+is always the least word of its orbit.  It counts the classes it covers
+by Burnside's lemma (_class_count) instead of one by one.
+orbit_representative is the definitional canonical form that the tests
+check all of this against.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Optional
 
 from . import rep, words
@@ -68,8 +76,10 @@ def _cyclically_reduced_strings(length: int) -> Iterator[str]:
 _LEX_KEY = str.maketrans("abAB", "0123")
 _FROM_KEY = str.maketrans("0123", "abAB")
 # keys that may follow each key in a freely reduced word, in decreasing
-# order, the order in which enumerate_classes pushes them
+# order, the order in which _necklaces pushes them, and in increasing
+# order, the order in which it tests leaves
 _FOLLOWERS = {"0": "310", "1": "210", "2": "321", "3": "320"}
+_RISING_FOLLOWERS = {k: v[::-1] for k, v in _FOLLOWERS.items()}
 # letter maps that, applied to a reversed key, give the inverse word and
 # the swapped inverse word; _SWAP_KEYS alone gives the swapped word
 _INVERT_KEYS = str.maketrans("0123", "2301")
@@ -112,16 +122,21 @@ def _least_in_orbit(key: str, lead: int) -> bool:
     return True
 
 
-def enumerate_classes(max_length: int) -> Iterator[Word]:
-    """One representative per symmetry orbit of cyclically reduced words
-    of length <= max_length: the least word of the orbit in the letter
-    order a < b < A < B.  The words come in that order, a word before its
-    extensions, each as soon as the search finds it.
+def _necklaces(max_length: int, mu: int) -> Iterator[tuple[str, int, int]]:
+    """(key, lead, trace) for every cyclically reduced necklace key of
+    length <= max_length that survives the run cut, in increasing key
+    order, a key before its extensions: lead is the length of its leading
+    run of 0s and trace that of its conjugate image at mu.
 
     An explicit-stack depth-first search over keys, each carrying its FKM
-    period, the length of its leading run of 0s and the length of its last
-    run.  A node's children are pushed in decreasing key order, so they
-    pop in increasing order and the preorder is increasing string order.
+    period, the length of its leading run of 0s, the length of its last
+    run, and its image (a, b, c, d) under rep.evaluate's column
+    operations, so that a child costs one of them.  A node's children are
+    pushed in decreasing key order, so they pop in increasing order and
+    the preorder is increasing string order.  The children at max_length
+    are leaves: the parent tests them in increasing order itself, since
+    only their trace is needed, and pushes none of them.
+
     The search cuts every child in which a run of one letter would be
     longer than the leading run.  The cut is sound.  The word itself, its
     swap, its inverse and its swapped inverse carry a run of a, b, A or B
@@ -131,34 +146,138 @@ def enumerate_classes(max_length: int) -> Iterator[Word]:
     of those variants that starts with more 0s and is therefore smaller
     than the extension: it is never the least word of its orbit.
     """
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
     # every orbit has a word starting with a, so the tree has one root
-    stack = [("0", 1, 1, 1)]
+    stack = [("0", 1, 1, 1, 1, 1, 0, 1)]
     while stack:
-        key, period, lead, run = stack.pop()
+        key, period, lead, run, a, b, c, d = stack.pop()
         n = len(key)
         last = key[-1]
         # every key starts with 0, so it is cyclically reduced unless it
         # ends with 2 (a word ending in A)
-        if n % period == 0 and last != "2" and _least_in_orbit(key, lead):
-            yield Word(key.translate(_FROM_KEY))
-        if n == max_length:
+        if n % period == 0 and last != "2":
+            yield key, lead, a + d
+        if n == max_length:  # only the root, when max_length is 1
             continue
         ref = key[n - period]
-        for c in _FOLLOWERS[last]:
-            if c < ref:
+        if n + 1 == max_length:
+            t = a + d
+            for ch in _RISING_FOLLOWERS[last]:
+                # a leaf is kept when it is a necklace (a child above ref
+                # is a Lyndon word) and does not end with 2
+                if ch < ref or ch == "2" or (ch == ref and max_length % period):
+                    continue
+                if ch != last:
+                    child_lead = lead
+                elif lead == n:
+                    child_lead = max_length
+                elif run < lead:
+                    child_lead = lead
+                else:
+                    continue
+                if ch == "0":
+                    yield key + ch, child_lead, t + c
+                elif ch == "1":
+                    yield key + ch, child_lead, t - mu * b
+                else:
+                    yield key + ch, child_lead, t + mu * b
+            continue
+        for ch in _FOLLOWERS[last]:
+            if ch < ref:
                 break
-            if c != last:
+            if ch != last:
                 child_lead, child_run = lead, 1
-            elif lead == n:  # the key is all 0s and c extends that run
+            elif lead == n:  # the key is all 0s and ch extends that run
                 child_lead = child_run = n + 1
             elif run < lead:
                 child_lead, child_run = lead, run + 1
             else:
                 continue
-            stack.append((key + c, n + 1 if c > ref else period,
-                          child_lead, child_run))
+            child = key + ch
+            child_period = n + 1 if ch > ref else period
+            if ch == "0":
+                stack.append((child, child_period, child_lead, child_run,
+                              a, b + a, c, d + c))
+            elif ch == "1":
+                stack.append((child, child_period, child_lead, child_run,
+                              a - mu * b, b, c - mu * d, d))
+            elif ch == "2":
+                stack.append((child, child_period, child_lead, child_run,
+                              a, b - a, c, d - c))
+            else:
+                stack.append((child, child_period, child_lead, child_run,
+                              a + mu * b, b, c + mu * d, d))
+
+
+def enumerate_classes(max_length: int) -> Iterator[Word]:
+    """One representative per symmetry orbit of cyclically reduced words
+    of length <= max_length: the least word of the orbit in the letter
+    order a < b < A < B.  The words come in that order, a word before its
+    extensions, each as soon as the search finds it: the candidates of
+    _necklaces that _least_in_orbit keeps.
+    """
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
+    # the traces are not needed, and mu = 1 keeps their ints smallest
+    for key, lead, _ in _necklaces(max_length, 1):
+        if _least_in_orbit(key, lead):
+            yield Word(key.translate(_FROM_KEY))
+
+
+def _class_count(max_length: int) -> int:
+    """Number of symmetry orbits of cyclically reduced words of length
+    1..max_length, by Burnside's lemma: the mean, over the group, of the
+    number of words each element fixes.
+
+    On the cyclically reduced words of length n act the rotations r^k
+    (0 <= k < n), the swap s and the inversion i, which reverses a word
+    and inverts its letters.  s commutes with both others and
+    i r^k i = r^-k, so the group has the 4n elements r^k, s r^k, i r^k
+    and s i r^k.
+
+    Let M be the 4x4 letter matrix with M[x][y] = 1 when y may follow x
+    (y != x^-1) and P the permutation matrix of the swap.  M is the
+    all-ones matrix minus the inversion's permutation matrix, so it
+    commutes with P, and on the common eigenvectors (1, 1, 1, 1),
+    (1, 1, -1, -1), (1, -1, 1, -1) and (1, -1, -1, 1), letters in the
+    order a b A B, M takes 3, 1, -1, 1 and P takes 1, 1, -1, -1.
+    Hence tr M^d = 3^d + (-1)^d + 2 and tr M^d P = 3^d - (-1)^d.
+
+    - r^k with d = gcd(k, n) fixes the words of period d, the n/d-th
+      powers of the cyclically reduced words of length d: the closed
+      walks of length d in M, tr M^d of them.
+    - s r^k fixes w when w[j + k] = s(w[j]) for every position j (indices
+      mod n).  Write k = d k' with k' prime to n/d.  If n/d is odd, n/d
+      steps of k return to j and give w[j] = s(w[j]), but the swap fixes
+      no letter.  If n/d is even, k' and its inverse mod n/d are odd, so
+      w[j + t d] = s^t(w[j]) and w = (u s(u))^(n / 2d) for the first d
+      letters u.  w is cyclically reduced when u is reduced and s(u[0])
+      may follow u[d - 1]: the walks of length d from x to s(x) in M,
+      tr M^d P of them.
+    - i r^k reflects the cycle of positions: w[c - j] = w[j]^-1 for a
+      fixed c.  Every reflection of an n-cycle maps a position to itself
+      or swaps two neighbouring positions; the first needs a letter equal
+      to its inverse, the second puts a letter beside its inverse.  It
+      fixes no cyclically reduced word.
+    - s i r^k maps w[j] to s(w[c - j])^-1, which again no letter equals.
+      For n odd every reflection has a fixed position and fixes no word.
+      For n even, the n/2 reflections about the axes through two edges
+      fix no position; they pair the neighbours x, s(x)^-1, which never
+      cancel, so their fixed words are u followed by the reversed,
+      swapped inverse of u, cyclically reduced when u is reduced:
+      4 * 3^(n/2 - 1) words for each axis.
+    """
+    total = 0
+    for n in range(1, max_length + 1):
+        fixed = 0
+        for k in range(n):
+            d = gcd(k, n)
+            fixed += 3 ** d + (-1) ** d + 2
+            if n // d % 2 == 0:
+                fixed += 3 ** d - (-1) ** d
+        if n % 2 == 0:
+            fixed += n // 2 * 4 * 3 ** (n // 2 - 1)
+        total += fixed // (4 * n)
+    return total
 
 
 @dataclass(frozen=True)
@@ -183,32 +302,50 @@ class SearchReport:
 
 def min_dilatation_search(max_length: int, mu: int,
                           precision_bits: int = 60) -> SearchReport:
-    """Exact minimum of |trace| over hyperbolic classes up to max_length."""
+    """Exact minimum of |trace| over hyperbolic classes up to max_length.
+
+    The candidates of _necklaces come with their traces, and only those
+    that may be minima are tested against their orbits.  Every word of
+    an orbit has the same |trace|: a rotation is a conjugation, a matrix
+    of det 1 and its inverse have the same trace, and the swap is
+    conjugation by [[0, 1], [-1, 0]] in the original representation.
+    The least word of each orbit is a candidate (enumerate_classes), and
+    the candidates come in increasing key order.  So let x be a candidate
+    with |t| > 2, and best the least |trace| > 2 of the candidates before
+    it.  If x is not the least word of its orbit, that word came earlier
+    with the same |t|, and best <= |t|.  Hence a candidate with |t| below
+    best, or the first with |t| > 2, is the least word of its orbit and
+    starts the list of minima afresh; one with |t| = best joins the list
+    only when _least_in_orbit keeps it; and Words are built only for the
+    minima.  classes_examined is _class_count(max_length), the number of
+    classes the search covers, whether or not they were tested.
+    """
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     if mu < 1:
         raise ValueError("mu must be >= 1")
 
     best_abs: Optional[int] = None
-    minima: list[Word] = []
-    examined = 0
-    for w in enumerate_classes(max_length):
-        examined += 1
-        m = rep.evaluate(w, mu)
-        if rep.classify(m) != rep.HYPERBOLIC:
+    minima: list[str] = []
+    for key, lead, t in _necklaces(max_length, mu):
+        if t < 0:
+            t = -t
+        # |trace| <= 2 is the identity, elliptic or parabolic
+        if t <= 2 or (best_abs is not None and t > best_abs):
             continue
-        t = abs(m.trace())
         if best_abs is None or t < best_abs:
-            best_abs, minima = t, [w]
-        elif t == best_abs:
-            minima.append(w)
+            best_abs, minima = t, [key]
+        elif _least_in_orbit(key, lead):
+            minima.append(key)
     if best_abs is None:
         raise NoHyperbolicClassError(
             f"no hyperbolic class with word length <= {max_length} at mu={mu}")
-    # enumerate_classes yields in increasing _word_key order, so minima is
-    # already sorted and minima[0] is the least of them
-    report = rep.dilatation(minima[0], mu, precision_bits)
-    return SearchReport(mu, max_length, examined, report, tuple(minima))
+    # the candidates come in increasing key order, so minima is already
+    # sorted and minima[0] is the least of them
+    all_minima = tuple(Word(key.translate(_FROM_KEY)) for key in minima)
+    report = rep.dilatation(all_minima[0], mu, precision_bits)
+    return SearchReport(mu, max_length, _class_count(max_length), report,
+                        all_minima)
 
 
 @dataclass(frozen=True)

@@ -281,18 +281,18 @@ def test_lcs_table_depth_cap(capsys):
 
 
 def test_search_length_cap(capsys):
-    for n in ("17", "100"):
+    for n in ("18", "100"):
         code = run(["search", "--max-len", n, "--mu", "64"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "usage:" in captured.err
-        assert f"--max-len: must be <= 16, got {n}" in captured.err
+        assert f"--max-len: must be <= 17, got {n}" in captured.err
     # below the search's own minimum it stays a computation error
     assert run(["search", "--max-len", "1", "--mu", "64"]) == 1
     assert "max_length must be >= 2" in capsys.readouterr().err
     assert run(["search", "--help"]) == 0
-    assert "at most 16" in capsys.readouterr().out
+    assert "at most 17" in capsys.readouterr().out
 
 
 def test_dilatation_text_unchanged_in_float_range(capsys):

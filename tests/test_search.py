@@ -22,26 +22,27 @@ def test_enumerate_length_two():
     assert orbit_representative(Word("aB")) != orbit_representative(Word("ab"))
 
 
-def _brute_force_orbit_count(max_length: int) -> int:
+def _brute_force_orbit_count(length: int) -> int:
+    """Symmetry orbits of the cyclically reduced words of one length,
+    each removed from the pool as a whole orbit."""
     count = 0
-    for length in range(1, max_length + 1):
-        pool = set(search._cyclically_reduced_strings(length))
-        while pool:
-            s = pool.pop()
-            w = Word(s)
-            orbit = set()
-            for base in (w, w.inverse()):
-                for variant in (base, base.swap_generators()):
-                    for rot in variant.rotations():
-                        orbit.add(rot.letters)
-            pool -= orbit
-            count += 1
+    pool = set(search._cyclically_reduced_strings(length))
+    while pool:
+        s = pool.pop()
+        w = Word(s)
+        orbit = set()
+        for base in (w, w.inverse()):
+            for variant in (base, base.swap_generators()):
+                for rot in variant.rotations():
+                    orbit.add(rot.letters)
+        pool -= orbit
+        count += 1
     return count
 
 
 def test_enumerate_count_matches_brute_force():
     produced = sum(1 for _ in enumerate_classes(6))
-    assert produced == _brute_force_orbit_count(6)
+    assert produced == sum(_brute_force_orbit_count(n) for n in range(1, 7))
 
 
 def test_enumerate_reps_are_canonical():
@@ -58,6 +59,8 @@ def test_enumerate_matches_definitional_pipeline():
     for length in range(1, 9):
         for s in search._cyclically_reduced_strings(length):
             expected.add(orbit_representative(Word(s)).letters)
+        # the Burnside count against the definitional one, length by length
+        assert search._class_count(length) == len(expected)
     assert [w.letters for w in enumerate_classes(8)] == \
         sorted(expected, key=search._word_key)
 
@@ -89,17 +92,26 @@ def test_cyclically_reduced_strings_match_product_filter():
         assert list(search._cyclically_reduced_strings(length)) == expected
 
 
-# classes of length <= n for n = 1..12; the length-10 count was checked
+# classes of length <= n for n = 1..16; the length-10 count was checked
 # once against the definitional pipeline above, which takes about 20 s
-# there, and those at 11 and 12 come from the enumerator before it cut
-# long letter runs
-CLASS_COUNTS = (1, 4, 7, 16, 29, 68, 147, 373, 922, 2453, 6480, 17711)
+# there, those at 11 and 12 come from the enumerator before it cut long
+# letter runs, and the one at 16 is the number of keys that the
+# enumerator once collected at that length
+CLASS_COUNTS = (1, 4, 7, 16, 29, 68, 147, 373, 922, 2453, 6480, 17711,
+                48372, 134227, 373386, 1047297)
 
 
 @pytest.mark.parametrize("max_length", range(1, 13))
 def test_enumerate_class_counts(max_length):
     produced = sum(1 for _ in enumerate_classes(max_length))
     assert produced == CLASS_COUNTS[max_length - 1]
+    assert search._class_count(max_length) == produced
+
+
+def test_class_count_by_burnside():
+    assert [search._class_count(n) for n in range(1, 17)] == \
+        list(CLASS_COUNTS)
+    assert search._class_count(0) == 0
 
 
 def test_no_run_longer_than_leading_run():
@@ -163,23 +175,56 @@ def test_search_monotone_in_max_length():
         prev = cur
 
 
+def _minima_by_length(words_by_length, mu):
+    """Per length, the least |trace| > 2 over the given words, each
+    evaluated by rep.evaluate, and the words that attain it."""
+    out = []
+    for length_words in words_by_length:
+        best, found = None, []
+        for w in length_words:
+            t = abs(rep.evaluate(w, mu).trace())
+            if t <= 2 or (best is not None and t > best):
+                continue
+            if best is None or t < best:
+                best, found = t, []
+            found.append(w.letters)
+        out.append((best, found))
+    return out
+
+
 def test_all_minima_match_no_dedup_oracle():
     # all_minima is the enumeration order, with no sort of its own; the
-    # oracle's minima, one per class, sorted by key must give it back
-    for mu in (1, 4):
-        for max_length in range(2, 9):
-            best, found = verify.brute_force_min_abs_trace(max_length, mu)
-            expected = sorted({orbit_representative(Word(s)).letters
-                               for s in found}, key=search._word_key)
+    # oracle's minima, one per class, sorted by key must give it back;
+    # mu = 1 has many ties, so it exercises the orbit test on them
+    counts = [_brute_force_orbit_count(n) for n in range(1, 11)]
+    words_by_length = [[Word(s) for s in search._cyclically_reduced_strings(n)]
+                       for n in range(1, 11)]
+    representative = {}
+    reports = {}
+    for mu in (1, 2, 3, 4, 5, 9, 16, 64):
+        per_length = _minima_by_length(words_by_length, mu)
+        for max_length in range(2, 11):
+            bests = [b for b, _ in per_length[:max_length] if b is not None]
+            best = min(bests)
+            expected = set()
+            for b, found in per_length[:max_length]:
+                if b == best:
+                    for s in found:
+                        if s not in representative:
+                            representative[s] = \
+                                orbit_representative(Word(s)).letters
+                        expected.add(representative[s])
             report = min_dilatation_search(max_length, mu)
-            assert abs(report.minimum.trace) == best
-            assert [w.letters for w in report.all_minima] == expected, \
-                (mu, max_length)
+            assert abs(report.minimum.trace) == best, (mu, max_length)
+            assert report.minimum.word == report.all_minima[0]
+            assert [w.letters for w in report.all_minima] == \
+                sorted(expected, key=search._word_key), (mu, max_length)
+            assert report.classes_examined == sum(counts[:max_length])
+            reports[mu, max_length] = report.all_minima
     # key order is not length order here
-    assert expected == ["aab", "aB"]
-    at_mu_1 = min_dilatation_search(8, 1).all_minima
-    assert len(at_mu_1) == 24
-    assert len({len(w) for w in at_mu_1}) > 1
+    assert [w.letters for w in reports[4, 8]] == ["aab", "aB"]
+    assert len(reports[1, 8]) == 24
+    assert len({len(w) for w in reports[1, 8]}) > 1
 
 
 def test_minimum_reproduces_trace():
