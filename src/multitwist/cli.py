@@ -34,7 +34,7 @@ MAX_PRECISION_BITS = 65536
 # costs 3-4 times as much (about 12 s at depth 19)
 MAX_LCS_DEPTH = 18
 # the largest search --max-len, bound by time alone: --max-len 17 takes
-# about 5-7 s and 17-25 MB peak RSS at mu 64 and mu 1 (16: about 2 s);
+# about 6-7 s and 17-25 MB peak RSS at mu 64 and mu 1 (16: about 2-3 s);
 # each further letter about triples the time, while the streamed search
 # keeps the RSS flat
 MAX_SEARCH_LENGTH = 17
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
                    required=True,
-                   help=f"at most {MAX_SEARCH_LENGTH} (about 6 s at mu 64)")
+                   help=f"at most {MAX_SEARCH_LENGTH} (about 7 s at mu 64)")
     p.add_argument("--mu", type=int, required=True)
     precision_bits(p)
     p.set_defaults(func=_cmd_search)
