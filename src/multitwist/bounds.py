@@ -111,10 +111,12 @@ def _bisect_cubic(precision_bits: int) -> Interval:
     return Interval(Fraction(lo, one), Fraction(hi, one))
 
 
-def _lesser_case(case1: Interval, name1: str,
-                 case2: Interval, name2: str) -> tuple[Interval, str]:
-    """An enclosure of the smaller of two certified case bounds, and the
-    name of the case that binds, or "tie" when the enclosures overlap."""
+def _lesser_case(case1: Interval, name1: str) -> tuple[Interval, str]:
+    """An enclosure of the smaller of a certified case-1 bound and case 2,
+    the log of the cubic root, which torelli_lower and congruence_lower(3)
+    share, and the name of the case that binds, or "tie" when the
+    enclosures overlap."""
+    case2, name2 = intervals.log(torelli_cubic_root(), _BITS), "case2_cubic"
     if case2.hi < case1.lo:
         return case2, name2
     if case1.hi < case2.lo:
@@ -124,9 +126,8 @@ def _lesser_case(case1: Interval, name1: str,
 
 def torelli_lower() -> BoundResult:
     """min(log sqrt(2), log of the cubic root); the cubic case binds."""
-    value, binding = _lesser_case(
-        _log_rational(2) * Fraction(1, 2), "case1_sqrt2",
-        intervals.log(torelli_cubic_root(), _BITS), "case2_cubic")
+    value, binding = _lesser_case(_log_rational(2) * Fraction(1, 2),
+                                  "case1_sqrt2")
     return BoundResult(value, LOWER_LOG_DILATATION,
                        "valid for every pseudo-Anosov acting trivially on "
                        "integral first homology, g >= 2",
@@ -143,9 +144,8 @@ def congruence_lower(r: int) -> BoundResult:
                            f"valid for the level-{r} congruence subgroup, g >= 2",
                            binding_case=base.binding_case)
     # r = 3: case 1 weakens to intersection number 3 on f or f^2
-    value, binding = _lesser_case(
-        surgery_lower(3, 2).value, "case1_surgery_3_2",
-        intervals.log(torelli_cubic_root(), _BITS), "case2_cubic")
+    value, binding = _lesser_case(surgery_lower(3, 2).value,
+                                  "case1_surgery_3_2")
     return BoundResult(value, LOWER_LOG_DILATATION,
                        "valid for the level-3 congruence subgroup, g >= 2",
                        binding_case=binding)
@@ -200,13 +200,18 @@ def tau_cc_upper(g: int, log_lambda: Interval) -> BoundResult:
                        f"dilatation at most g - 1/2")
 
 
+def _log_hk() -> Interval:
+    """log(2 + sqrt(3)), of tau_cc_infs_upper and hk_upper."""
+    root3 = intervals.sqrt_fraction(Fraction(3), 2 * _BITS)
+    return intervals.log(2 + root3, _BITS)
+
+
 def tau_cc_infs_upper(g: int) -> BoundResult:
     """4*log(2 + sqrt(3))/(g*log(g - 1/2)) for g >= 3."""
     if g < 3:
         raise ValueError("asymptotic curve-complex bound requires g >= 3; "
                          "genus 2 is out of scope")
-    root3 = intervals.sqrt_fraction(Fraction(3), 2 * _BITS)
-    numerator = 4 * intervals.log(2 + root3, _BITS)
+    numerator = 4 * _log_hk()
     denominator = g * _log_rational(Fraction(2 * g - 1, 2))
     return BoundResult(numerator / denominator, UPPER_TAU_C,
                        f"upper bound on the minimal curve-complex translation "
@@ -217,8 +222,7 @@ def hk_upper(g: int) -> BoundResult:
     """log(2 + sqrt(3))/g, the Hironaka-Kin minimal-dilatation upper bound."""
     if g < 2:
         raise ValueError("Hironaka-Kin bound requires g >= 2")
-    root3 = intervals.sqrt_fraction(Fraction(3), 2 * _BITS)
-    value = intervals.log(2 + root3, _BITS) * Fraction(1, g)
+    value = _log_hk() * Fraction(1, g)
     return BoundResult(value, UPPER_LOG_DILATATION,
                        f"upper bound on the minimal log dilatation at genus {g}")
 

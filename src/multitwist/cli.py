@@ -28,11 +28,14 @@ MAX_JOHNSON_GENUS = 64
 # the largest --precision-bits; the certified log takes about 0.3 s there,
 # and its cost grows faster than quadratically in the bit count
 MAX_PRECISION_BITS = 65536
-# the largest lcs-table --max-k; the deepest word has length 2^18, and
+# the largest lcs-table --max-k, and the largest size of its deepest
+# trace mu^(2^(k-1)) + 2, in bits, taken as 2^(k-1) * mu.bit_length():
 # --max-k 18 --mu 64 takes about 3 s, most of it in the isqrt of the
 # certificate and the decimal digits of the trace; each further level
-# costs 3-4 times as much (about 12 s at depth 19)
+# costs 3-4 times as much (about 12 s at depth 19), as does each doubling
+# of the bits of mu (13 s at --max-k 14 with a 201-bit mu)
 MAX_LCS_DEPTH = 18
+MAX_LCS_TRACE_BITS = 2 ** 17 * 7
 # the largest search --max-len, bound by time alone: --max-len 17 takes
 # about 6-7 s and 17-25 MB peak RSS at mu 64 and mu 1 (16: about 2-3 s);
 # each further letter about triples the time, while the streamed search
@@ -173,6 +176,18 @@ def _cmd_search(args) -> int:
     return 0
 
 
+def _check_lcs_size(args) -> None:
+    """The deepest trace has at most MAX_LCS_TRACE_BITS bits; a k or mu
+    below 1 is left to lcs_table, which refuses it as a computation error."""
+    if args.mu >= 1 and args.max_k >= 1:
+        bits = args.mu.bit_length() << (args.max_k - 1)
+        if bits > MAX_LCS_TRACE_BITS:
+            args.usage_error(
+                f"--max-k {args.max_k} with a {args.mu.bit_length()}-bit "
+                f"--mu needs a trace of about {bits} bits; at most "
+                f"{MAX_LCS_TRACE_BITS} are allowed")
+
+
 def _cmd_lcs_table(args) -> int:
     rows = search.lcs_table(args.max_k, args.mu, args.precision_bits)
     if args.format == "json":
@@ -259,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="congruence level, with --group congruence only")
     p.add_argument("--p", type=int, default=None,
                    help="number of punctures, with --group brunnian only")
-    p.set_defaults(func=_cmd_bounds, usage_error=p.error)
+    p.set_defaults(func=_cmd_bounds, check=_check_bounds_parameters,
+                   usage_error=p.error)
 
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
@@ -272,11 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
     p.add_argument("--max-k", type=_bounded_int(high=MAX_LCS_DEPTH),
                    required=True,
-                   help=f"at most {MAX_LCS_DEPTH} (about 3 s at mu 64)")
+                   help=f"at most {MAX_LCS_DEPTH} (about 3 s at mu 64), and "
+                        f"2^(max_k - 1) * (bits of mu) at most "
+                        f"{MAX_LCS_TRACE_BITS}")
     p.add_argument("--mu", type=int, required=True)
     output_format(p, "csv", "json")
     precision_bits(p)
-    p.set_defaults(func=_cmd_lcs_table)
+    p.set_defaults(func=_cmd_lcs_table, check=_check_lcs_size,
+                   usage_error=p.error)
 
     p = sub.add_parser("johnson-tau",
                        help="Johnson image of a bounding-pair map")
@@ -304,8 +323,9 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "bounds":
-            _check_bounds_parameters(args)
+        # checks that join several flags, as usage errors of the subparser
+        if hasattr(args, "check"):
+            args.check(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

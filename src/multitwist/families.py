@@ -22,7 +22,8 @@ BRAID = "braid_sphere"
 
 TORELLI_MU = 64
 BRAID_MU = 16
-
+# power-iteration steps before pf_eigenvalue gives up on its bracket
+_PF_MAX_ITERATIONS = 10_000
 
 _INT_TYPE = {int}
 
@@ -141,7 +142,7 @@ def _is_irreducible(M) -> bool:
     return reaches_all(successors) and reaches_all(predecessors)
 
 
-def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9), max_iterations: int = 10_000) -> PFResult:
+def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9)) -> PFResult:
     """Perron-Frobenius eigenvalue with an exact rational certificate.
 
     M is a square matrix of nonnegative ints or Fractions (floats raise
@@ -173,7 +174,7 @@ def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9), max_iterations: int = 10_000) -> 
     DM = [[x.numerator * (D // x.denominator) for x in row]
           for row in fractions]
     V = [1] * n
-    for it in range(max_iterations):
+    for it in range(_PF_MAX_ITERATIONS):
         # D*M*V gives both the Collatz-Wielandt bracket at V and the next step
         DMV = [sum(x * y for x, y in zip(row, V)) for row in DM]
         ratios = [Fraction(x, D * y) for x, y in zip(DMV, V)]
@@ -188,7 +189,7 @@ def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9), max_iterations: int = 10_000) -> 
         # iterate with M + I to handle periodic irreducible matrices
         V = [x + D * y for x, y in zip(DMV, V)]
     raise RuntimeError(f"PF bracket did not reach tol={tol} "
-                       f"in {max_iterations} iterations")
+                       f"in {_PF_MAX_ITERATIONS} iterations")
 
 
 def family_csv(f: IntersectionFamily) -> str:

@@ -352,7 +352,6 @@ def min_dilatation_search(max_length: int, mu: int,
 class LcsRow:
     depth: int
     word: Word
-    word_length: int
     mu: int
     trace: int
     log_dilatation: Interval
@@ -361,7 +360,7 @@ class LcsRow:
         return {
             "k": self.depth,
             "word": str(self.word),
-            "length": self.word_length,
+            "length": len(self.word),
             "trace": rep.trace_json(self.trace, self.mu),
             "log_lambda": [decimal_str(self.log_dilatation.lo),
                            decimal_str(self.log_dilatation.hi)],
@@ -373,10 +372,12 @@ def lcs_table(k_max: int, mu: int, precision_bits: int = 60) -> list[LcsRow]:
     w(k) lies in gamma_k of <T_A, T_B> (gamma_1 = F) by construction, so
     row k bounds the least dilatation in gamma_k from above at any genus.
 
-    w(k) = w(k-1) b w(k-1)^-1 b^-1, so its image is
-    M(k) = M(k-1) T_B adj(M(k-1)) T_B^-1: images have det 1, so the
-    adjugate is the inverse.  Each level costs one product of 2x2 int
-    matrices instead of an evaluation of 2^k letters.
+    tr w(1) = 2 - mu and tr w(k) = mu^(2^(k-1)) + 2 for k >= 2, so one
+    int is squared per level and no matrix is formed.  Proof: in SL2,
+    tr[u, v] = tr^2 u + tr^2 v + tr^2 uv - tr u tr v tr uv - 2 (Fricke),
+    and tr a = tr b = 2, tr ab = 2 - mu give tr w(2) = mu^2 + 2.  For
+    k >= 2, w(k) b = w(k-1) b w(k-1)^-1 is conjugate to b, so
+    tr w(k) b = 2 and tr w(k+1) = tr[w(k), b] = (tr w(k) - 2)^2 + 2.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -384,24 +385,18 @@ def lcs_table(k_max: int, mu: int, precision_bits: int = 60) -> list[LcsRow]:
         raise ValueError("mu must be >= 1")
     b = Word("b")
     w = Word("ab")
-    m = rep.evaluate(w, mu)
+    power, trace = mu, 2 - mu
     table = []
     for k in range(1, k_max + 1):
         if k > 1:
             w = words.commutator(w, b)
-            p, q, r, s = m
-            # M T_B and adj(M) T_B^-1, each one column operation
-            x = (p - mu * q, q, r - mu * s, s)
-            y = (s - mu * q, -q, mu * p - r, p)
-            m = rep.IntMatrix(x[0] * y[0] + x[1] * y[2],
-                              x[0] * y[1] + x[1] * y[3],
-                              x[2] * y[0] + x[3] * y[2],
-                              x[2] * y[1] + x[3] * y[3])
-        if rep.classify(m) != rep.HYPERBOLIC:
+            power *= power
+            trace = power + 2
+        # |trace| <= 2 is the identity, elliptic or parabolic
+        if abs(trace) <= 2:
             raise RuntimeError(f"nested commutator at k={k} is not hyperbolic")
-        trace = m.trace()
         _, log_lam = rep.hyperbolic_dilatation(trace, precision_bits)
-        table.append(LcsRow(k, w, len(w), mu, trace, log_lam))
+        table.append(LcsRow(k, w, mu, trace, log_lam))
     return table
 
 
@@ -409,7 +404,7 @@ def lcs_csv(rows: list[LcsRow]) -> str:
     out = io.StringIO()
     out.write("k,word,length,trace,log_lambda_lo,log_lambda_hi\n")
     for r in rows:
-        out.write(f"{r.depth},{r.word},{r.word_length},"
+        out.write(f"{r.depth},{r.word},{len(r.word)},"
                   f"{decimal_str(r.trace)},"
                   f"{float(r.log_dilatation.lo)!r},"
                   f"{float(r.log_dilatation.hi)!r}\n")

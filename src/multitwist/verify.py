@@ -155,9 +155,12 @@ def check_minimality():
 
 
 def check_lcs_table():
+    # rep.evaluate shares no code with the closed-form traces of lcs_table
     table = search.lcs_table(8, 64)
     for row in table:
-        assert row.word_length == 2 ** row.depth
+        assert row.word == words.nested_commutator(row.depth), row.depth
+        assert len(row.word) == 2 ** row.depth
+        assert row.trace == rep.evaluate(row.word, 64).trace(), row.depth
         assert row.log_dilatation.lo > 0
     assert table[1].trace == 4098
 

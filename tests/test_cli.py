@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 import multitwist
-from multitwist import bounds, rep, verify, words
+from multitwist import bounds, rep, search, verify, words
 from multitwist.cli import run
 from multitwist.intervals import Interval, PrecisionError
 from multitwist.words import Word
@@ -278,6 +278,39 @@ def test_lcs_table_depth_cap(capsys):
         assert f"--max-k: must be <= 18, got {k}" in captured.err
     assert run(["lcs-table", "--help"]) == 0
     assert "at most 18" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("max_k, mu, err", [
+    ("3", "0", "error: mu must be >= 1\n"),
+    ("14", str(-2 ** 200), "error: mu must be >= 1\n"),
+    *[("3", str(mu), "error: nested commutator at k=1 is not hyperbolic\n")
+      for mu in range(1, 5)],
+])
+def test_lcs_table_non_hyperbolic_mu(capsys, max_k, mu, err):
+    code = run(["lcs-table", "--max-k", max_k, "--mu", mu])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", err)
+
+
+def test_lcs_table_trace_size_cap(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(search, "lcs_table",
+                        lambda *args: built.append(args) or [])
+    for k, mu, bits in (("14", 2 ** 200, 201 << 13), ("18", 128, 8 << 17)):
+        code = run(["lcs-table", "--max-k", k, "--mu", str(mu)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert (f"needs a trace of about {bits} bits; at most 917504 are "
+                f"allowed") in captured.err
+    assert built == []
+    # the largest mu at depth 18 has 7 bits, the size at --mu 64
+    assert run(["lcs-table", "--max-k", "18", "--mu", "127"]) == 0
+    assert built == [(18, 127, 60)]
+    assert run(["lcs-table", "--help"]) == 0
+    assert "(bits of mu) at most 917504" in " ".join(
+        capsys.readouterr().out.split())
 
 
 def test_search_length_cap(capsys):

@@ -64,6 +64,13 @@ def test_pf_bracket_golden_like():
     assert not pf.exact_flag
 
 
+def test_pf_gives_up_after_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(families, "_PF_MAX_ITERATIONS", 3)
+    with pytest.raises(RuntimeError, match=r"^PF bracket did not reach "
+                       r"tol=1/1000000000 in 3 iterations$"):
+        pf_eigenvalue([[2, 1], [1, 1]])
+
+
 def test_pf_rejects_bad_input():
     with pytest.raises(ValueError):
         pf_eigenvalue([[1, 2, 3], [4, 5, 6]])

@@ -236,7 +236,7 @@ def test_minimum_reproduces_trace():
 def test_lcs_table_rows():
     table = lcs_table(4, 64)
     assert [row.depth for row in table] == [1, 2, 3, 4]
-    assert [row.word_length for row in table] == [2, 4, 8, 16]
+    assert [len(row.word) for row in table] == [2, 4, 8, 16]
     assert str(table[0].word) == "ab"
     assert table[1].trace == 4098
     for row in table:
@@ -286,11 +286,21 @@ def test_lcs_table_matches_evaluated_nested_commutators():
         rows = lcs_table(12, mu)
         assert [(r.depth, r.word, r.trace) for r in rows] == expected, mu
         for r in rows:
-            assert r.word_length == len(r.word)
             direct = rep.hyperbolic_dilatation(r.trace, 60)[1]
             assert r.log_dilatation == direct
     with pytest.raises(RuntimeError):
         lcs_table(3, 1)
+
+
+def test_lcs_table_forms_no_image(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("lcs_table must not evaluate or classify")
+
+    monkeypatch.setattr(rep, "evaluate", refuse)
+    monkeypatch.setattr(rep, "classify", refuse)
+    rows = lcs_table(12, 64)
+    assert [r.trace for r in rows] == [2 - 64] + [
+        64 ** 2 ** (k - 1) + 2 for k in range(2, 13)]
 
 
 def _product_order_minima(max_length, mu):
