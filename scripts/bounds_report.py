@@ -19,8 +19,9 @@ def main() -> int:
     parser.add_argument("--p-max", type=int, default=10)
     args = parser.parse_args()
 
-    print(f"torelli_lower        {_mid(bounds.torelli_lower()):.7f}  "
-          f"({bounds.torelli_lower().binding_case})")
+    torelli = bounds.torelli_lower()
+    print(f"torelli_lower        {_mid(torelli):.7f}  "
+          f"({torelli.binding_case})")
     print(f"surgery_lower(4,1)   {_mid(bounds.surgery_lower(4, 1)):.7f}")
     print(f"surgery_lower(3,2)   {_mid(bounds.surgery_lower(3, 2)):.7f}")
     print(f"congruence_lower(3)  {_mid(bounds.congruence_lower(3)):.7f}")

@@ -9,15 +9,4 @@ closed-form dilatation/translation-length bound, and the Johnson
 homomorphism on bounding-pair maps.
 """
 
-from .intervals import Interval
-from .quadratic import QuadReal
-from .words import Word, commutator, nested_commutator
-from .rep import IntMatrix, DilatationReport, evaluate, classify, dilatation
-from .families import (IntersectionFamily, PFResult, torelli_family,
-                       braid_family, pf_eigenvalue)
-from .johnson import (HomologyClass, Wedge3Coset, wedge3, omega_wedge_basis,
-                      coset_equal, tau_bounding_pair, lantern_check)
-from .search import (SearchReport, LcsRow, enumerate_classes,
-                     min_dilatation_search, lcs_table)
-
 __version__ = "0.1.0"

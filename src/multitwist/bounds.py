@@ -33,8 +33,7 @@ class BoundResult:
     binding_case: str = ""
 
     def __post_init__(self):
-        scale = max(Fraction(1), abs(self.value.lo), abs(self.value.hi))
-        if self.value.width > _REL_WIDTH * scale:
+        if self.value.relative_width() > _REL_WIDTH:
             raise ValueError("bound interval too wide")
 
     def to_json_dict(self) -> dict:

@@ -28,14 +28,15 @@ MAX_JOHNSON_GENUS = 64
 # the largest --precision-bits; the certified log takes about 0.3 s there,
 # and its cost grows faster than quadratically in the bit count
 MAX_PRECISION_BITS = 65536
-# the largest lcs-table --max-k, and the largest size of its deepest
-# trace mu^(2^(k-1)) + 2, in bits, taken as 2^(k-1) * mu.bit_length():
+# the largest lcs-table --max-k, and the largest size in bits of a trace
+# that lcs-table or dilatation forms, as _check_trace_size counts it:
 # --max-k 18 --mu 64 takes about 3 s, most of it in the isqrt of the
 # certificate and the decimal digits of the trace; each further level
 # costs 3-4 times as much (about 12 s at depth 19), as does each doubling
-# of the bits of mu (13 s at --max-k 14 with a 201-bit mu)
+# of the bits of mu (13 s at --max-k 14 with a 201-bit mu); a dilatation
+# word at the bound takes 2.6-7 s (7 s at --mu 126 with 131,070 letters)
 MAX_LCS_DEPTH = 18
-MAX_LCS_TRACE_BITS = 2 ** 17 * 7
+MAX_TRACE_BITS = 2 ** 17 * 7
 # the largest search --max-len, bound by time alone: --max-len 17 takes
 # about 6-7 s and 17-25 MB peak RSS at mu 64 and mu 1 (16: about 2-3 s);
 # each further letter about triples the time, while the streamed search
@@ -118,9 +119,6 @@ def _cmd_family(args) -> int:
         fam = families.torelli_family(args.genus)
     else:
         fam = families.braid_family(args.genus)
-    if args.format == "csv":
-        sys.stdout.write(families.family_csv(fam))
-        return 0
     prod = fam.nnt()
     pf = families.pf_eigenvalue(prod)
     payload = {
@@ -137,7 +135,17 @@ def _cmd_family(args) -> int:
             "eigenvector": [str(x) for x in pf.eigenvector],
         },
     }
-    _emit(payload)
+    if args.format == "json":
+        _emit(payload)
+        return 0
+    cert = payload["pf"]
+    lines = ["section,row,values"] + [
+        f"{name},{i},{' '.join(map(str, row))}"
+        for name in ("N", "NNt") for i, row in enumerate(payload[name])]
+    lines += [f"PF,lower,{cert['lower']}", f"PF,upper,{cert['upper']}",
+              f"PF,exact,{json.dumps(cert['exact'])}",
+              f"PF,eigenvector,{' '.join(cert['eigenvector'])}"]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -176,16 +184,23 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _check_lcs_size(args) -> None:
-    """The deepest trace has at most MAX_LCS_TRACE_BITS bits; a k or mu
-    below 1 is left to lcs_table, which refuses it as a computation error."""
-    if args.mu >= 1 and args.max_k >= 1:
+def _check_trace_size(args) -> None:
+    """Refuse a request whose largest trace may pass MAX_TRACE_BITS bits.
+    lcs-table's deepest, mu^(2^(k-1)) + 2, has about 2^(k-1) bits per bit
+    of mu; a dilatation word's image has entries below (mu + 1)^letters,
+    as each a^+-1 at most doubles an entry and each b^+-1 multiplies it by
+    at most mu + 1.  A k or mu below 1 is left to the computation."""
+    if args.mu < 1 or args.command == "lcs-table" and args.max_k < 1:
+        return
+    if args.command == "dilatation":
+        bits = len(args.word) * (args.mu + 1).bit_length()
+        need = f"a {len(args.word)}-letter --word may need a {bits}-bit trace"
+    else:
         bits = args.mu.bit_length() << (args.max_k - 1)
-        if bits > MAX_LCS_TRACE_BITS:
-            args.usage_error(
-                f"--max-k {args.max_k} with a {args.mu.bit_length()}-bit "
-                f"--mu needs a trace of about {bits} bits; at most "
-                f"{MAX_LCS_TRACE_BITS} are allowed")
+        need = (f"--max-k {args.max_k} with a {args.mu.bit_length()}-bit "
+                f"--mu needs a trace of about {bits} bits")
+    if bits > MAX_TRACE_BITS:
+        args.usage_error(f"{need}; at most {MAX_TRACE_BITS} are allowed")
 
 
 def _cmd_lcs_table(args) -> int:
@@ -254,11 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dilatation", help="certified dilatation of a word")
     p.add_argument("--word", required=True,
-                   help="word in a/b/A/B (empty string for the identity)")
+                   help="word in a/b/A/B (empty string for the identity); "
+                        "letters * bit_length(mu + 1) at most "
+                        f"{MAX_TRACE_BITS} (about 7 s at mu 126)")
     p.add_argument("--mu", type=int, required=True)
     output_format(p, "json", "text")
     precision_bits(p)
-    p.set_defaults(func=_cmd_dilatation)
+    p.set_defaults(func=_cmd_dilatation, check=_check_trace_size,
+                   usage_error=p.error)
 
     p = sub.add_parser("family", help="built-in intersection family and PF data")
     p.add_argument("--genus", type=_bounded_int(high=MAX_FAMILY_GENUS),
@@ -290,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True,
                    help=f"at most {MAX_LCS_DEPTH} (about 3 s at mu 64), and "
                         f"2^(max_k - 1) * (bits of mu) at most "
-                        f"{MAX_LCS_TRACE_BITS}")
+                        f"{MAX_TRACE_BITS}")
     p.add_argument("--mu", type=int, required=True)
     output_format(p, "csv", "json")
     precision_bits(p)
-    p.set_defaults(func=_cmd_lcs_table, check=_check_lcs_size,
+    p.set_defaults(func=_cmd_lcs_table, check=_check_trace_size,
                    usage_error=p.error)
 
     p = sub.add_parser("johnson-tau",

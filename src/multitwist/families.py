@@ -10,7 +10,6 @@ power iteration in ints with a common denominator.
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -190,20 +189,3 @@ def pf_eigenvalue(M, tol=Fraction(1, 10 ** 9)) -> PFResult:
         V = [x + D * y for x, y in zip(DMV, V)]
     raise RuntimeError(f"PF bracket did not reach tol={tol} "
                        f"in {_PF_MAX_ITERATIONS} iterations")
-
-
-def family_csv(f: IntersectionFamily) -> str:
-    """CSV emission of N, N*N^t, and the PF certificate."""
-    out = io.StringIO()
-    out.write("section,row,values\n")
-    for i, row in enumerate(f.N):
-        out.write(f"N,{i},{' '.join(str(x) for x in row)}\n")
-    prod = f.nnt()
-    for i, row in enumerate(prod):
-        out.write(f"NNt,{i},{' '.join(str(x) for x in row)}\n")
-    pf = pf_eigenvalue(prod)
-    out.write(f"PF,lower,{pf.value_lower}\n")
-    out.write(f"PF,upper,{pf.value_upper}\n")
-    out.write(f"PF,exact,{str(pf.exact_flag).lower()}\n")
-    out.write(f"PF,eigenvector,{' '.join(str(x) for x in pf.eigenvector)}\n")
-    return out.getvalue()

@@ -93,9 +93,6 @@ class Interval:
     def __neg__(self):
         return Interval(-self.hi, -self.lo)
 
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
     def __rsub__(self, other):
         return _coerce(other) + (-self)
 

@@ -62,6 +62,35 @@ def test_family_csv(capsys):
     assert "PF,lower,16" in out
 
 
+@pytest.mark.parametrize("kind", ["torelli", "braid"])
+@pytest.mark.parametrize("genus", range(1, 65))
+def test_family_csv_matches_json(capsys, kind, genus):
+    argv = ["family", "--genus", str(genus), "--kind", kind]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    if code:  # the torelli family starts at genus 2
+        assert (kind, genus, code) == ("torelli", 1, 1)
+        assert run(argv + ["--format", "csv"]) == 1
+        assert capsys.readouterr() == ("", err)
+        return
+    payload = json.loads(out)
+    assert run(argv + ["--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("\n")
+    rows = [line.split(",") for line in text[:-1].split("\n")]
+    m, pf = payload["m"], payload["pf"]
+    assert len(rows) == 1 + 2 * m + 4
+    assert rows[0] == ["section", "row", "values"]
+    for offset, name in ((1, "N"), (1 + m, "NNt")):
+        assert rows[offset:offset + m] == [
+            [name, str(i), " ".join(map(str, row))]
+            for i, row in enumerate(payload[name])]
+    assert rows[1 + 2 * m:] == [
+        ["PF", "lower", pf["lower"]], ["PF", "upper", pf["upper"]],
+        ["PF", "exact", "true" if pf["exact"] else "false"],
+        ["PF", "eigenvector", " ".join(pf["eigenvector"])]]
+
+
 def test_bounds_subcommand(capsys):
     code, payload = _run_json(capsys, ["bounds", "--group", "torelli"])
     assert code == 0
@@ -310,6 +339,35 @@ def test_lcs_table_trace_size_cap(capsys, monkeypatch):
     assert built == [(18, 127, 60)]
     assert run(["lcs-table", "--help"]) == 0
     assert "(bits of mu) at most 917504" in " ".join(
+        capsys.readouterr().out.split())
+
+
+def test_dilatation_trace_size_cap(capsys, monkeypatch):
+    # below mu 1 the size is not checked, and rep refuses the request
+    assert run(["dilatation", "--word", "ab" * 500_000, "--mu", "0"]) == 1
+    assert capsys.readouterr().err == "error: mu must be >= 1\n"
+    identity = rep.dilatation(Word(""), 64)
+    built = []
+    monkeypatch.setattr(rep, "dilatation",
+                        lambda *args: built.append(args) or identity)
+    # the size counts the bits of mu + 1: 8 at mu 127, 7 at mu 64
+    for word, mu, bits in (("ab" * 2000, 2 ** 300, 4000 * 301),
+                           ("ab" * 65536 + "a", 64, 131073 * 7),
+                           ("ab" * 57344 + "a", 127, 114689 * 8)):
+        code = run(["dilatation", "--word", word, "--mu", str(mu)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert (f"a {len(word)}-letter --word may need a {bits}-bit trace; "
+                f"at most 917504 are allowed") in captured.err
+    assert built == []
+    # (ab)^65536 at mu 64 is exactly 131072 * 7 = 917504 bits
+    assert run(["dilatation", "--word", "ab" * 65536, "--mu", "64"]) == 0
+    assert built == [(Word("ab" * 65536), 64, 60)]
+    assert json.loads(capsys.readouterr().out)["class"] == "identity"
+    assert run(["dilatation", "--help"]) == 0
+    assert "bit_length(mu + 1) at most 917504" in " ".join(
         capsys.readouterr().out.split())
 
 

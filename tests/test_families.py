@@ -155,14 +155,6 @@ def test_pf_one_product_per_step_matches_two():
         iterations.append(pf.iterations)
     assert iterations == [12, 8, 12, 12, 9, 9, 9, 17, 12, 13]
 
-def test_family_csv():
-    text = families.family_csv(torelli_family(4))
-    lines = text.strip().split("\n")
-    assert lines[0] == "section,row,values"
-    assert "N,0,4 4" in text
-    assert "PF,lower,64" in text
-    assert "PF,exact,true" in text
-
 
 def _dense_nnt(N):
     n = len(N)

@@ -196,7 +196,8 @@ def test_cli_import_leaves_out_mpmath_and_worker_pool():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, multitwist.cli; print(sorted(m for m in "
-            "('mpmath', 'multiprocessing', 'concurrent.futures') "
+            "('mpmath', 'multiprocessing', 'concurrent.futures', "
+            "'multitwist.quadratic') "
             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
