@@ -48,8 +48,8 @@ class BoundResult:
         return d
 
 
-def _log_rational(x, bits: int = _BITS) -> Interval:
-    return intervals.log(Interval.point(Fraction(x)), bits)
+def _log_rational(x) -> Interval:
+    return intervals.log(Interval.point(Fraction(x)), _BITS)
 
 
 def surgery_lower(n: int, j: int = 1) -> BoundResult:

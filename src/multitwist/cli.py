@@ -12,11 +12,10 @@ import json
 import os
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds, families, johnson, rep, search, verify
-from .intervals import Interval, PrecisionError, decimal_str
+from .intervals import Interval, PrecisionError, decimal_str, float_str
 from .words import Word
 
 
@@ -28,20 +27,21 @@ MAX_JOHNSON_GENUS = 64
 # the largest --precision-bits; the certified log takes about 0.3 s there,
 # and its cost grows faster than quadratically in the bit count
 MAX_PRECISION_BITS = 65536
-# the largest lcs-table --max-k, and the largest size in bits of a trace
-# that lcs-table or dilatation forms, as _check_trace_size counts it:
-# --max-k 18 --mu 64 takes about 3 s, most of it in the isqrt of the
-# certificate and the decimal digits of the trace; each further level
-# costs 3-4 times as much (about 12 s at depth 19), as does each doubling
-# of the bits of mu (13 s at --max-k 14 with a 201-bit mu); a dilatation
-# word at the bound takes 2.6-7 s (7 s at --mu 126 with 131,070 letters)
-MAX_LCS_DEPTH = 18
+# the largest size in bits of a trace that lcs-table or dilatation forms:
+# lcs-table --max-k 18 --mu 64 takes about 3 s, most of it in the isqrt of
+# the certificate and the decimal digits of the trace; each further level,
+# or doubling of the bits of mu, costs 3-4 times as much; a dilatation word
+# at the bound takes 2.6-7 s (7 s at --mu 126 with 131,070 letters)
 MAX_TRACE_BITS = 2 ** 17 * 7
 # the largest search --max-len, bound by time alone: --max-len 17 takes
 # about 6-7 s and 17-25 MB peak RSS at mu 64 and mu 1 (16: about 2-3 s);
 # each further letter about triples the time, while the streamed search
 # keeps the RSS flat
 MAX_SEARCH_LENGTH = 17
+# the largest search --mu: the search slows as mu gains bits (9-16 s at
+# --max-len 12 with a 4300-digit mu, 0.1-0.2 s at mu 64); --max-len 17
+# takes about 4-6 s at this bound and 4 s at mu 64, with 16 MB peak RSS
+MAX_SEARCH_MU = 2 ** 64 - 1
 
 
 def _bounded_int(low=None, high=None):
@@ -88,14 +88,6 @@ def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _float_text(x: Fraction) -> str:
-    """repr(float(x)), or 17 significant digits past the float range."""
-    try:
-        return repr(float(x))
-    except OverflowError:
-        return f"{Decimal(x.numerator) / x.denominator:.16e}"
-
-
 def _cmd_dilatation(args) -> int:
     w = Word.parse(args.word)
     report = rep.dilatation(w, args.mu, args.precision_bits)
@@ -108,9 +100,9 @@ def _cmd_dilatation(args) -> int:
         log_lam = report.log_dilatation_interval
         print(f"word {w or '1'}: hyperbolic, "
               f"|trace| = {decimal_str(abs(report.trace))}, "
-              f"lambda in [{_float_text(lam.lo)}, {_float_text(lam.hi)}], "
-              f"log(lambda) in [{_float_text(log_lam.lo)}, "
-              f"{_float_text(log_lam.hi)}]")
+              f"lambda in [{float_str(lam.lo)}, {float_str(lam.hi)}], "
+              f"log(lambda) in [{float_str(log_lam.lo)}, "
+              f"{float_str(log_lam.hi)}]")
     return 0
 
 
@@ -184,23 +176,27 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _check_trace_size(args) -> None:
-    """Refuse a request whose largest trace may pass MAX_TRACE_BITS bits.
-    lcs-table's deepest, mu^(2^(k-1)) + 2, has about 2^(k-1) bits per bit
-    of mu; a dilatation word's image has entries below (mu + 1)^letters,
-    as each a^+-1 at most doubles an entry and each b^+-1 multiplies it by
-    at most mu + 1.  A k or mu below 1 is left to the computation."""
-    if args.mu < 1 or args.command == "lcs-table" and args.max_k < 1:
-        return
-    if args.command == "dilatation":
-        bits = len(args.word) * (args.mu + 1).bit_length()
-        need = f"a {len(args.word)}-letter --word may need a {bits}-bit trace"
-    else:
-        bits = args.mu.bit_length() << (args.max_k - 1)
-        need = (f"--max-k {args.max_k} with a {args.mu.bit_length()}-bit "
-                f"--mu needs a trace of about {bits} bits")
-    if bits > MAX_TRACE_BITS:
-        args.usage_error(f"{need}; at most {MAX_TRACE_BITS} are allowed")
+def _check_dilatation_size(args) -> None:
+    """Refuse a --word whose trace may pass MAX_TRACE_BITS bits: each
+    a^+-1 at most doubles an entry of the image, and each b^+-1 multiplies
+    it by at most mu + 1.  A mu below 1 is left to the computation."""
+    bits = len(args.word) * (args.mu + 1).bit_length()
+    if args.mu >= 1 and bits > MAX_TRACE_BITS:
+        args.usage_error(f"a {len(args.word)}-letter --word may need a "
+                         f"{bits}-bit trace; at most {MAX_TRACE_BITS} are "
+                         "allowed")
+
+
+def _check_lcs_size(args) -> None:
+    """Refuse a table whose deepest trace, mu^(2^(k-1)) + 2, may pass
+    MAX_TRACE_BITS bits; the budget is shifted, not the bits of mu, so a
+    huge k costs nothing.  A k or mu below 1 is left to the computation."""
+    bits, shift = args.mu.bit_length(), args.max_k - 1
+    if args.mu >= 1 and shift >= 0 and bits > MAX_TRACE_BITS >> shift:
+        size = bits << shift if shift < 64 else f"{bits} * 2^{shift}"
+        args.usage_error(f"--max-k {args.max_k} with a {bits}-bit --mu needs"
+                         f" a trace of about {size} bits; at most "
+                         f"{MAX_TRACE_BITS} are allowed")
 
 
 def _cmd_lcs_table(args) -> int:
@@ -275,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, required=True)
     output_format(p, "json", "text")
     precision_bits(p)
-    p.set_defaults(func=_cmd_dilatation, check=_check_trace_size,
+    p.set_defaults(func=_cmd_dilatation, check=_check_dilatation_size,
                    usage_error=p.error)
 
     p = sub.add_parser("family", help="built-in intersection family and PF data")
@@ -299,20 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
                    required=True,
                    help=f"at most {MAX_SEARCH_LENGTH} (about 7 s at mu 64)")
-    p.add_argument("--mu", type=int, required=True)
+    p.add_argument("--mu", type=_bounded_int(high=MAX_SEARCH_MU),
+                   required=True, help="at most 2^64 - 1 (--max-len 17: 4-6 s)")
     precision_bits(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
-    p.add_argument("--max-k", type=_bounded_int(high=MAX_LCS_DEPTH),
-                   required=True,
-                   help=f"at most {MAX_LCS_DEPTH} (about 3 s at mu 64), and "
-                        f"2^(max_k - 1) * (bits of mu) at most "
-                        f"{MAX_TRACE_BITS}")
+    p.add_argument("--max-k", type=_bounded_int(), required=True,
+                   help=f"2^(max_k - 1) * (bits of mu) at most "
+                        f"{MAX_TRACE_BITS} (about 3 s at --max-k 18 --mu 64)")
     p.add_argument("--mu", type=int, required=True)
     output_format(p, "csv", "json")
     precision_bits(p)
-    p.set_defaults(func=_cmd_lcs_table, check=_check_trace_size,
+    p.set_defaults(func=_cmd_lcs_table, check=_check_lcs_size,
                    usage_error=p.error)
 
     p = sub.add_parser("johnson-tau",

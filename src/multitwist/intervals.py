@@ -43,6 +43,14 @@ def decimal_str(x) -> str:
     return str(Decimal(x))
 
 
+def float_str(x: Fraction) -> str:
+    """repr(float(x)), or 17 significant digits past the float range."""
+    try:
+        return repr(float(x))
+    except OverflowError:
+        return f"{Decimal(x.numerator) / x.denominator:.16e}"
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval with exact endpoints: Fractions, or ints, which are

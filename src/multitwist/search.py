@@ -29,13 +29,12 @@ check all of this against.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional
 
 from . import rep, words
-from .intervals import Interval, decimal_str
+from .intervals import Interval, decimal_str, float_str
 from .words import Word
 
 
@@ -401,11 +400,8 @@ def lcs_table(k_max: int, mu: int, precision_bits: int = 60) -> list[LcsRow]:
 
 
 def lcs_csv(rows: list[LcsRow]) -> str:
-    out = io.StringIO()
-    out.write("k,word,length,trace,log_lambda_lo,log_lambda_hi\n")
-    for r in rows:
-        out.write(f"{r.depth},{r.word},{len(r.word)},"
-                  f"{decimal_str(r.trace)},"
-                  f"{float(r.log_dilatation.lo)!r},"
-                  f"{float(r.log_dilatation.hi)!r}\n")
-    return out.getvalue()
+    lines = ["k,word,length,trace,log_lambda_lo,log_lambda_hi"] + [
+        f"{r.depth},{r.word},{len(r.word)},{decimal_str(r.trace)},"
+        f"{float_str(r.log_dilatation.lo)},{float_str(r.log_dilatation.hi)}"
+        for r in rows]
+    return "\n".join(lines) + "\n"

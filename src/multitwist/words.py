@@ -48,7 +48,7 @@ class Word:
     @classmethod
     def parse(cls, s: str) -> "Word":
         """Parse the a/b/A/B encoding, freely reducing the input."""
-        if _LETTERS.issuperset(s) and _is_reduced(s):
+        if _is_reduced(s):
             return cls(s)
         return cls(_reduce_chars(s))
 

@@ -298,22 +298,26 @@ def test_precision_bits_cap(capsys):
 
 
 def test_lcs_table_depth_cap(capsys):
+    # the depth has no cap of its own; at mu 64 the trace budget ends it
     for k in ("19", "30"):
         code = run(["lcs-table", "--max-k", k, "--mu", "64"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "usage:" in captured.err
-        assert f"--max-k: must be <= 18, got {k}" in captured.err
+        assert (f"--max-k {k} with a 7-bit --mu needs a trace of about "
+                f"{7 << (int(k) - 1)} bits; at most 917504 are allowed"
+                in captured.err)
     assert run(["lcs-table", "--help"]) == 0
-    assert "at most 18" in capsys.readouterr().out
+    assert "at most 18" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("max_k, mu, err", [
     ("3", "0", "error: mu must be >= 1\n"),
     ("14", str(-2 ** 200), "error: mu must be >= 1\n"),
-    *[("3", str(mu), "error: nested commutator at k=1 is not hyperbolic\n")
-      for mu in range(1, 5)],
+    *[(k, str(mu), "error: nested commutator at k=1 is not hyperbolic\n")
+      for k in ("3", "19") for mu in range(1, 5)],
+    ("20", "1", "error: nested commutator at k=1 is not hyperbolic\n"),
 ])
 def test_lcs_table_non_hyperbolic_mu(capsys, max_k, mu, err):
     code = run(["lcs-table", "--max-k", max_k, "--mu", mu])
@@ -325,18 +329,25 @@ def test_lcs_table_trace_size_cap(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(search, "lcs_table",
                         lambda *args: built.append(args) or [])
-    for k, mu, bits in (("14", 2 ** 200, 201 << 13), ("18", 128, 8 << 17)):
+    # the size is told in full below depth 65; a huge depth costs nothing
+    for k, mu, bits in (("14", 2 ** 200, 201 << 13), ("18", 128, 8 << 17),
+                        ("19", 8, 4 << 18), ("20", 5, 3 << 19),
+                        ("100000", 64, "7 * 2^99999"),
+                        (str(10 ** 30), 64, f"7 * 2^{10 ** 30 - 1}")):
         code = run(["lcs-table", "--max-k", k, "--mu", str(mu)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "usage:" in captured.err
-        assert (f"needs a trace of about {bits} bits; at most 917504 are "
+        assert (f"--max-k {k} with a {mu.bit_length()}-bit --mu needs a "
+                f"trace of about {bits} bits; at most 917504 are "
                 f"allowed") in captured.err
     assert built == []
-    # the largest mu at depth 18 has 7 bits, the size at --mu 64
-    assert run(["lcs-table", "--max-k", "18", "--mu", "127"]) == 0
-    assert built == [(18, 127, 60)]
+    # the largest mu at depth 18 has 7 bits, the size at --mu 64, and at
+    # depth 19 it has 3 bits
+    for k, mu in (("18", "127"), ("19", "5"), ("19", "7")):
+        assert run(["lcs-table", "--max-k", k, "--mu", mu]) == 0
+    assert built == [(18, 127, 60), (19, 5, 60), (19, 7, 60)]
     assert run(["lcs-table", "--help"]) == 0
     assert "(bits of mu) at most 917504" in " ".join(
         capsys.readouterr().out.split())
@@ -384,6 +395,25 @@ def test_search_length_cap(capsys):
     assert "max_length must be >= 2" in capsys.readouterr().err
     assert run(["search", "--help"]) == 0
     assert "at most 17" in capsys.readouterr().out
+
+
+def test_search_mu_cap(capsys):
+    code = run(["search", "--max-len", "4", "--mu", str(2 ** 64)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert (f"--mu: must be <= {2 ** 64 - 1}, got {2 ** 64}"
+            in captured.err)
+    # below 1 it stays a computation error
+    assert run(["search", "--max-len", "4", "--mu", "0"]) == 1
+    assert capsys.readouterr().err == "error: mu must be >= 1\n"
+    code, payload = _run_json(capsys, ["search", "--max-len", "4",
+                                       "--mu", str(2 ** 64 - 1)])
+    assert code == 0
+    assert payload["all_minima"] == ["ab"]
+    assert run(["search", "--help"]) == 0
+    assert "at most 2^64 - 1" in capsys.readouterr().out
 
 
 def test_dilatation_text_unchanged_in_float_range(capsys):
