@@ -74,40 +74,16 @@ def punctured_surgery_lower(n: int) -> BoundResult:
 
 
 def torelli_cubic_root(precision_bits: int = _BITS) -> Interval:
-    """Unique real root of x^3 + 2x^2 + x - 6, by Cardano and by bisection.
-
-    The two enclosures must agree; their intersection is returned.
-    """
+    """Unique real root of x^3 + 2x^2 + x - 6, by Cardano's formula."""
     if precision_bits < 1:
         raise ValueError("precision_bits must be >= 1")
     bits = precision_bits + 8
     # Cardano: -2/3 + (cbrt(82 - 9*sqrt(83)) + cbrt(82 + 9*sqrt(83)))/3
     root83 = intervals.sqrt_fraction(Fraction(83), 4 * bits)
     third = Fraction(1, 3)
-    cardano = (Interval.point(Fraction(-2, 3))
-               + intervals.cbrt(82 - 9 * root83, bits) * third
-               + intervals.cbrt(82 + 9 * root83, bits) * third)
-    bisect = _bisect_cubic(precision_bits)
-    if not cardano.overlaps(bisect):
-        raise AssertionError("Cardano and bisection enclosures disagree")
-    return cardano.intersect(bisect)
-
-
-def _bisect_cubic(precision_bits: int) -> Interval:
-    """Bisection of [1, 2] down to width 2^-(precision_bits + 2), on the
-    int grid m / 2^e with e = precision_bits + 2: every midpoint lies on
-    it, and x = m / 2^e has x^3 + 2x^2 + x - 6 < 0 exactly when
-    ((m + 2^(e+1)) m + 4^e) m - 6 * 8^e < 0."""
-    e = precision_bits + 2
-    one = 1 << e
-    lo, hi = one, 2 * one
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        if ((mid + 2 * one) * mid + one * one) * mid < 6 * one ** 3:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(Fraction(lo, one), Fraction(hi, one))
+    return (Interval.point(Fraction(-2, 3))
+            + intervals.cbrt(82 - 9 * root83, bits) * third
+            + intervals.cbrt(82 + 9 * root83, bits) * third)
 
 
 def _lesser_case(case1: Interval, name1: str) -> tuple[Interval, str]:

@@ -33,14 +33,12 @@ MAX_PRECISION_BITS = 65536
 # or doubling of the bits of mu, costs 3-4 times as much; a dilatation word
 # at the bound takes 2.6-7 s (7 s at --mu 126 with 131,070 letters)
 MAX_TRACE_BITS = 2 ** 17 * 7
-# the largest search --max-len, bound by time alone: --max-len 17 takes
-# about 6-7 s and 17-25 MB peak RSS at mu 64 and mu 1 (16: about 2-3 s);
-# each further letter about triples the time, while the streamed search
-# keeps the RSS flat
+# the largest search --max-len, bound by time alone (the README gives the
+# measured times): each further letter about triples the time, while the
+# streamed search keeps the RSS flat
 MAX_SEARCH_LENGTH = 17
 # the largest search --mu: the search slows as mu gains bits (9-16 s at
-# --max-len 12 with a 4300-digit mu, 0.1-0.2 s at mu 64); --max-len 17
-# takes about 4-6 s at this bound and 4 s at mu 64, with 16 MB peak RSS
+# --max-len 12 with a 4300-digit mu, 0.1-0.2 s at mu 64)
 MAX_SEARCH_MU = 2 ** 64 - 1
 
 
@@ -294,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
                    required=True,
-                   help=f"at most {MAX_SEARCH_LENGTH} (about 7 s at mu 64)")
+                   help=f"at most {MAX_SEARCH_LENGTH} (about 5 s at mu 64)")
     p.add_argument("--mu", type=_bounded_int(high=MAX_SEARCH_MU),
-                   required=True, help="at most 2^64 - 1 (--max-len 17: 4-6 s)")
+                   required=True, help="at most 2^64 - 1")
     precision_bits(p)
     p.set_defaults(func=_cmd_search)
 

@@ -83,14 +83,8 @@ class Interval:
         scale = max(Fraction(1), abs(self.lo), abs(self.hi))
         return self.width / scale
 
-    def contains(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -117,9 +111,6 @@ class Interval:
         if other.lo <= 0 <= other.hi:
             raise ZeroDivisionError("division by interval containing 0")
         return self * Interval(1 / other.hi, 1 / other.lo)
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
 
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"

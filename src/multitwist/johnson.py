@@ -24,8 +24,9 @@ from functools import lru_cache
 from math import comb
 
 
-# one term of HomologyClass.parse: [sign][coefficient](x|y)<index>
-_TERM = re.compile(r"([+-]?)(\d*)([xy])(\d+)")
+# one term of HomologyClass.parse: [sign][coefficient](x|y)<index>, with
+# spaces allowed around the term and between the sign and the rest
+_TERM = re.compile(r" *([+-]?) *(\d*)([xy])(\d+) *")
 
 
 class GenusMismatch(ValueError):
@@ -61,17 +62,19 @@ class HomologyClass:
     def parse(cls, text: str, g: int) -> "HomologyClass":
         """Named-coordinate syntax: sums of [coeff]x<i> / [coeff]y<i>.
 
-        Examples: "x1", "x2+y2", "2x1-3y2".
+        Every term after the first starts with + or -; spaces may stand
+        between terms and around signs, but not inside a term.
+        Examples: "x1", "x2+y2", "2x1-3y2", "x2 - 3y2".
         """
         v = [0] * (2 * g)
-        s = text.replace(" ", "")
-        if not s:
+        if not text.strip(" "):
             raise ValueError("empty homology class")
         pos = 0
-        while pos < len(s):
-            m = _TERM.match(s, pos)
-            if not m:
-                raise ValueError(f"cannot parse homology class {text!r} at {s[pos:]!r}")
+        while pos < len(text):
+            m = _TERM.match(text, pos)
+            if not m or (pos and not m.group(1)):
+                raise ValueError(f"cannot parse homology class {text!r} at "
+                                 f"{text[pos:].strip(' ')!r}")
             sign, coeff, kind, idx = m.groups()
             c = int(coeff) if coeff else 1
             if sign == "-":

@@ -36,7 +36,9 @@ def check_torelli_upper():
     assert iv.hi < Fraction("4.127")
     assert r.char_poly == (1, -62, 1)
     lam = r.dilatation_interval
-    assert lam.contains(31) or lam.lo > 31  # lambda = 31 + sqrt(960) > 61.98
+    # x^2 - 62x + 1 is negative between its roots 31 -+ sqrt(960), so the
+    # signs at the endpoints put lambda = 31 + sqrt(960) inside
+    assert lam.lo * (lam.lo - 62) + 1 < 0 < lam.hi * (lam.hi - 62) + 1
     assert _within(lam, "61.9838", "61.9839")
 
 
@@ -59,10 +61,29 @@ def check_pf_certificates():
         assert pf.exact_flag and pf.value_lower == pf.value_upper == 16, g
 
 
+def _bisect_cubic(precision_bits: int) -> Interval:
+    """Bisection of [1, 2] down to width 2^-(precision_bits + 2), on the
+    int grid m / 2^e with e = precision_bits + 2: every midpoint lies on
+    it, and x = m / 2^e has x^3 + 2x^2 + x - 6 < 0 exactly when
+    ((m + 2^(e+1)) m + 4^e) m - 6 * 8^e < 0.  The oracle of
+    bounds.torelli_cubic_root, which uses Cardano's formula."""
+    e = precision_bits + 2
+    one = 1 << e
+    lo, hi = one, 2 * one
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if ((mid + 2 * one) * mid + one * one) * mid < 6 * one ** 3:
+            lo = mid
+        else:
+            hi = mid
+    return Interval(Fraction(lo, one), Fraction(hi, one))
+
+
 def check_torelli_lower():
     # true root 1.21877658...; the bracket digits follow the bisection
     # oracle (the 5-digit rounding 1.21878 printed elsewhere is above it)
     root = bounds.torelli_cubic_root(precision_bits=60)
+    assert root.overlaps(_bisect_cubic(60)), "Cardano and bisection disagree"
     assert root.width <= Fraction(1, 10 ** 9)
     assert _within(root, "1.21877", "1.21878"), root.as_floats()
     result = bounds.torelli_lower()

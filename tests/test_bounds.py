@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from multitwist import bounds, intervals
+from multitwist import bounds, intervals, verify
 from multitwist.bounds import HypothesisViolation
 from multitwist.intervals import Interval
 
@@ -49,11 +49,12 @@ def test_cubic_root_defining_property():
 
 
 def test_cardano_bisection_overlap():
-    for bits in (10, 25, 40, 55, 70, 85, 100):
+    # the Cardano enclosure lies inside the bisection oracle's at every
+    # precision, so it is also within 2^-(bits + 2) of the root
+    for bits in range(1, 130):
         root = bounds.torelli_cubic_root(bits)
-        assert root.width <= Fraction(1, 2 ** (bits - 1))
-        # the true root lies inside at every precision
-        assert _cubic(root.lo) <= 0 <= _cubic(root.hi)
+        oracle = verify._bisect_cubic(bits)
+        assert oracle.lo <= root.lo and root.hi <= oracle.hi, bits
 
 
 def test_torelli_lower():
@@ -211,5 +212,5 @@ def test_int_bisection_matches_fraction_bisection():
                 lo = mid
             else:
                 hi = mid
-        iv = bounds._bisect_cubic(bits)
+        iv = verify._bisect_cubic(bits)
         assert (iv.lo, iv.hi) == (lo, hi), bits

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multitwist import johnson
+from multitwist import cli, johnson
 from multitwist.johnson import (GenusMismatch, HomologyClass,
                                 NotSymplecticError, Wedge3Coset, coset_equal,
                                 lantern_check, omega_wedge_basis,
@@ -300,6 +300,28 @@ def test_parse_homology_class():
         HomologyClass.parse("q1", g)
     with pytest.raises(ValueError):
         HomologyClass.parse("", g)
+    # spaces may stand between terms and around signs
+    for text in (" 2x1 - 3y2 ", "2x1 -3y2", "+ 2x1-  3y2", "+2x1 - 3y2"):
+        assert HomologyClass.parse(text, g).coordinates == (2, 0, 0, -3, 0, 0)
+    assert HomologyClass.parse("- x1", g) == -_x(1, g)
+    # juxtaposed terms and a term split by a space are refused, where
+    # stripping the spaces first read "x1 3y5" as x13 + y5
+    for text in ("x1 3y5", "2x1 3y2", "x1y2", "x1 y2", "x 12", "x1 2",
+                 "2 x1", "x1 + 2 y2", "  ", "x1 +", "- -x1"):
+        with pytest.raises(ValueError):
+            HomologyClass.parse(text, 20)
+
+
+def test_johnson_tau_refuses_juxtaposed_terms(capsys):
+    argv = ["johnson-tau", "--genus", "20", "--pairs", "x2,y2", "--a"]
+    assert cli.run(argv + ["x1 3y5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse homology class 'x1 3y5' at '3y5'" in captured.err
+    assert cli.run(argv + ["x1 + y5"]) == 0
+    assert cli.run(argv + ["x1+y5"]) == 0
+    spaced, plain = capsys.readouterr().out.split("\n}\n", 1)
+    assert spaced + "\n}\n" == plain
 
 
 def test_symplectic_pairing():
