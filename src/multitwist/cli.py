@@ -43,11 +43,15 @@ MAX_SEARCH_MU = 2 ** 64 - 1
 
 
 def _bounded_int(low=None, high=None):
-    """An argparse type: an int in [low, high], either end optional."""
+    """An argparse type: an int in [low, high], either end optional.  Only
+    ASCII digits with an optional sign are read: int() would also take other
+    Unicode digits, underscores and surrounding whitespace."""
     def parse(text: str) -> int:
         try:
+            if not re.fullmatch(r"[+-]?[0-9]+", text):
+                raise ValueError
             value = int(text)
-        except ValueError:
+        except ValueError:  # also past the int-from-str digit limit
             raise argparse.ArgumentTypeError(
                 f"expected an integer, got {text!r}") from None
         if low is not None and value < low:
@@ -61,7 +65,8 @@ def _bounded_int(low=None, high=None):
 def _rational(text: str) -> Fraction:
     """An argparse type: p, p/q with q > 0, or a plain decimal.  Exponents
     are refused: Fraction("1e1000000") spends 0.24 s building 10^1000000."""
-    if not re.fullmatch(r"[+-]?(\d+(/0*[1-9]\d*)?|\d*\.\d+|\d+\.)", text):
+    if not re.fullmatch(r"[+-]?(\d+(/0*[1-9]\d*)?|\d*\.\d+|\d+\.)", text,
+                        re.ASCII):
         raise argparse.ArgumentTypeError(
             f"expected p, p/q with q > 0 or a plain decimal, got {text!r}")
     try:
@@ -119,9 +124,9 @@ def _cmd_family(args) -> int:
         "N": [list(r) for r in fam.N],
         "NNt": prod,
         "pf": {
-            "lower": str(pf.value_lower),
-            "upper": str(pf.value_upper),
-            "exact": pf.exact_flag,
+            "lower": str(pf.value),
+            "upper": str(pf.value),
+            "exact": True,
             "eigenvector": [str(x) for x in pf.eigenvector],
         },
     }
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word in a/b/A/B (empty string for the identity); "
                         "letters * bit_length(mu + 1) at most "
                         f"{MAX_TRACE_BITS} (about 7 s at mu 126)")
-    p.add_argument("--mu", type=int, required=True)
+    p.add_argument("--mu", type=_bounded_int(), required=True)
     output_format(p, "json", "text")
     precision_bits(p)
     p.set_defaults(func=_cmd_dilatation, check=_check_dilatation_size,
@@ -282,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form lower bounds by subgroup")
     p.add_argument("--group", choices=["torelli", "johnson", "congruence",
                                        "brunnian"], required=True)
-    p.add_argument("--r", type=int, default=None,
+    p.add_argument("--r", type=_bounded_int(), default=None,
                    help="congruence level, with --group congruence only")
-    p.add_argument("--p", type=int, default=None,
+    p.add_argument("--p", type=_bounded_int(), default=None,
                    help="number of punctures, with --group brunnian only")
     p.set_defaults(func=_cmd_bounds, check=_check_bounds_parameters,
                    usage_error=p.error)
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=_bounded_int(), required=True,
                    help=f"2^(max_k - 1) * (bits of mu) at most "
                         f"{MAX_TRACE_BITS} (about 3 s at --max-k 18 --mu 64)")
-    p.add_argument("--mu", type=int, required=True)
+    p.add_argument("--mu", type=_bounded_int(), required=True)
     output_format(p, "csv", "json")
     precision_bits(p)
     p.set_defaults(func=_cmd_lcs_table, check=_check_lcs_size,
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_johnson_tau)
 
     p = sub.add_parser("tau-cc", help="curve-complex translation-length bound")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_bounded_int(), required=True)
     p.add_argument("--log-lambda", type=_rational,
                    help="exact p, p/q or plain decimal, e.g. 6931/10000")
     p.set_defaults(func=_cmd_tau_cc)

@@ -26,7 +26,7 @@ from math import comb
 
 # one term of HomologyClass.parse: [sign][coefficient](x|y)<index>, with
 # spaces allowed around the term and between the sign and the rest
-_TERM = re.compile(r" *([+-]?) *(\d*)([xy])(\d+) *")
+_TERM = re.compile(r" *([+-]?) *(\d*)([xy])(\d+) *", re.ASCII)
 
 
 class GenusMismatch(ValueError):

@@ -102,10 +102,11 @@ class DilatationReport:
         return (1, -abs(self.trace), 1)
 
     def to_json_dict(self) -> dict:
+        trace = trace_json(self.trace, self.mu)
         d = {
             "word": str(self.word),
             "mu": self.mu,
-            "trace": trace_json(self.trace, self.mu),
+            "trace": trace,
             "class": self.isometry_class,
         }
         if self.dilatation_interval is not None:
@@ -113,7 +114,10 @@ class DilatationReport:
                            decimal_str(self.dilatation_interval.hi)]
             d["log_lambda"] = [decimal_str(self.log_dilatation_interval.lo),
                                decimal_str(self.log_dilatation_interval.hi)]
-        d["char_poly"] = [decimal_str(c) for c in self.char_poly]
+        # -|trace| in decimal is the trace's decimal, negated if positive:
+        # one conversion of a trace of up to MAX_TRACE_BITS serves both
+        t = trace["a"]
+        d["char_poly"] = ["1", t if self.trace <= 0 else "-" + t, "1"]
         return d
 
 

@@ -255,6 +255,39 @@ def test_non_integer_argument_message_is_plain(capsys, argv):
     assert "invalid" not in captured.err and "_int" not in captured.err
     assert "_genus" not in captured.err
 
+# Arabic-Indic digits, which int() and an unflagged \d accept: the
+# documented syntax is ASCII
+@pytest.mark.parametrize("argv", [
+    ["dilatation", "--word", "ab", "--mu", "\u0666\u0664"],
+    ["lcs-table", "--max-k", "3", "--mu", "\u0666\u0664"],
+    ["family", "--genus", "\u0663", "--kind", "torelli"],
+    ["bounds", "--group", "brunnian", "--p", "\u0665"],
+    ["bounds", "--group", "congruence", "--r", "\u0663"],
+    ["tau-cc", "--genus", "\u0663", "--log-lambda", "\u0660.\u0665"],
+    ["tau-cc", "--genus", "3", "--log-lambda", "\u0660.\u0665"],
+    # also beyond what the int grammar allows: underscores and spaces
+    ["dilatation", "--word", "ab", "--mu", "6_4"],
+    ["search", "--max-len", " 4", "--mu", "64"],
+    ["tau-cc", "--genus", "3 "],
+])
+def test_non_ascii_digits_are_usage_errors(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err and "expected" in captured.err
+
+
+@pytest.mark.parametrize("a, pairs", [("x\u0661", "x2,y2"),
+                                      ("x1", "x\u0662,y2")])
+def test_non_ascii_digit_in_a_class_is_computation_error(capsys, a, pairs):
+    code = run(["johnson-tau", "--genus", "3", "--pairs", pairs, "--a", a])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "cannot parse homology class" in captured.err
+
+
 @pytest.mark.parametrize("pairs", ["x2", "x2,y2;x3", "x2,y2,x3"])
 def test_johnson_tau_malformed_pair_is_usage_error(capsys, pairs):
     code = run(["johnson-tau", "--genus", "3", "--pairs", pairs,

@@ -1,13 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from multitwist import families
-from multitwist.families import (IntersectionFamily, ReducibleMatrixError,
-                                 _is_irreducible, braid_family,
+from multitwist.families import (IntersectionFamily, PFResult, braid_family,
                                  pf_eigenvalue, torelli_family)
 
 
@@ -48,112 +45,108 @@ def test_nnt_band_structure_large_genus():
 
 def test_pf_exact_cases():
     pf = pf_eigenvalue(torelli_family(5).nnt())
-    assert pf.exact_flag and pf.value_lower == pf.value_upper == 64
+    assert pf.value == 64
     assert pf.eigenvector == (1, 1, 1)
+    assert pf.iterations == 0
+    # reducible, and certified all the same: every row sums to 1
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(ReducibleMatrixError):
-        pf_eigenvalue(identity)
-
-
-def test_pf_bracket_golden_like():
-    pf = pf_eigenvalue([[2, 1], [1, 1]], tol=Fraction(1, 10 ** 9))
-    golden_sq = Fraction(2618033988749894848, 10 ** 18)  # (3+sqrt 5)/2
-    assert pf.value_upper - pf.value_lower <= Fraction(1, 10 ** 9)
-    assert pf.value_lower <= golden_sq + Fraction(1, 10 ** 9)
-    assert pf.value_upper >= golden_sq - Fraction(1, 10 ** 9)
-    assert not pf.exact_flag
-
-
-def test_pf_gives_up_after_the_iteration_cap(monkeypatch):
-    monkeypatch.setattr(families, "_PF_MAX_ITERATIONS", 3)
-    with pytest.raises(RuntimeError, match=r"^PF bracket did not reach "
-                       r"tol=1/1000000000 in 3 iterations$"):
-        pf_eigenvalue([[2, 1], [1, 1]])
+    assert pf_eigenvalue(identity) == PFResult(1, (1, 1, 1))
+    assert pf_eigenvalue([[0]]).value == 0
+    assert pf_eigenvalue(((3, 0), (1, 2))).value == 3
 
 
 def test_pf_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pf_eigenvalue([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(ValueError):
-        pf_eigenvalue([[1, -1], [1, 1]])
-    with pytest.raises(ReducibleMatrixError):
-        pf_eigenvalue([[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="nonempty"):
+        pf_eigenvalue([])
+    for ragged in ([[1, 2, 3], [4, 5, 6]], [[1, 0], [1]]):
+        with pytest.raises(ValueError, match="square"):
+            pf_eigenvalue(ragged)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pf_eigenvalue([[2, -1], [1, 0]])
+    # unequal row sums, irreducible or not, have no row-sum certificate
+    for unequal in ([[2, 1], [1, 1]], [[1, 1], [0, 1]], [[0, 1], [2, 0]]):
+        with pytest.raises(ValueError, match="row sums differ"):
+            pf_eigenvalue(unequal)
+
+
+def test_pf_refuses_fraction_and_bool_entries():
+    for bad in (Fraction(1), True, np.int64(1)):
+        with pytest.raises(TypeError, match="is not an int"):
+            pf_eigenvalue([[1, 0], [0, bad]])
+    # Fraction rows with equal sums are refused too
+    with pytest.raises(TypeError):
+        pf_eigenvalue([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
+    with pytest.raises(TypeError):
+        pf_eigenvalue([[True]])
+
+
+def _equal_row_sums(rng, n, s):
+    """A random n x n nonnegative int matrix whose rows all sum to s: each
+    row is s cut at n - 1 random points, its parts scattered."""
+    rows = []
+    for _ in range(n):
+        cuts = sorted(rng.randint(0, s) for _ in range(n - 1))
+        row = [b - a for a, b in zip([0, *cuts], [*cuts, s])]
+        rng.shuffle(row)
+        rows.append(row)
+    return rows
+
+
+def _block_diagonal(A, B):
+    n, m = len(A), len(B)
+    return [row + [0] * m for row in A] + [[0] * n + row for row in B]
+
+
+def _permuted(rng, M):
+    """P M P^t for a random permutation P: the same digraph, relabelled."""
+    order = list(range(len(M)))
+    rng.shuffle(order)
+    return [[M[i][j] for j in order] for i in order]
+
+
+def test_pf_matches_numpy_spectral_radius():
+    rng = random.Random(1988)
+    cases = [[[0]], [[0, 0], [0, 0]], [[5]]]
+    for _ in range(120):
+        n, s = rng.randint(1, 8), rng.randint(0, 40)
+        cases.append(_equal_row_sums(rng, n, s))
+    for _ in range(40):  # reducible: two blocks with the same row sum
+        n1 = rng.randint(1, 7)
+        n2, s = rng.randint(1, 8 - n1), rng.randint(1, 40)
+        M = _block_diagonal(_equal_row_sums(rng, n1, s),
+                            _equal_row_sums(rng, n2, s))
+        cases.append(_permuted(rng, M) if rng.random() < 0.5 else M)
+    for _ in range(30):  # s times a permutation matrix
+        n, s = rng.randint(1, 8), rng.randint(1, 40)
+        image = list(range(n))
+        rng.shuffle(image)
+        cases.append([[s * (j == image[i]) for j in range(n)]
+                      for i in range(n)])
+    for n in range(1, 9):  # s * I and the zero matrix
+        s = rng.randint(1, 40)
+        cases.append([[s * (i == j) for j in range(n)] for i in range(n)])
+        cases.append([[0] * n for _ in range(n)])
+    assert len(cases) >= 200
+    for M in cases:
+        s = sum(M[0])
+        pf = pf_eigenvalue(M)
+        assert pf == PFResult(s, (1,) * len(M)), M
+        radius = max(abs(np.linalg.eigvals(np.array(M, dtype=float))))
+        assert abs(radius - s) <= 1e-9 * max(s, 1), M
 
 
 def test_pf_exact_across_genus():
     for g in range(2, 65):
         pf = pf_eigenvalue(torelli_family(g).nnt())
-        assert pf.exact_flag and pf.value_lower == 64, g
+        assert pf.value == 64, g
     for g in range(1, 65):
         pf = pf_eigenvalue(braid_family(g).nnt())
-        assert pf.exact_flag and pf.value_lower == 16, g
+        assert pf.value == 16, g
 
 
 def test_mu_is_square_of_offdiagonal_entry():
     assert torelli_family(3).mu == 64 and 8 * 8 == 64
     assert braid_family(3).mu == 16 and 4 * 4 == 16
-
-
-def test_collatz_wielandt_soundness():
-    # pf_eigenvalue's brackets at shrinking tol: each holds numpy's PF
-    # eigenvalue and lies inside the last
-    rng = random.Random(99)
-    for _ in range(100):
-        mat = [[Fraction(rng.randint(1, 9)) for _ in range(5)] for _ in range(5)]
-        true_pf = max(abs(x) for x in
-                      np.linalg.eigvals(np.array(mat, dtype=float)))
-        prev_lo, prev_hi = 0, math.inf
-        for digits in (1, 3, 6, 9):
-            pf = pf_eigenvalue(mat, tol=Fraction(1, 10 ** digits))
-            lo, hi = pf.value_lower, pf.value_upper
-            assert prev_lo <= lo <= hi <= prev_hi
-            assert hi - lo <= Fraction(1, 10 ** digits)
-            assert (float(lo) * (1 - 1e-12) <= true_pf
-                    <= float(hi) * (1 + 1e-12))
-            prev_lo, prev_hi = lo, hi
-
-
-def _pf_two_products(mat, tol):
-    """The power iteration with M*v formed twice per step: once for the
-    next vector, once more for the bracket at it."""
-    n = len(mat)
-
-    def bracket(v):
-        ratios = [sum(mat[i][j] * v[j] for j in range(n)) / v[i]
-                  for i in range(n)]
-        return min(ratios), max(ratios)
-
-    v = [Fraction(1)] * n
-    lo, hi = bracket(v)
-    for it in range(1, 10_001):
-        if hi - lo <= tol:
-            return lo, hi, tuple(v), it - 1
-        w = [sum(mat[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
-        top = max(w)
-        v = [x / top for x in w]
-        new_lo, new_hi = bracket(v)
-        lo, hi = max(lo, new_lo), min(hi, new_hi)
-    raise AssertionError("no convergence")
-
-
-def test_pf_one_product_per_step_matches_two():
-    # the 10 matrices of verify.check_property_spot_suite, drawn after
-    # its 50 random words
-    rng = random.Random(7)
-    for _ in range(50):
-        for _ in range(30):
-            rng.choice("abAB")
-    tol = Fraction(1, 10 ** 6)
-    iterations = []
-    for _ in range(10):
-        mat = [[Fraction(rng.randint(1, 9)) for _ in range(4)]
-               for _ in range(4)]
-        pf = pf_eigenvalue(mat, tol=tol)
-        assert not pf.exact_flag
-        assert ((pf.value_lower, pf.value_upper, pf.eigenvector,
-                 pf.iterations) == _pf_two_products(mat, tol))
-        iterations.append(pf.iterations)
-    assert iterations == [12, 8, 12, 12, 9, 9, 9, 17, 12, 13]
 
 
 def _dense_nnt(N):
@@ -175,52 +168,11 @@ def test_nnt_matches_dense_triple_loop():
             density = rng.random()
             N = [[rng.randint(1, 9) if rng.random() < density else 0
                   for _ in range(m)] for _ in range(m)]
-        fam = IntersectionFamily("random", m, tuple(map(tuple, N)))
+        fam = IntersectionFamily("random", m, tuple(map(tuple, N)), 0, 0)
         assert fam.nnt() == _dense_nnt(N)
     for g in range(2, 40):
         fam = torelli_family(g)
         assert fam.nnt() == _dense_nnt(fam.N), g
-
-
-def _warshall_strongly_connected(M) -> bool:
-    n = len(M)
-    reach = [[bool(M[i][j]) or i == j for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                for j in range(n):
-                    reach[i][j] = reach[i][j] or reach[k][j]
-    return all(all(row) for row in reach)
-
-
-def test_is_irreducible_matches_transitive_closure():
-    rng = random.Random(1969)
-    seen = set()
-    for _ in range(2000):
-        n = rng.randint(1, 8)
-        density = rng.random()
-        M = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
-        expected = _warshall_strongly_connected(M)
-        assert _is_irreducible(M) == expected, M
-        seen.add(expected)
-    assert seen == {True, False}
-
-
-def test_pf_int_input_equals_fraction_input():
-    rng = random.Random(64)
-    exact = [torelli_family(g).nnt() for g in (2, 5, 16)]
-    exact.append([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
-    iterated = [[[2, 1], [1, 1]]]
-    iterated += [[[rng.randint(1, 9) for _ in range(4)] for _ in range(4)]
-                 for _ in range(5)]
-    cases = [(m, True) for m in exact] + [(m, False) for m in iterated]
-    for mat, exact_flag in cases:
-        as_fractions = [[Fraction(x) for x in row] for row in mat]
-        pf = pf_eigenvalue(mat, tol=Fraction(1, 10 ** 6))
-        assert pf.exact_flag is exact_flag
-        assert pf == pf_eigenvalue(as_fractions, tol=Fraction(1, 10 ** 6))
-        assert all(type(x) is Fraction for x in
-                   (pf.value_lower, pf.value_upper, *pf.eigenvector))
 
 
 def test_pf_refuses_float_entries():
@@ -233,54 +185,3 @@ def test_pf_refuses_float_entries():
         pf_eigenvalue([[2, 1], [1, 1.0]])
     with pytest.raises(TypeError):
         pf_eigenvalue(np.array([[2.0, 1.0], [1.0, 1.0]]))
-
-
-def _fraction_power_iteration(M, tol):
-    """Oracle: the Collatz-Wielandt loop in Fractions, normalising v by its
-    largest entry at every step."""
-    rows = [[Fraction(x) for x in row] for row in M]
-    n = len(rows)
-    v = [Fraction(1)] * n
-    for it in range(10_000):
-        mv = [sum(row[j] * v[j] for j in range(n)) for row in rows]
-        ratios = [x / y for x, y in zip(mv, v)]
-        if it:
-            lo, hi = max(lo, min(ratios)), min(hi, max(ratios))
-        else:
-            lo, hi = min(ratios), max(ratios)
-        if hi - lo <= tol:
-            return lo, hi, tuple(v), it
-        w = [x + y for x, y in zip(mv, v)]
-        top = max(w)
-        v = [x / top for x in w]
-    raise AssertionError("oracle did not converge")
-
-
-def test_int_power_iteration_matches_fraction_loop():
-    rng = random.Random(61)
-    cases = [[[2, 1], [1, 1]], [[0, 1], [1, 0]], [[0, 2], [3, 0]]]
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        cases.append([[rng.randint(0, 9) for _ in range(n)] for _ in range(n)])
-        # entries k/6: the common denominator D is 6, 3 or 2
-        cases.append([[Fraction(rng.randint(0, 12), 6) for _ in range(n)]
-                      for _ in range(n)])
-        cases.append([[Fraction(rng.randint(1, 9), rng.randint(1, 7)) if
-                       rng.random() < 0.7 else 0 for _ in range(n)]
-                      for _ in range(n)])
-    checked, denominators = 0, set()
-    for mat in cases:
-        if not _is_irreducible(mat) or len({sum(r) for r in mat}) == 1:
-            continue
-        denominators.add(math.lcm(*(Fraction(x).denominator
-                                    for row in mat for x in row)))
-        for tol in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 9)):
-            pf = pf_eigenvalue(mat, tol=tol)
-            lo, hi, v, it = _fraction_power_iteration(mat, tol)
-            assert not pf.exact_flag
-            assert (pf.value_lower, pf.value_upper) == (lo, hi), mat
-            assert pf.eigenvector == v, mat
-            assert pf.iterations == it, mat
-        checked += 1
-    assert checked >= 40
-    assert {1, 6} <= denominators

@@ -39,6 +39,9 @@ ARGVS = [
     ["family", "--genus", "2", "--kind", "torelli", "--format", "csv"],
     ["family", "--genus", "1", "--kind", "torelli"],
     ["family", "--genus", "1025", "--kind", "braid"],
+    ["family", "--genus", "1", "--kind", "braid"],
+    ["family", "--genus", "63", "--kind", "braid", "--format", "csv"],
+    ["family", "--genus", "1024", "--kind", "torelli"],
     ["bounds", "--group", "torelli"],
     ["bounds", "--group", "johnson"],
     ["bounds", "--group", "congruence", "--r", "3"],
