@@ -2,6 +2,8 @@
 
 Every evaluator returns a certified interval, never a bare float; the
 underlying inequalities are strict, so enclosures are the honest output.
+Where a bound is the least of two cases, the binding case is proved in
+its docstring, and only that case is computed.
 """
 
 from __future__ import annotations
@@ -86,44 +88,34 @@ def torelli_cubic_root(precision_bits: int = _BITS) -> Interval:
             + intervals.cbrt(82 + 9 * root83, bits) * third)
 
 
-def _lesser_case(case1: Interval, name1: str) -> tuple[Interval, str]:
-    """An enclosure of the smaller of a certified case-1 bound and case 2,
-    the log of the cubic root, which torelli_lower and congruence_lower(3)
-    share, and the name of the case that binds, or "tie" when the
-    enclosures overlap."""
-    case2, name2 = intervals.log(torelli_cubic_root(), _BITS), "case2_cubic"
-    if case2.hi < case1.lo:
-        return case2, name2
-    if case1.hi < case2.lo:
-        return case1, name1
-    return Interval(min(case1.lo, case2.lo), min(case1.hi, case2.hi)), "tie"
-
-
 def torelli_lower() -> BoundResult:
-    """min(log sqrt(2), log of the cubic root); the cubic case binds."""
-    value, binding = _lesser_case(_log_rational(2) * Fraction(1, 2),
-                                  "case1_sqrt2")
-    return BoundResult(value, LOWER_LOG_DILATATION,
+    """min(log sqrt(2), log r) = log r, r the real root of
+    f(x) = x^3 + 2x^2 + x - 6: the cubic case always binds.
+
+    Proof: f' = 3x^2 + 4x + 1 > 0, so f is increasing for x > 0.  For
+    0 < c < 3, f(sqrt c) = sqrt(c) (c + 1) - (6 - 2c) with both terms
+    positive, so f(sqrt c) > 0 if and only if c (c + 1)^2 > (6 - 2c)^2.
+    c = 2 gives 18 > 4 and c = 3/2 gives 75/8 > 9, so r^2 < 3/2 < 2:
+    log r is below log sqrt(2), and below log(3/2)/2, the case 1 of
+    congruence_lower(3).  Neither case-1 log is computed.
+    """
+    return BoundResult(intervals.log(torelli_cubic_root(), _BITS),
+                       LOWER_LOG_DILATATION,
                        "valid for every pseudo-Anosov acting trivially on "
                        "integral first homology, g >= 2",
-                       binding_case=binding)
+                       binding_case="case2_cubic")
 
 
 def congruence_lower(r: int) -> BoundResult:
-    """Level-r congruence subgroup lower bound, r >= 3."""
+    """Level-r congruence subgroup lower bound, r >= 3: the Torelli bound.
+    At r = 3 case 1 weakens to intersection number 3 on f or f^2, the
+    surgery_lower(3, 2) bound, which log r still undercuts."""
     if r < 3:
         raise ValueError("congruence bound requires r >= 3")
-    if r >= 4:
-        base = torelli_lower()
-        return BoundResult(base.value, base.direction,
-                           f"valid for the level-{r} congruence subgroup, g >= 2",
-                           binding_case=base.binding_case)
-    # r = 3: case 1 weakens to intersection number 3 on f or f^2
-    value, binding = _lesser_case(surgery_lower(3, 2).value,
-                                  "case1_surgery_3_2")
-    return BoundResult(value, LOWER_LOG_DILATATION,
-                       "valid for the level-3 congruence subgroup, g >= 2",
-                       binding_case=binding)
+    base = torelli_lower()
+    return BoundResult(base.value, base.direction,
+                       f"valid for the level-{r} congruence subgroup, g >= 2",
+                       binding_case=base.binding_case)
 
 
 def brunnian_lower(p: int) -> BoundResult:

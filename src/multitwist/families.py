@@ -44,13 +44,12 @@ class IntersectionFamily:
 
 
 def _cyclic_band(m: int, value: int) -> tuple[tuple[int, ...], ...]:
-    if m == 1:
-        return ((2 * value,),)
+    """value at (i, i) and at (i, i - 1 mod m), so [[2 * value]] at m = 1."""
     rows = []
     for i in range(m):
         row = [0] * m
-        row[i] = value
-        row[(i - 1) % m] = value
+        row[i] += value
+        row[(i - 1) % m] += value
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -95,12 +95,6 @@ class DilatationReport:
     dilatation_interval: Optional[Interval]
     log_dilatation_interval: Optional[Interval]
 
-    @property
-    def char_poly(self) -> tuple[int, int, int]:
-        """x^2 - |trace| x + 1: under the PSL2 sign normalization the
-        dilatation is its largest root."""
-        return (1, -abs(self.trace), 1)
-
     def to_json_dict(self) -> dict:
         trace = trace_json(self.trace, self.mu)
         d = {

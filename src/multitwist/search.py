@@ -25,6 +25,9 @@ is always the least word of its orbit.  It counts the classes it covers
 by Burnside's lemma (_class_count) instead of one by one.
 orbit_representative is the definitional canonical form that the tests
 check all of this against.
+
+lcs_table takes each word w(k) from words.nested_commutator and each
+trace from a closed form, and only row 1 can fail to be hyperbolic.
 """
 
 from __future__ import annotations
@@ -377,25 +380,24 @@ def lcs_table(k_max: int, mu: int, precision_bits: int = 60) -> list[LcsRow]:
     and tr a = tr b = 2, tr ab = 2 - mu give tr w(2) = mu^2 + 2.  For
     k >= 2, w(k) b = w(k-1) b w(k-1)^-1 is conjugate to b, so
     tr w(k) b = 2 and tr w(k+1) = tr[w(k), b] = (tr w(k) - 2)^2 + 2.
+    Every row past the first is thus hyperbolic, and only row 1 is tested.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    b = Word("b")
-    w = Word("ab")
     power, trace = mu, 2 - mu
+    # |trace| <= 2 is the identity, elliptic or parabolic
+    if abs(trace) <= 2:
+        raise RuntimeError("nested commutator at k=1 is not hyperbolic")
     table = []
     for k in range(1, k_max + 1):
         if k > 1:
-            w = words.commutator(w, b)
             power *= power
             trace = power + 2
-        # |trace| <= 2 is the identity, elliptic or parabolic
-        if abs(trace) <= 2:
-            raise RuntimeError(f"nested commutator at k={k} is not hyperbolic")
         _, log_lam = rep.hyperbolic_dilatation(trace, precision_bits)
-        table.append(LcsRow(k, w, mu, trace, log_lam))
+        table.append(LcsRow(k, words.nested_commutator(k), mu, trace,
+                            log_lam))
     return table
 
 

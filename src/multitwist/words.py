@@ -58,20 +58,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        # Only the seam can cancel.  Stack reduction of u v pushes all of
-        # u without a cancellation, because u is reduced.  Each letter of v
-        # then cancels the top of the stack or is pushed; once one is
-        # pushed, the next letter of v is not its inverse, because v is
-        # reduced, so no later letter cancels either.  The product is u
-        # without its longest suffix that is the inverse of a prefix of v,
-        # followed by v without that prefix.
-        u, v = self.letters, other.letters
-        cut, limit = 0, min(len(u), len(v))
-        while cut < limit and u[-1 - cut] == v[cut].swapcase():
-            cut += 1
-        return Word(u[:len(u) - cut] + v[cut:])
-
     def inverse(self) -> "Word":
         return Word(self.letters[::-1].swapcase())
 
@@ -88,18 +74,23 @@ class Word:
         return [Word(s[i:] + s[:i]) for i in range(max(len(s), 1))]
 
 
-def commutator(u: Word, v: Word) -> Word:
-    """[u, v] = u v u^-1 v^-1, freely reduced."""
-    return u * v * u.inverse() * v.inverse()
-
-
 def nested_commutator(k: int) -> Word:
     """w(1) = ab, w(k) = [w(k-1), b]; lies in gamma_k, the k-th term of the
-    lower central series, with gamma_1 = F and gamma_(k+1) = [gamma_k, F]."""
+    lower central series, with gamma_1 = F and gamma_(k+1) = [gamma_k, F].
+
+    Built in closed form, with no free reduction.  w(2) = abAB.  For
+    k >= 2, w(k) starts with a and ends with AB; write w(k) = u B.  Then
+    w(k)^-1 = b u^-1, and in [w(k), b] = u B b b u^-1 B only that B
+    cancels against b, so w(k+1) = u b u^-1 B.  It is reduced as written,
+    as u starts with a and ends with A, and it starts with a and ends with
+    AB again.  So |w(k)| = 2^k.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    w = Word("ab")
-    b = Word("b")
-    for _ in range(k - 1):
-        w = commutator(w, b)
-    return w
+    if k == 1:
+        return Word("ab")
+    w = "abAB"
+    for _ in range(k - 2):
+        u = w[:-1]
+        w = u + "b" + u[::-1].swapcase() + "B"
+    return Word(w)

@@ -67,6 +67,9 @@ def test_torelli_lower():
     case1 = bounds._log_rational(2) * Fraction(1, 2)
     assert _within(case1, "0.346573", "0.346574")
     assert r.value.hi < case1.lo
+    # at level 3 case 1 is surgery(3, 2) = log(3/2)/2, still above log r
+    c3 = bounds.congruence_lower(3)
+    assert c3.value.hi < bounds.surgery_lower(3, 2).value.lo
 
 
 def test_congruence_lower():

@@ -46,6 +46,7 @@ ARGVS = [
     ["bounds", "--group", "johnson"],
     ["bounds", "--group", "congruence", "--r", "3"],
     ["bounds", "--group", "congruence", "--r", "7"],
+    ["bounds", "--group", "congruence", "--r", "4"],
     ["bounds", "--group", "brunnian", "--p", "5"],
     ["bounds", "--group", "brunnian", "--p", "3"],
     ["bounds", "--group", "congruence"],
@@ -59,6 +60,8 @@ ARGVS = [
     ["lcs-table", "--max-k", "4", "--mu", "5", "--format", "json"],
     ["lcs-table", "--max-k", "3", "--mu", "4"],
     ["lcs-table", "--max-k", "19", "--mu", "64"],
+    ["lcs-table", "--max-k", "12", "--mu", "5", "--format", "json"],
+    ["lcs-table", "--max-k", "9", "--mu", "64"],
     ["johnson-tau", "--genus", "3", "--pairs", "x2,y2", "--a", "x1"],
     ["johnson-tau", "--genus", "4", "--pairs", "x2,y2;x3,y3", "--a", "y1"],
     ["johnson-tau", "--genus", "3", "--pairs", "x2+x3,y2;x3,y3-y2",

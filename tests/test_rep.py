@@ -109,8 +109,11 @@ def test_dilatation_examples():
 
 
 def test_char_poly_normalized_to_dilatation():
-    r = rep.dilatation(Word("ab"), 64)
-    assert r.char_poly == (1, -62, 1)
+    # x^2 - |trace| x + 1, whose largest root is the dilatation
+    for word, mu, poly in (("ab", 64, ["1", "-62", "1"]),
+                           ("abAB", 5, ["1", "-27", "1"])):
+        r = rep.dilatation(Word(word), mu)
+        assert r.to_json_dict()["char_poly"] == poly
 
 
 def test_det_one_exhaustive():
@@ -136,11 +139,8 @@ def test_power_law():
     base = rep.dilatation(Word("ab"), 64, precision_bits=80)
     mid = (base.log_dilatation_interval.lo
            + base.log_dilatation_interval.hi) / 2
-    w = Word("ab")
-    power = Word("")
     for n in range(1, 5):
-        power = power * w
-        r = rep.dilatation(power, 64, precision_bits=80)
+        r = rep.dilatation(Word("ab" * n), 64, precision_bits=80)
         iv = r.log_dilatation_interval
         slack = iv.width + n * base.log_dilatation_interval.width
         assert iv.lo - slack <= n * mid <= iv.hi + slack

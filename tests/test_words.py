@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitwist.words import Word, commutator, nested_commutator
+from multitwist.words import Word, nested_commutator
 
 letters = st.sampled_from("abAB")
 raw_strings = st.text(alphabet="abAB", max_size=50)
@@ -44,10 +44,12 @@ def test_word_constructor_messages(text, message):
 
 
 def test_commutator_examples():
-    assert str(commutator(Word("a"), Word("b"))) == "abAB"
-    assert commutator(Word("a"), Word("a")).is_identity()
-    assert str(commutator(Word("abAB"), Word("b"))) == "abAbaBAB"
-    assert len(commutator(Word("abAB"), Word("b"))) == 8
+    # [u, v] = u v u^-1 v^-1, written out and reduced by Word.parse
+    assert str(Word.parse("a" + "b" + "A" + "B")) == "abAB"
+    assert Word.parse("a" + "a" + "A" + "A").is_identity()
+    assert str(Word.parse("abAB" + "b" + "baBA" + "B")) == "abAbaBAB"
+    assert nested_commutator(3) == Word.parse("abAB" + "b" + "baBA" + "B")
+    assert len(nested_commutator(3)) == 8
 
 
 def test_nested_commutator_examples():
@@ -80,14 +82,8 @@ def test_reduce_idempotent_random(s):
 @given(raw_strings)
 def test_inverse_cancels(s):
     w = Word.parse(s)
-    assert (w * w.inverse()).is_identity()
-    assert (w.inverse() * w).is_identity()
-
-
-@given(raw_strings, raw_strings)
-def test_commutator_is_product(s, t):
-    u, v = Word.parse(s), Word.parse(t)
-    assert commutator(u, v) == u * v * u.inverse() * v.inverse()
+    assert Word.parse(w.letters + w.inverse().letters).is_identity()
+    assert Word.parse(w.inverse().letters + w.letters).is_identity()
 
 
 def test_swap_and_rotations():
@@ -110,25 +106,12 @@ def _stack_reduce(text):
     return "".join(stack)
 
 
-def _random_reduced(rng, length):
-    return Word(_stack_reduce("".join(rng.choice("abAB")
-                                      for _ in range(length))))
-
-
-def test_seam_product_matches_stack_reduction():
-    rng = random.Random(14)
-    empty = Word("")
-    for _ in range(3000):
-        u = _random_reduced(rng, rng.randint(0, 40))
-        v = _random_reduced(rng, rng.randint(0, 40))
-        for x, y in ((u, v), (u, u.inverse()), (u.inverse(), u),
-                     (u, empty), (empty, v)):
-            assert (x * y).letters == _stack_reduce(x.letters + y.letters)
-        # a long common cancellation, then a tail on either side
-        tail = _random_reduced(rng, 5)
-        assert ((u * tail) * (tail.inverse() * v)).letters == \
-            _stack_reduce(u.letters + v.letters)
-    assert (empty * empty).is_identity()
+def test_nested_commutator_matches_stack_reduction():
+    # the closed form against the literal [w(k-1), b], reduced by a stack
+    w = "ab"
+    for k in range(2, 17):
+        w = _stack_reduce(w + "b" + w[::-1].swapcase() + "B")
+        assert nested_commutator(k).letters == w, k
 
 
 def test_parse_matches_stack_reduction():
