@@ -60,7 +60,9 @@ def surgery_lower(n: int, j: int = 1) -> BoundResult:
         raise ValueError("surgery bound requires n >= 3")
     if j not in (1, 2):
         raise ValueError("power j must be 1 or 2")
-    value = _log_rational(Fraction(n, 2)) * Fraction(1, j)
+    value = _log_rational(Fraction(n, 2))
+    if j == 2:
+        value = Interval(value.lo / 2, value.hi / 2)
     return BoundResult(value, LOWER_LOG_DILATATION,
                        f"valid when i(c, f^{j}(c)) >= {n} for every simple "
                        f"closed curve c on a closed surface")
@@ -189,7 +191,8 @@ def hk_upper(g: int) -> BoundResult:
     """log(2 + sqrt(3))/g, the Hironaka-Kin minimal-dilatation upper bound."""
     if g < 2:
         raise ValueError("Hironaka-Kin bound requires g >= 2")
-    value = _log_hk() * Fraction(1, g)
+    log_hk = _log_hk()
+    value = Interval(log_hk.lo / g, log_hk.hi / g)
     return BoundResult(value, UPPER_LOG_DILATATION,
                        f"upper bound on the minimal log dilatation at genus {g}")
 

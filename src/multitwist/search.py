@@ -19,12 +19,12 @@ operation and the search holds only its stack of at most
 3 * max_length open nodes.
 
 enumerate_classes keeps the candidates that no rotation of their inverse,
-swap or swapped inverse undercuts.  min_dilatation_search runs that orbit
-test only on candidates whose |trace| ties the least so far: one below it
-is always the least word of its orbit.  It counts the classes it covers
-by Burnside's lemma (_class_count) instead of one by one.
-orbit_representative is the definitional canonical form that the tests
-check all of this against.
+swap or swapped inverse undercuts.  min_dilatation_search starts from
+|tr aB| = mu + 2 and runs that orbit test only on candidates whose
+|trace| ties the least so far: one below it is always the least word of
+its orbit.  It counts the classes it covers by Burnside's lemma
+(_class_count).  orbit_representative is the definitional canonical form
+that the tests check all of this against, on words they build themselves.
 
 lcs_table takes each word w(k) from words.nested_commutator and each
 trace from a closed form, and only row 1 can fail to be hyperbolic.
@@ -34,43 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import rep, words
 from .intervals import Interval, decimal_str, float_str
 from .words import Word
-
-
-class NoHyperbolicClassError(RuntimeError):
-    """The searched radius contains no hyperbolic class."""
-
-
-def _cyclically_reduced_strings(length: int) -> Iterator[str]:
-    """Every cyclically reduced string of the given length over
-    words.ALPHABET, in itertools.product order.
-
-    A depth-first walk over freely reduced prefixes, children in alphabet
-    order, whose last letter must not cancel the first either.  It is the
-    oracle that enumerate_classes is checked against, so it shares none of
-    the enumerator's key tables.
-    """
-    alphabet = words.ALPHABET
-    if length <= 1:
-        yield from (alphabet if length else [""])
-        return
-    follow = {c: [d for d in alphabet if d != c.swapcase()] for c in alphabet}
-    for first in alphabet:
-        closing = {c: [d for d in follow[c] if d != first.swapcase()]
-                   for c in alphabet}
-        stack = [first]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) < length - 1:
-                stack.extend([prefix + d
-                              for d in reversed(follow[prefix[-1]])])
-            else:
-                for d in closing[prefix[-1]]:
-                    yield prefix + d
 
 
 # letter order a < b < A < B for canonical representatives; the keys
@@ -313,35 +281,36 @@ def min_dilatation_search(max_length: int, mu: int,
     conjugation by [[0, 1], [-1, 0]] in the original representation.
     The least word of each orbit is a candidate (enumerate_classes), and
     the candidates come in increasing key order.  So let x be a candidate
-    with |t| > 2, and best the least |trace| > 2 of the candidates before
+    with |t| > 2, and best the least of mu + 2 = |tr aB| (aB maps to
+    [[1 + mu, 1], [mu, 1]]) and the |trace| > 2 of the candidates before
     it.  If x is not the least word of its orbit, that word came earlier
     with the same |t|, and best <= |t|.  Hence a candidate with |t| below
-    best, or the first with |t| > 2, is the least word of its orbit and
-    starts the list of minima afresh; one with |t| = best joins the list
-    only when _least_in_orbit keeps it; and Words are built only for the
-    minima.  classes_examined is _class_count(max_length), the number of
-    classes the search covers, whether or not they were tested.
+    best is the least word of its orbit and starts the list of minima
+    afresh, and one with |t| = best joins the list only when
+    _least_in_orbit keeps it, as at a minimum of mu + 2 itself (mu = 1, 2
+    and 4, and mu = 3 at max_length 2).  aB, key 03, is a candidate for
+    every max_length >= 2 and the least word of its orbit, so the list is
+    never empty.  Words are built only for the minima.  classes_examined
+    is _class_count(max_length), the number of classes the search
+    covers, whether or not they were tested.
     """
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     if mu < 1:
         raise ValueError("mu must be >= 1")
 
-    best_abs: Optional[int] = None
+    best_abs = mu + 2
     minima: list[str] = []
     for key, lead, t in _necklaces(max_length, mu):
         if t < 0:
             t = -t
         # |trace| <= 2 is the identity, elliptic or parabolic
-        if t <= 2 or (best_abs is not None and t > best_abs):
+        if t <= 2 or t > best_abs:
             continue
-        if best_abs is None or t < best_abs:
+        if t < best_abs:
             best_abs, minima = t, [key]
         elif _least_in_orbit(key, lead):
             minima.append(key)
-    if best_abs is None:
-        raise NoHyperbolicClassError(
-            f"no hyperbolic class with word length <= {max_length} at mu={mu}")
     # the candidates come in increasing key order, so minima is already
     # sorted and minima[0] is the least of them
     all_minima = tuple(Word(key.translate(_FROM_KEY)) for key in minima)

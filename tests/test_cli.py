@@ -557,6 +557,7 @@ def test_lcs_table_prints_traces_beyond_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
     k, word, length, trace = captured.out.split("\n")[13].split(",")[:4]
     assert (k, length) == ("13", "8192")
+    assert word == str(words.nested_commutator(13))
     assert limit == 0 or len(trace) > limit
     expected = rep.evaluate(words.nested_commutator(13), 64).trace()
     assert _int_beyond_limit(trace) == expected

@@ -141,6 +141,7 @@ def test_ln2_bracket_against_mpmath(w):
 def test_hyperbolic_dilatation_meets_width_over_sweep(trace):
     for bits in SWEEP_BITS:
         lam, log_lam = rep.hyperbolic_dilatation(trace, bits)
+        assert lam.relative_width() <= Fraction(1, 2 ** bits)
         assert log_lam.relative_width() <= Fraction(1, 2 ** bits)
 
 

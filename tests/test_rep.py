@@ -5,8 +5,9 @@ import pytest
 
 from multitwist import rep
 from multitwist.intervals import Interval
-from multitwist.search import _cyclically_reduced_strings
 from multitwist.words import Word
+
+from free_words import cyclically_reduced_strings
 
 
 def _int_matrix_oracle(word: str, root: int) -> np.ndarray:
@@ -119,14 +120,14 @@ def test_char_poly_normalized_to_dilatation():
 def test_det_one_exhaustive():
     for mu in (2, 16, 64):
         for length in range(1, 7):
-            for s in _cyclically_reduced_strings(length):
+            for s in cyclically_reduced_strings(length):
                 assert rep.evaluate(Word(s), mu).det() == 1
 
 
 def test_trace_invariances():
     for mu in (2, 64):
         for length in range(1, 6):
-            for s in _cyclically_reduced_strings(length):
+            for s in cyclically_reduced_strings(length):
                 w = Word(s)
                 t = rep.evaluate(w, mu).trace()
                 assert rep.evaluate(w.inverse(), mu).trace() == t

@@ -5,10 +5,11 @@ import tracemalloc
 import pytest
 
 from multitwist import rep, search, verify, words
-from multitwist.search import (NoHyperbolicClassError, enumerate_classes,
-                               lcs_csv, lcs_table, min_dilatation_search,
-                               orbit_representative)
+from multitwist.search import (enumerate_classes, lcs_csv, lcs_table,
+                               min_dilatation_search, orbit_representative)
 from multitwist.words import Word
+
+from free_words import cyclically_reduced_strings
 
 
 def test_enumerate_length_one():
@@ -26,7 +27,7 @@ def _brute_force_orbit_count(length: int) -> int:
     """Symmetry orbits of the cyclically reduced words of one length,
     each removed from the pool as a whole orbit."""
     count = 0
-    pool = set(search._cyclically_reduced_strings(length))
+    pool = set(cyclically_reduced_strings(length))
     while pool:
         s = pool.pop()
         w = Word(s)
@@ -57,7 +58,7 @@ def test_enumerate_matches_definitional_pipeline():
     # every orbit representative, in the letter order a < b < A < B
     expected = set()
     for length in range(1, 9):
-        for s in search._cyclically_reduced_strings(length):
+        for s in cyclically_reduced_strings(length):
             expected.add(orbit_representative(Word(s)).letters)
         # the Burnside count against the definitional one, length by length
         assert search._class_count(length) == len(expected)
@@ -81,15 +82,6 @@ def test_enumerate_streams():
         tracemalloc.stop()
     assert produced == CLASS_COUNTS[11]
     assert peak < 64 * 1024
-
-
-def test_cyclically_reduced_strings_match_product_filter():
-    for length in range(1, 10):
-        expected = ["".join(chars) for chars in
-                    itertools.product("abAB", repeat=length)
-                    if all(chars[i] != chars[i - 1].swapcase()
-                           for i in range(length))]
-        assert list(search._cyclically_reduced_strings(length)) == expected
 
 
 # classes of length <= n for n = 1..16; the length-10 count was checked
@@ -146,7 +138,23 @@ def test_small_mu_minimum():
     r = min_dilatation_search(2, 1)
     assert str(r.all_minima[0]) == "aB"
     assert abs(r.minimum.trace) == 3
-    assert NoHyperbolicClassError.__mro__  # exported error type
+
+
+def test_minimum_is_at_most_trace_of_aB():
+    # aB maps to [[1 + mu, 1], [mu, 1]], so the search starts from mu + 2;
+    # it is the minimum at mu = 1, 2 and 4, and at mu = 3 only at length 2,
+    # where aab (trace 4) is not yet a candidate
+    at_bound = set()
+    for mu in range(1, 71):
+        for max_length in range(2, 5):
+            report = min_dilatation_search(max_length, mu)
+            t = abs(report.minimum.trace)
+            assert t <= mu + 2, (mu, max_length)
+            assert (Word("aB") in report.all_minima) == (t == mu + 2)
+            if t == mu + 2:
+                at_bound.add((mu, max_length))
+    assert at_bound == {(mu, n) for mu in (1, 2, 4) for n in (2, 3, 4)} | \
+        {(3, 2)}
 
 
 def test_dedup_soundness_small():
@@ -154,7 +162,7 @@ def test_dedup_soundness_small():
     for max_length, mu in ((6, 64), (6, 16)):
         best = None
         for length in range(1, max_length + 1):
-            for s in search._cyclically_reduced_strings(length):
+            for s in cyclically_reduced_strings(length):
                 m = rep.evaluate(Word(s), mu)
                 if rep.classify(m) != rep.HYPERBOLIC:
                     continue
@@ -197,7 +205,7 @@ def test_all_minima_match_no_dedup_oracle():
     # oracle's minima, one per class, sorted by key must give it back;
     # mu = 1 has many ties, so it exercises the orbit test on them
     counts = [_brute_force_orbit_count(n) for n in range(1, 11)]
-    words_by_length = [[Word(s) for s in search._cyclically_reduced_strings(n)]
+    words_by_length = [[Word(s) for s in cyclically_reduced_strings(n)]
                        for n in range(1, 11)]
     representative = {}
     reports = {}
