@@ -179,7 +179,7 @@ def tau_cc_infs_upper(g: int) -> BoundResult:
     """4*log(2 + sqrt(3))/(g*log(g - 1/2)) for g >= 3."""
     if g < 3:
         raise ValueError("asymptotic curve-complex bound requires g >= 3; "
-                         "genus 2 is out of scope")
+                         f"genus {g} is out of scope")
     numerator = 4 * _log_hk()
     denominator = g * _log_rational(Fraction(2 * g - 1, 2))
     return BoundResult(numerator / denominator, UPPER_TAU_C,

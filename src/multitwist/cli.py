@@ -3,6 +3,10 @@
 Subcommands: dilatation, family, bounds, search, lcs-table, johnson-tau,
 tau-cc, verify-paper.  Exit codes: 0 success, 1 computation error,
 2 usage error.
+
+Import rule: module level imports only what every command needs (argparse,
+json, os, re, sys).  Each command imports its own modules when it runs, so
+start-up and usage errors load no module of the package beyond this one.
 """
 
 from __future__ import annotations
@@ -12,12 +16,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
-
-from . import bounds, families, johnson, rep, search, verify
-from .intervals import Interval, PrecisionError, decimal_str, float_str
-from .words import Word
-
 
 # the largest family genus; N * N^t then has (1024 / 2)^2 = 262,144 entries
 MAX_FAMILY_GENUS = 1024
@@ -65,6 +63,8 @@ def _bounded_int(low=None, high=None):
 def _rational(text: str) -> Fraction:
     """An argparse type: p, p/q with q > 0, or a plain decimal.  Exponents
     are refused: Fraction("1e1000000") spends 0.24 s building 10^1000000."""
+    from fractions import Fraction
+
     if not re.fullmatch(r"[+-]?(\d+(/0*[1-9]\d*)?|\d*\.\d+|\d+\.)", text,
                         re.ASCII):
         raise argparse.ArgumentTypeError(
@@ -92,6 +92,10 @@ def _emit(payload):
 
 
 def _cmd_dilatation(args) -> int:
+    from . import rep
+    from .intervals import decimal_str, float_str
+    from .words import Word
+
     w = Word.parse(args.word)
     report = rep.dilatation(w, args.mu, args.precision_bits)
     if args.format == "json":
@@ -110,6 +114,8 @@ def _cmd_dilatation(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from . import families
+
     if args.kind == "torelli":
         fam = families.torelli_family(args.genus)
     else:
@@ -160,6 +166,8 @@ def _check_bounds_parameters(args) -> None:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
+
     if args.group == "torelli":
         result = bounds.torelli_lower()
     elif args.group == "johnson":
@@ -173,6 +181,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
     report = search.min_dilatation_search(args.max_len, args.mu,
                                           args.precision_bits)
     _emit(report.to_json_dict())
@@ -203,6 +213,8 @@ def _check_lcs_size(args) -> None:
 
 
 def _cmd_lcs_table(args) -> int:
+    from . import search
+
     rows = search.lcs_table(args.max_k, args.mu, args.precision_bits)
     if args.format == "json":
         _emit({"rows": [r.to_json_dict() for r in rows]})
@@ -212,6 +224,8 @@ def _cmd_lcs_table(args) -> int:
 
 
 def _cmd_johnson_tau(args) -> int:
+    from . import johnson
+
     g = args.genus
     a = johnson.HomologyClass.parse(args.a, g)
     pairs = [(johnson.HomologyClass.parse(u_text, g),
@@ -223,6 +237,9 @@ def _cmd_johnson_tau(args) -> int:
 
 
 def _cmd_tau_cc(args) -> int:
+    from . import bounds
+    from .intervals import Interval
+
     if args.log_lambda is None:
         result = bounds.tau_cc_infs_upper(args.genus)
     else:
@@ -232,6 +249,8 @@ def _cmd_tau_cc(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from . import verify
+
     results = verify.run_all()
     failed = sum(not r.ok for r in results)
     if args.format == "json":
@@ -346,8 +365,8 @@ def run(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, RuntimeError,
-            PrecisionError) as exc:
+    # ArithmeticError covers ZeroDivisionError and intervals.PrecisionError
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

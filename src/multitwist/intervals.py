@@ -25,7 +25,7 @@ from math import isqrt
 from operator import floordiv
 
 
-class PrecisionError(Exception):
+class PrecisionError(ArithmeticError):
     """Raised when a requested enclosure width cannot be met."""
 
 

@@ -538,6 +538,32 @@ def test_precision_error_exit_code(capsys, monkeypatch):
     assert captured.err.startswith("error: log enclosure did not converge")
 
 
+def test_precision_error_is_an_arithmetic_error():
+    assert issubclass(PrecisionError, ArithmeticError)
+
+
+def test_arithmetic_error_exit_code(capsys, monkeypatch):
+    def fail(*_args):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(rep, "dilatation", fail)
+    code = run(["dilatation", "--word", "ab", "--mu", "64"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize("genus", ["-1", "0", "1", "2"])
+def test_tau_cc_names_the_genus_out_of_scope(capsys, genus):
+    code = run(["tau-cc", "--genus", genus])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: asymptotic curve-complex bound requires "
+                            f"g >= 3; genus {genus} is out of scope\n")
+
+
 def _int_beyond_limit(text):
     """int(text) for a numeral longer than the int-to-str digit limit; the
     limit is lifted only inside this call."""
