@@ -51,7 +51,7 @@ def test_import_loads_only_cli():
     result = _probe(None)
     assert result["package"] == ["cli"]
     assert "multitwist" in result["new_at_import"]
-    # nothing the bare interpreter lacks from the numeric stack
+    # none of these, unless the bare interpreter had it already
     loaded = set(result["new_at_import"])
     assert not loaded & {"fractions", "decimal", "dataclasses"}
 
