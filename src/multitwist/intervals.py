@@ -8,11 +8,14 @@ digit.  log reduces its argument by a few square roots, about
 bits^(1/3) / 3 of them (Brent, "Fast multiple-precision evaluation of
 elementary functions", J. ACM 23, 1976), and sums the atanh series by
 rectangular splitting, which needs about twice the square root of the
-term count in full products (Smith, "Efficient multiple-precision
-evaluation of elementary functions", Math. Comp. 52, 1989; Brent and
-Zimmermann, "Modern Computer Arithmetic", 2010, section 4.4.3); ln 2 is
-2 atanh(1/3) summed by binary splitting.  Every rounding is counted in
-units of the last place, and the guard bits follow from those counts.
+term count in products (Smith, "Efficient multiple-precision evaluation
+of elementary functions", Math. Comp. 52, 1989; Brent and Zimmermann,
+"Modern Computer Arithmetic", 2010, section 4.4.3).  The tail blocks of
+the series run at reduced precision: a block that is later scaled by
+2^-c is summed to c bits fewer.  ln 2 is 2 atanh(1/3) summed by binary
+splitting.  Every rounding is counted in units of the last place, and
+the guard bits follow from those counts.  Endpoints that are k / 2^j
+are built in lowest terms without a gcd.
 """
 
 from __future__ import annotations
@@ -119,6 +122,18 @@ class Interval:
         return (float(self.lo), float(self.hi))
 
 
+def _dyadic(k: int, e: int) -> Fraction:
+    """k / 2^e in lowest terms, for e >= 0, without Fraction's gcd: once
+    the trailing zero bits of k are stripped, k and 2^e share no factor."""
+    if k == 0:
+        return Fraction(0)
+    shift = min((k & -k).bit_length() - 1, e)
+    x = object.__new__(Fraction)
+    # the two slots that Fraction.__new__ fills after its gcd
+    x._numerator, x._denominator = k >> shift, 1 << (e - shift)
+    return x
+
+
 def _coerce(x) -> Interval:
     if isinstance(x, Interval):
         return x
@@ -135,10 +150,10 @@ def sqrt_fraction(x: Fraction, bits: int) -> Interval:
     # sqrt(p/q) = sqrt(p*q)/q; scale by 4^bits so isqrt gives width 1/(q*2^bits)
     scaled = p * q << (2 * bits)
     s = isqrt(scaled)
-    denom = q << bits
-    lo = Fraction(s, denom)
-    hi = lo if s * s == scaled else Fraction(s + 1, denom)
-    return Interval(lo, hi)
+    hi = s + (s * s != scaled)
+    if q == 1:
+        return Interval(_dyadic(s, bits), _dyadic(hi, bits))
+    return Interval(Fraction(s, q << bits), Fraction(hi, q << bits))
 
 
 def sqrt(x: Interval, bits: int) -> Interval:
@@ -174,7 +189,7 @@ def cbrt(x: Interval, bits: int) -> Interval:
     root_hi = _icbrt(hi)
     if root_hi ** 3 != hi:
         root_hi += 1
-    return Interval(Fraction(_icbrt(lo), 1 << b), Fraction(root_hi, 1 << b))
+    return Interval(_dyadic(_icbrt(lo), b), _dyadic(root_hi, b))
 
 
 @lru_cache(maxsize=16)
@@ -186,9 +201,14 @@ def _ln2(w: int) -> tuple[int, int]:
     # (2/3) (9/8) 9^-n / 3 = 9^-n / 4 <= 2^-w / 4
     n = w * 10000 // 31699 + 1
     b, q, t = _atanh_third_split(0, n)
-    # the first n terms are (2/3) t / (b q) exactly, and one floor loses
-    # less than 1: ln(2) * 2^w < low + 1 + 1/4
-    return (t << (w + 1)) // (3 * b * q), 2
+    # the first n terms are (2/3) t / (b q) = N / D exactly, for N =
+    # 2 t 2^w and D = 3 b q.  Dividing N rounded down by D rounded up, both
+    # cut by m bits to leave D' >= 2^(w + 63), loses less than (N / D + 1)
+    # / D' < 2^-62, as N / D < 2^w; the floor loses less than 1 more:
+    # ln(2) * 2^w < low + 1 + 2^-62 + 1/4
+    d = 3 * b * q
+    m = max(d.bit_length() - w - 64, 0)
+    return ((t << (w + 1)) >> m) // -(-d >> m), 2
 
 
 def _atanh_third_split(a: int, c: int) -> tuple[int, int, int]:
@@ -207,11 +227,15 @@ def _log_precision(bits: int, e: int) -> tuple[int, int, int]:
     """Working precision w, a multiple of 64, square-root count and series
     block size for the log of 2^e * y, 1 <= y < 2, to within 2^-bits."""
     # A root costs about three and a half w x w products, and r roots
-    # leave about bits / (2r + 2) series terms, summed with about twice
-    # their square root of products; bits^(1/3) / 3 roots balances the
-    # two, and the cap keeps w <= bits + 256
+    # leave about n = bits / (2r + 2) series terms; bits^(1/3) / 3 roots
+    # balances the two, and the cap keeps w <= bits + 256.  The series
+    # forms block full products for its powers, and n / block Horner
+    # products whose width falls linearly from w to 0, which cost about
+    # a third of a full one each; block about sqrt(n / 2) balances the
+    # two.  Timed log kernels: blocks 12-22 within 2% of each other at
+    # bits = 12296 (27, sqrt(n), 4% slower), 10-15 at 4104, 24-34 at 65544.
     roots = min(_icbrt(bits) // 3 + 1, 128)
-    block = isqrt(bits // (2 * roots + 2)) + 1
+    block = isqrt(bits // (4 * roots + 4)) + 1
     # _log_fixed's error count is (2 block + 10) 2^roots + 2 |e|, the 2
     # being _ln2's; each part is below 2^(guard - 1)
     guard = max(roots + (2 * block + 10).bit_length(),
@@ -230,7 +254,12 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int,
     """
     one = 1 << w
     shift = w - e
-    z = (p << shift) // q if shift >= 0 else p // (q << -shift)
+    if q & (q - 1) == 0:
+        # q = 2^k: the floor below is a shift
+        shift -= q.bit_length() - 1
+        z = p << shift if shift >= 0 else p >> -shift
+    else:
+        z = (p << shift) // q if shift >= 0 else p // (q << -shift)
     # z = floor(y * 2^w).  Each square root floors, losing less than an
     # ulp, and halves the error it inherits, as sqrt(a) - sqrt(b) <=
     # (a - b)/2 for a > b >= 1; so at the end, for v = y^(1/2^roots),
@@ -245,10 +274,12 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int,
     # Zimmermann, Modern Computer Arithmetic, 4.4.3).  With the powers
     # 1, s2, ..., s2^(block - 1) of s2 = s^2 / 2^w, block b is an inner
     # sum of one small division per term, and the blocks are joined by
-    # Horner's rule in s2^block.  s < 2^L, so n terms with 2n (w - L) >= w
-    # leave a tail of at most (s / 2^w)^2n (9/8) / 3 < 2^-w, below 1.
+    # Horner's rule in s2^block.  s < 2^(w - gap), so n terms with
+    # 2 n gap >= w leave a tail of at most (s / 2^w)^2n (9/8) / 3 < 2^-w,
+    # below 1.
+    gap = w - s.bit_length()
     s2 = s * s >> w
-    n = -(-w // (2 * (w - s.bit_length())))
+    n = -(-w // (2 * gap))
     block = min(block, n)
     powers = [one, s2]
     for _ in range(block - 1):
@@ -258,24 +289,28 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int,
     # 2 s2 / 2^w < 2/9 from the power before it, and that power over
     # 2^w, at most 1/9, from s2.
     step = powers.pop()
-    acc = 0
+    # Block b ends up scaled by (s / 2^w)^(2 block b) < 2^-(2 gap block b),
+    # so it is summed in ulps of 2^-(w - c) for the cut c = cut * b, from
+    # the powers and the step shifted right by c, each still low by less
+    # than 2 in its own ulp; acc carries the sum of blocks b and later in
+    # ulps of 2^-top, top = w - c.
+    cut = (2 * gap - 2) * block
+    acc, top = 0, w
     for b in reversed(range(-(-n // block))):
+        c = cut * b
         d = 2 * b * block + 1
         # Each term of the inner sum is low by less than 2: the floor,
         # plus a power low by less than 2 over a divisor of at least 3
-        # (the first power is exact).  acc <= (9/8) 2^w, and multiplying
-        # it by step, low by less than 2, then flooring loses less than
-        # 9/4 + 1, while the error acc carries shrinks by the factor
-        # (s / 2^w)^2block < 1/9.  So acc ends low by less than
-        # (9/8)(2 block + 13/4) < 3 block + 4.
-        acc = (acc * step >> w) + sum(
-            map(floordiv, powers, range(d, d + 2 * block, 2)))
-    # total = floor(s * acc / 2^w): the error of acc and the tail, times
-    # s / 2^w < 1/3, and the floor lose less than (3 block + 5)/3 + 1,
-    # and t - s / 2^w < 2^-w adds less than 1 / (1 - t^2) < 9/8, so
-    # atanh(t) * 2^w < total + block + 4.  Doubling, and ln(v) - ln(u)
-    # <= (v - u) / u < 2 for the gap in z, give ln(v) * 2^w < 2 total +
-    # 2 block + 10; scale by 2^roots for ln(y).
+        # (the first power is exact).  acc <= (9/8) 2^top, and
+        # multiplying it by the step, low by less than 2, then flooring
+        # loses less than 9/4 + 1.  The error acc carries is multiplied by
+        # (s / 2^w)^2block 2^cut < 4^-block, as the ulp grows by 2^cut.
+        # So acc ends low by less than (2 block + 13/4) / (1 - 4^-block)
+        # < 3 block + 4.
+        acc = (acc * (step >> c) >> top) + sum(
+            map(floordiv, [x >> c for x in powers],
+                range(d, d + 2 * block, 2)))
+        top = w - c
     total = s * acc >> w
     low = (2 * total) << roots
     err = (2 * block + 10) << roots
@@ -305,5 +340,4 @@ def log(x: Interval, bits: int) -> Interval:
     # ceil((x.hi - x.lo) / x.lo * 2^w)
     gap = x.hi.numerator * q - p * x.hi.denominator
     spread = -(-(gap << w) // (x.hi.denominator * p))
-    one = 1 << w
-    return Interval(Fraction(low, one), Fraction(low + err + spread, one))
+    return Interval(_dyadic(low, w), _dyadic(low + err + spread, w))

@@ -115,21 +115,41 @@ class DilatationReport:
         return d
 
 
+def _dyadic_scaled(x: Fraction, e: int) -> int:
+    """x * 2^e for a Fraction x whose denominator is a power of two that
+    divides 2^e."""
+    return x.numerator << (e + 1 - x.denominator.bit_length())
+
+
+def _relative_width_within(iv: Interval, bits: int) -> bool:
+    """iv.relative_width() <= 2^-bits, by shifts and int comparisons, for
+    an interval with power-of-two denominators."""
+    e = max(iv.lo.denominator, iv.hi.denominator).bit_length() - 1
+    lo, hi = _dyadic_scaled(iv.lo, e), _dyadic_scaled(iv.hi, e)
+    # width / max(1, |lo|, |hi|), all over 2^e; |lo|, |hi| <= max(-lo, hi)
+    return (hi - lo) << bits <= max(1 << e, -lo, hi)
+
+
 def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, Interval]:
     """lambda = (|t| + sqrt(t^2 - 4))/2 and log(lambda), both certified to
     relative width 2^-precision_bits.
 
     At bits = precision_bits + 8 the root has width at most 2^-(bits + 1),
     so lambda has width at most 2^-(bits + 2), and log(lambda) at most
-    2^-bits + width(lambda) / lambda: one pass meets both widths.
+    2^-bits + width(lambda) / lambda: one pass meets both widths.  Every
+    endpoint is k / 2^j in lowest terms.
     """
     t = abs(trace)
     bits = precision_bits + 8
     root = intervals.sqrt_fraction(Fraction(t * t - 4), bits + 1)
-    lam = Interval(Fraction(t + root.lo, 2), Fraction(t + root.hi, 2))
+    # (t + root) / 2 as ints over 2^(bits + 2)
+    lo, hi = ((t << (bits + 1)) + _dyadic_scaled(x, bits + 1)
+              for x in (root.lo, root.hi))
+    lam = Interval(intervals._dyadic(lo, bits + 2),
+                   intervals._dyadic(hi, bits + 2))
     log_lam = intervals.log(lam, bits)
-    budget = Fraction(1, 2 ** precision_bits)
-    if lam.relative_width() > budget or log_lam.relative_width() > budget:
+    if not (_relative_width_within(lam, precision_bits)
+            and _relative_width_within(log_lam, precision_bits)):
         raise PrecisionError(f"dilatation enclosure wider than "
                              f"2^-{precision_bits}")
     return lam, log_lam

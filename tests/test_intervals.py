@@ -125,6 +125,67 @@ def test_log_edge_cases(bits, name):
     _check_log(Interval(x, x * (1 + Fraction(1, 2 ** bits))), bits)
 
 
+def _log_fixed_encloses(x: Fraction, bits: int):
+    """_log_fixed's contract low <= ln(x) 2^w <= low + err, at the working
+    precision, root count and block size that log uses for bits."""
+    p, q = x.numerator, x.denominator
+    e = p.bit_length() - q.bit_length()
+    if x < Fraction(2) ** e:
+        e -= 1
+    assert 1 <= x / Fraction(2) ** e < 2
+    w, roots, block = intervals._log_precision(bits, e)
+    low, err = intervals._log_fixed(p, q, e, w, roots, block)
+    with mpmath.workprec(2 * w + 64):
+        scaled = _fraction(mpmath.log(mpmath.mpf(p) / q) * mpmath.mpf(2) ** w)
+    # mpmath's value is within 2^-w of ln(x) * 2^w
+    slack = Fraction(1, 2 ** w)
+    assert low - slack <= scaled <= low + err + slack, (x, bits)
+
+
+# y = x / 2^e in the middle of [1, 2), just above 1 and just below 2; q
+# not a power of two; a large and a small exponent
+LOG_FIXED_X = (Fraction(3, 2), Fraction(2 ** 300 + 1, 2 ** 300),
+               Fraction(2 ** 61 - 1, 2 ** 60), Fraction(10 ** 40 + 7, 10 ** 40),
+               Fraction(5 * 2 ** 900, 3), Fraction(7, 2 ** 500))
+
+
+def test_log_fixed_contract_bits_1_to_300():
+    for x in LOG_FIXED_X:
+        for bits in SWEEP_BITS:
+            _log_fixed_encloses(x, bits)
+
+
+@pytest.mark.parametrize("bits, xs", [(4096, LOG_FIXED_X),
+                                      (12288, LOG_FIXED_X[:4]),
+                                      (65536, LOG_FIXED_X[2:4])])
+def test_log_fixed_contract_high_precision(bits, xs):
+    for x in xs:
+        _log_fixed_encloses(x, bits)
+
+
+@pytest.mark.parametrize("k", (0, 1, -1, 7, -12, 3 << 20, -(5 << 40), 1 << 64))
+@pytest.mark.parametrize("e", (0, 1, 5, 30))
+def test_dyadic_equals_fraction(k, e):
+    x, ref = intervals._dyadic(k, e), Fraction(k, 2 ** e)
+    assert x == ref and hash(x) == hash(ref)
+    assert (x.numerator, x.denominator) == (ref.numerator, ref.denominator)
+
+
+def _assert_lowest_dyadic(iv: Interval):
+    for x in (iv.lo, iv.hi):
+        d = x.denominator
+        assert d & (d - 1) == 0 and (x.numerator % 2 or d == 1), x
+
+
+@pytest.mark.parametrize("bits", (1, 60, 64, 300, 4096, 12288))
+def test_endpoints_are_dyadic_in_lowest_terms(bits):
+    for trace in (3, 62, -3970, 2 ** 200 + 1):
+        for iv in rep.hyperbolic_dilatation(trace, bits):
+            _assert_lowest_dyadic(iv)
+    for x in SWEEP_X:
+        _assert_lowest_dyadic(intervals.log(x, bits))
+
+
 @pytest.mark.parametrize("w", (1, 7, 64, 1088, 12416, 16448))
 def test_ln2_bracket_against_mpmath(w):
     # one call through the cache, one computed afresh
@@ -181,6 +242,17 @@ def test_high_precision_endpoints_parse_under_digit_limit():
     payload = report.to_json_dict()
     for text in payload["lambda"] + payload["log_lambda"]:
         Fraction(text)
+
+
+@pytest.mark.parametrize("lo", (-(3 << 69), -1, 0, 1 << 70, 3 << 69))
+def test_relative_width_test_matches_fractions(lo):
+    # endpoints over 2^70, in lowest terms as _dyadic leaves them, with
+    # widths on both sides of 2^-bits times the scale
+    for width in (0, 1, 1 << 30, (1 << 30) - 1, (1 << 30) + 1, 3 << 69):
+        iv = Interval(intervals._dyadic(lo, 70), intervals._dyadic(lo + width, 70))
+        for bits in range(0, 142):
+            within = iv.relative_width() <= Fraction(1, 2 ** bits)
+            assert rep._relative_width_within(iv, bits) == within, (iv, bits)
 
 
 def test_dilatation_refuses_a_wide_log(monkeypatch):

@@ -3,7 +3,8 @@
 The digests in payload_digests.json cover (exit code, stdout) of cli.run,
 with verify-paper's seconds masked; stderr is left out, as argparse's
 wording moves between Python versions.  A change that alters a payload on
-purpose regenerates the file and logs the change in CHANGES.md:
+purpose regenerates the file, which prints the changed keys to stderr,
+and logs the change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_payload_digests.py
 """
@@ -14,6 +15,7 @@ import io
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 from multitwist import cli
@@ -34,6 +36,9 @@ ARGVS = [
     ["dilatation", "--word", "abq", "--mu", "64"],
     ["dilatation", "--word", "ab", "--mu", "x"],
     ["dilatation", "--word", "ab", "--mu", "64", "--precision-bits", "0"],
+    ["dilatation", "--word", "ab", "--mu", "64", "--precision-bits", "12288"],
+    ["dilatation", "--word", "abAB" * 32, "--mu", "5", "--precision-bits",
+     "4096"],
     ["family", "--genus", "3", "--kind", "torelli"],
     ["family", "--genus", "4", "--kind", "braid", "--format", "csv"],
     ["family", "--genus", "2", "--kind", "torelli", "--format", "csv"],
@@ -102,13 +107,20 @@ def current() -> dict:
     return {shlex.join(argv): digest(argv) for argv in ARGVS}
 
 
+def changed_keys(expected: dict, actual: dict) -> list:
+    """Keys whose digest differs, or that only one of the two has."""
+    return [key for key in [*actual, *(k for k in expected if k not in actual)]
+            if expected.get(key) != actual.get(key)]
+
+
 def test_payload_digests():
     expected = json.loads(DIGESTS.read_text())
-    changed = [key for key, value in current().items()
-               if expected.get(key) != value]
-    assert changed == []
+    assert changed_keys(expected, current()) == []
     assert len(expected) == len(ARGVS)
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(current(), indent=1) + "\n")
+    digests = current()
+    for key in changed_keys(json.loads(DIGESTS.read_text()), digests):
+        print(key, file=sys.stderr)
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
