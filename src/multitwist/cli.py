@@ -27,7 +27,7 @@ MAX_JOHNSON_GENUS = 64
 # count
 MAX_PRECISION_BITS = 65536
 # the largest size in bits of a trace that lcs-table or dilatation forms:
-# lcs-table --max-k 18 --mu 64 takes about 3 s, most of it in the isqrt of
+# lcs-table --max-k 18 --mu 64 takes about 2.5 s, most of it in the isqrt of
 # the certificate and the decimal digits of the trace; each further level,
 # or doubling of the bits of mu, costs 3-4 times as much; a dilatation word
 # at the bound takes 2.6-7 s (7 s at --mu 126 with 131,070 letters)
@@ -118,17 +118,17 @@ def _cmd_family(args) -> int:
     from . import families
 
     if args.kind == "torelli":
-        fam = families.torelli_family(args.genus)
+        name, N = families.TORELLI, families.torelli_family(args.genus)
     else:
-        fam = families.braid_family(args.genus)
-    prod = fam.nnt()
+        name, N = families.BRAID, families.braid_family(args.genus)
+    prod = families.nnt(N)
     pf = families.pf_eigenvalue(prod)
     payload = {
-        "family": fam.family,
-        "genus": fam.genus,
-        "m": fam.m,
-        "mu": fam.mu,
-        "N": [list(r) for r in fam.N],
+        "family": name,
+        "genus": args.genus,
+        "m": len(N),
+        "mu": pf.value,
+        "N": N,
         "NNt": prod,
         "pf": {
             "lower": str(pf.value),
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
                    required=True,
-                   help=f"at most {MAX_SEARCH_LENGTH} (about 5 s at mu 64)")
+                   help=f"at most {MAX_SEARCH_LENGTH} (about 4.6 s at mu 64)")
     p.add_argument("--mu", type=_bounded_int(high=MAX_SEARCH_MU),
                    required=True, help="at most 2^64 - 1")
     precision_bits(p)
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
     p.add_argument("--max-k", type=_bounded_int(), required=True,
                    help=f"2^(max_k - 1) * (bits of mu) at most "
-                        f"{MAX_TRACE_BITS} (about 3 s at --max-k 18 --mu 64)")
+                        f"{MAX_TRACE_BITS} (about 2.5 s at --max-k 18 --mu 64)")
     p.add_argument("--mu", type=_bounded_int(), required=True)
     output_format(p, "csv", "json")
     precision_bits(p)

@@ -1,12 +1,12 @@
 """Genus-parametrized multicurve intersection matrices and PF certificates.
 
-Two built-in families: the separating-curve family on the closed genus-g
-surface (intersection numbers 4, N*N^t row sums 64) and its sphere/braid
-quotient (intersection numbers 2, row sums 16).  The Perron-Frobenius
-eigenvalue of N*N^t is certified exactly by its equal integer row sums,
-with the all-ones eigenvector.  Matrices with unequal row sums are refused
-(ValueError), and so are entries that are not ints: floats, Fractions and
-bools (TypeError).
+Two built-in families, each given by its intersection matrix N: the
+separating-curve family on the closed genus-g surface (intersection
+numbers 4, N*N^t row sums 64) and its sphere/braid quotient (intersection
+numbers 2, row sums 16).  The Perron-Frobenius eigenvalue of N*N^t is
+certified exactly by its equal integer row sums, with the all-ones
+eigenvector.  Matrices with unequal row sums are refused (ValueError), and
+so are entries that are not ints: floats, Fractions and bools (TypeError).
 """
 
 from __future__ import annotations
@@ -17,30 +17,19 @@ from dataclasses import dataclass
 TORELLI = "torelli_separating"
 BRAID = "braid_sphere"
 
-TORELLI_MU = 64
-BRAID_MU = 16
 
-
-@dataclass(frozen=True)
-class IntersectionFamily:
-    family: str
-    m: int
-    N: tuple[tuple[int, ...], ...]
-    genus: int
-    mu: int
-
-    def nnt(self) -> list[list[int]]:
-        """N * N^t, summed over the nonzero entries of each column of N:
-        O(sum of nnz_k^2) for the band matrices instead of O(m^3)."""
-        n = self.m
-        prod = [[0] * n for _ in range(n)]
-        for k in range(n):
-            column = [(i, row[k]) for i, row in enumerate(self.N) if row[k]]
-            for i, x in column:
-                out = prod[i]
-                for j, y in column:
-                    out[j] += x * y
-        return prod
+def nnt(N) -> list[list[int]]:
+    """N * N^t, summed over the nonzero entries of each column of N:
+    O(sum of nnz_k^2) for the band matrices instead of O(m^3)."""
+    n = len(N)
+    prod = [[0] * n for _ in range(n)]
+    for k in range(n):
+        column = [(i, row[k]) for i, row in enumerate(N) if row[k]]
+        for i, x in column:
+            out = prod[i]
+            for j, y in column:
+                out[j] += x * y
+    return prod
 
 
 def _cyclic_band(m: int, value: int) -> tuple[tuple[int, ...], ...]:
@@ -54,20 +43,20 @@ def _cyclic_band(m: int, value: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def torelli_family(g: int) -> IntersectionFamily:
-    """Separating-curve pair on the closed genus-g surface; mu = 64."""
+def torelli_family(g: int) -> tuple[tuple[int, ...], ...]:
+    """N of the separating-curve pair on the closed genus-g surface;
+    N * N^t certifies mu = 64."""
     if g < 2:
         raise ValueError("torelli family needs g >= 2")
-    m = math.ceil(g / 2)
-    return IntersectionFamily(TORELLI, m, _cyclic_band(m, 4), g, TORELLI_MU)
+    return _cyclic_band(math.ceil(g / 2), 4)
 
 
-def braid_family(g: int) -> IntersectionFamily:
-    """Sphere multicurves before the double cover; models PB_{2g+1}, mu = 16."""
+def braid_family(g: int) -> tuple[tuple[int, ...], ...]:
+    """N of the sphere multicurves before the double cover, a model of
+    PB_{2g+1}; N * N^t certifies mu = 16."""
     if g < 1:
         raise ValueError("braid family needs g >= 1")
-    m = math.ceil(g / 2)
-    return IntersectionFamily(BRAID, m, _cyclic_band(m, 2), g, BRAID_MU)
+    return _cyclic_band(math.ceil(g / 2), 2)
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ class Interval:
         return (float(self.lo), float(self.hi))
 
 
-def _dyadic(k: int, e: int) -> Fraction:
+def dyadic(k: int, e: int) -> Fraction:
     """k / 2^e in lowest terms, for e >= 0, without Fraction's gcd: once
     the trailing zero bits of k are stripped, k and 2^e share no factor."""
     if k == 0:
@@ -152,7 +152,7 @@ def sqrt_fraction(x: Fraction, bits: int) -> Interval:
     s = isqrt(scaled)
     hi = s + (s * s != scaled)
     if q == 1:
-        return Interval(_dyadic(s, bits), _dyadic(hi, bits))
+        return Interval(dyadic(s, bits), dyadic(hi, bits))
     return Interval(Fraction(s, q << bits), Fraction(hi, q << bits))
 
 
@@ -189,7 +189,7 @@ def cbrt(x: Interval, bits: int) -> Interval:
     root_hi = _icbrt(hi)
     if root_hi ** 3 != hi:
         root_hi += 1
-    return Interval(_dyadic(_icbrt(lo), b), _dyadic(root_hi, b))
+    return Interval(dyadic(_icbrt(lo), b), dyadic(root_hi, b))
 
 
 @lru_cache(maxsize=16)
@@ -340,4 +340,4 @@ def log(x: Interval, bits: int) -> Interval:
     # ceil((x.hi - x.lo) / x.lo * 2^w)
     gap = x.hi.numerator * q - p * x.hi.denominator
     spread = -(-(gap << w) // (x.hi.denominator * p))
-    return Interval(_dyadic(low, w), _dyadic(low + err + spread, w))
+    return Interval(dyadic(low, w), dyadic(low + err + spread, w))

@@ -21,7 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 
 # one term of HomologyClass.parse: [sign][coefficient](x|y)<index>, with
@@ -131,10 +131,6 @@ class Wedge3Coset:
                 raise ValueError("need sorted distinct ((i, j, k), c) terms "
                                  "with 0 <= i < j < k < 2g and int c != 0")
             previous = (i, j, k)
-
-    @classmethod
-    def zero(cls, g: int) -> "Wedge3Coset":
-        return cls(g, ())
 
     def __add__(self, other: "Wedge3Coset") -> "Wedge3Coset":
         if self.genus != other.genus:
@@ -251,8 +247,6 @@ def quotient_rank(g: int) -> int:
 
 def coset_equal(u: Wedge3Coset, v: Wedge3Coset) -> bool:
     """True iff u - v lies in the omega ^ H sublattice."""
-    if u.genus != v.genus:
-        raise GenusMismatch("genus mismatch")
     return (u - v).is_zero_coset()
 
 
@@ -265,11 +259,11 @@ def tau_bounding_pair(g: int, pairs, a: HomologyClass) -> Wedge3Coset:
     """
     if a.genus != g:
         raise GenusMismatch("genus mismatch")
+    if gcd(*a.coordinates) != 1:
+        raise NotSymplecticError("[a] must be primitive (coordinates with "
+                                 "gcd 1), as a nonseparating class is")
     pairs = list(pairs)
-    classes = [h for p in pairs for h in p]
-    for h in classes:
-        if h.genus != g:
-            raise GenusMismatch("genus mismatch")
+    for h in itertools.chain(*pairs):
         if symplectic_pairing(h, a) != 0:
             raise NotSymplecticError(
                 "family classes must pair trivially with [a]")
@@ -279,7 +273,7 @@ def tau_bounding_pair(g: int, pairs, a: HomologyClass) -> Wedge3Coset:
                 raise NotSymplecticError(f"omega(u{i}, v{j}) wrong")
             if symplectic_pairing(ui, uj) != 0 or symplectic_pairing(vi, vj) != 0:
                 raise NotSymplecticError(f"pair ({i}, {j}) not isotropic")
-    total = Wedge3Coset.zero(g)
+    total = Wedge3Coset(g, ())
     for u, v in pairs:
         total = total + wedge3(u, v, a)
     return total

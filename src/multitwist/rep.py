@@ -145,8 +145,8 @@ def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, In
     # (t + root) / 2 as ints over 2^(bits + 2)
     lo, hi = ((t << (bits + 1)) + _dyadic_scaled(x, bits + 1)
               for x in (root.lo, root.hi))
-    lam = Interval(intervals._dyadic(lo, bits + 2),
-                   intervals._dyadic(hi, bits + 2))
+    lam = Interval(intervals.dyadic(lo, bits + 2),
+                   intervals.dyadic(hi, bits + 2))
     log_lam = intervals.log(lam, bits)
     if not (_relative_width_within(lam, precision_bits)
             and _relative_width_within(log_lam, precision_bits)):

@@ -26,6 +26,13 @@ its orbit.  It counts the classes it covers by Burnside's lemma
 (_class_count).  orbit_representative is the definitional canonical form
 that the tests check all of this against, on words they build themselves.
 
+The least |trace| is known in advance.  Lemma: every trace is 2 mod mu,
+so a hyperbolic class has |trace| >= F(mu), where F(mu) = 3, 4, 4, 6 at
+mu = 1-4 and F(mu) = mu - 2 from mu = 5.  Proof: T_B = [[1, 0], [-mu, 1]]
+is I mod mu, so every word is a power of T_A = [[1, 1], [0, 1]] mod mu,
+of trace 2.  A trace 2 + k mu with |2 + k mu| > 2 is at least mu + 2 or
+at most 2 - k mu with k mu > 4, and the least such |trace| is F(mu).
+
 lcs_table takes each word w(k) from words.nested_commutator and each
 trace from a closed form, and only row 1 can fail to be hyperbolic.
 """

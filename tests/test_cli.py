@@ -298,6 +298,28 @@ def test_johnson_tau_malformed_pair_is_usage_error(capsys, pairs):
     assert "usage:" in captured.err and "--pairs" in captured.err
 
 
+@pytest.mark.parametrize("a", ["0x1", "x1-x1", "2x1", "3y1"])
+def test_johnson_tau_refuses_an_imprimitive_class(capsys, a):
+    # a nonseparating curve's class has coordinates with gcd 1; the zero
+    # class and the multiples of x1 and y1 used to print a coset
+    code = run(["johnson-tau", "--genus", "3", "--pairs", "x2,y2",
+                f"--a={a}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "primitive" in captured.err
+
+
+def test_johnson_tau_negated_class_negates_the_coset(capsys):
+    argv = ["johnson-tau", "--genus", "3", "--pairs", "x2,y2"]
+    code, x1 = _run_json(capsys, [*argv, "--a=x1"])
+    assert code == 0
+    code, minus_x1 = _run_json(capsys, [*argv, "--a=-x1"])
+    assert code == 0
+    assert minus_x1["coset"] == {k: -c for k, c in x1["coset"].items()}
+    assert minus_x1["is_zero"] is False
+
+
 @pytest.mark.parametrize("bits", ["0", "-5"])
 def test_precision_bits_below_one_is_usage_error(capsys, bits):
     code = run(["dilatation", "--word", "ab", "--mu", "64",

@@ -4,37 +4,35 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multitwist.families import (IntersectionFamily, PFResult, braid_family,
-                                 pf_eigenvalue, torelli_family)
+from multitwist.families import (PFResult, braid_family, nnt, pf_eigenvalue,
+                                 torelli_family)
 
 
 def test_torelli_examples():
-    f5 = torelli_family(5)
-    assert f5.m == 3
-    assert [list(r) for r in f5.N] == [[4, 0, 4], [4, 4, 0], [0, 4, 4]]
-    assert [list(r) for r in torelli_family(2).N] == [[8]]
-    assert [list(r) for r in torelli_family(4).N] == [[4, 4], [4, 4]]
+    assert torelli_family(5) == ((4, 0, 4), (4, 4, 0), (0, 4, 4))
+    assert torelli_family(2) == ((8,),)
+    assert torelli_family(4) == ((4, 4), (4, 4))
     with pytest.raises(ValueError):
         torelli_family(1)
 
 
 def test_braid_examples():
-    assert [list(r) for r in braid_family(5).N] == [[2, 0, 2], [2, 2, 0], [0, 2, 2]]
+    assert braid_family(5) == ((2, 0, 2), (2, 2, 0), (0, 2, 2))
     # g = 2 is the degenerate m = 1 case, half the torelli entry
-    assert [list(r) for r in braid_family(2).N] == [[4]]
-    assert [list(r) for r in braid_family(1).N] == [[4]]
+    assert braid_family(2) == ((4,),)
+    assert braid_family(1) == ((4,),)
     with pytest.raises(ValueError):
         braid_family(0)
 
 
 def test_nnt_examples():
-    assert torelli_family(5).nnt() == [[32, 16, 16], [16, 32, 16], [16, 16, 32]]
-    assert torelli_family(2).nnt() == [[64]]
-    assert braid_family(5).nnt() == [[8, 4, 4], [4, 8, 4], [4, 4, 8]]
+    assert nnt(torelli_family(5)) == [[32, 16, 16], [16, 32, 16], [16, 16, 32]]
+    assert nnt(torelli_family(2)) == [[64]]
+    assert nnt(braid_family(5)) == [[8, 4, 4], [4, 8, 4], [4, 4, 8]]
 
 
 def test_nnt_band_structure_large_genus():
-    prod = torelli_family(16).nnt()  # m = 8, genuine band
+    prod = nnt(torelli_family(16))  # m = 8, genuine band
     m = len(prod)
     for i in range(m):
         for j in range(m):
@@ -44,7 +42,7 @@ def test_nnt_band_structure_large_genus():
 
 
 def test_pf_exact_cases():
-    pf = pf_eigenvalue(torelli_family(5).nnt())
+    pf = pf_eigenvalue(nnt(torelli_family(5)))
     assert pf.value == 64
     assert pf.eigenvector == (1, 1, 1)
     assert pf.iterations == 0
@@ -137,16 +135,18 @@ def test_pf_matches_numpy_spectral_radius():
 
 def test_pf_exact_across_genus():
     for g in range(2, 65):
-        pf = pf_eigenvalue(torelli_family(g).nnt())
+        pf = pf_eigenvalue(nnt(torelli_family(g)))
         assert pf.value == 64, g
     for g in range(1, 65):
-        pf = pf_eigenvalue(braid_family(g).nnt())
+        pf = pf_eigenvalue(nnt(braid_family(g)))
         assert pf.value == 16, g
 
 
 def test_mu_is_square_of_offdiagonal_entry():
-    assert torelli_family(3).mu == 64 and 8 * 8 == 64
-    assert braid_family(3).mu == 16 and 4 * 4 == 16
+    # mu is certified from N, and sqrt(mu) is the off-diagonal entry of
+    # the image of T_A
+    assert pf_eigenvalue(nnt(torelli_family(3))).value == 8 * 8 == 64
+    assert pf_eigenvalue(nnt(braid_family(3))).value == 4 * 4 == 16
 
 
 def _dense_nnt(N):
@@ -168,11 +168,9 @@ def test_nnt_matches_dense_triple_loop():
             density = rng.random()
             N = [[rng.randint(1, 9) if rng.random() < density else 0
                   for _ in range(m)] for _ in range(m)]
-        fam = IntersectionFamily("random", m, tuple(map(tuple, N)), 0, 0)
-        assert fam.nnt() == _dense_nnt(N)
+        assert nnt(N) == _dense_nnt(N)
     for g in range(2, 40):
-        fam = torelli_family(g)
-        assert fam.nnt() == _dense_nnt(fam.N), g
+        assert nnt(torelli_family(g)) == _dense_nnt(torelli_family(g)), g
 
 
 def test_pf_refuses_float_entries():

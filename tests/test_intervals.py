@@ -166,7 +166,7 @@ def test_log_fixed_contract_high_precision(bits, xs):
 @pytest.mark.parametrize("k", (0, 1, -1, 7, -12, 3 << 20, -(5 << 40), 1 << 64))
 @pytest.mark.parametrize("e", (0, 1, 5, 30))
 def test_dyadic_equals_fraction(k, e):
-    x, ref = intervals._dyadic(k, e), Fraction(k, 2 ** e)
+    x, ref = intervals.dyadic(k, e), Fraction(k, 2 ** e)
     assert x == ref and hash(x) == hash(ref)
     assert (x.numerator, x.denominator) == (ref.numerator, ref.denominator)
 
@@ -246,10 +246,10 @@ def test_high_precision_endpoints_parse_under_digit_limit():
 
 @pytest.mark.parametrize("lo", (-(3 << 69), -1, 0, 1 << 70, 3 << 69))
 def test_relative_width_test_matches_fractions(lo):
-    # endpoints over 2^70, in lowest terms as _dyadic leaves them, with
+    # endpoints over 2^70, in lowest terms as dyadic leaves them, with
     # widths on both sides of 2^-bits times the scale
     for width in (0, 1, 1 << 30, (1 << 30) - 1, (1 << 30) + 1, 3 << 69):
-        iv = Interval(intervals._dyadic(lo, 70), intervals._dyadic(lo + width, 70))
+        iv = Interval(intervals.dyadic(lo, 70), intervals.dyadic(lo + width, 70))
         for bits in range(0, 142):
             within = iv.relative_width() <= Fraction(1, 2 ** bits)
             assert rep._relative_width_within(iv, bits) == within, (iv, bits)

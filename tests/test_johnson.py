@@ -55,7 +55,7 @@ def test_wedge3_basis_triple():
 def test_wedge3_alternation_zero():
     g = 2
     out = wedge3(_x(1, g), _x(1, g), _y(2, g))
-    assert out == Wedge3Coset.zero(g)
+    assert out == Wedge3Coset(g, ())
 
 
 def test_wedge3_multilinearity():
@@ -194,7 +194,7 @@ def test_reduce_moves_by_a_lattice_vector():
 
 
 def test_reduce_is_idempotent_and_compares_equal():
-    assert Wedge3Coset.zero(3).reduce() == Wedge3Coset.zero(3)
+    assert Wedge3Coset(3, ()).reduce() == Wedge3Coset(3, ())
     g = 3
     out = tau_bounding_pair(g, [(_x(2, g), _y(2, g))], _x(1, g)).reduce()
     assert out.reduce() == out
@@ -212,18 +212,18 @@ def test_lattice_refuses_rows_outside_the_closed_form():
 def test_coset_equal_examples():
     g = 3
     omega_x1 = _coset(g, omega_wedge_basis(g)[0])
-    zero = Wedge3Coset.zero(g)
+    zero = Wedge3Coset(g, ())
     assert coset_equal(omega_x1, zero)
     basis_elt = _unit(g, (0, 1, 2))  # x1 ^ y1 ^ x2
     assert not coset_equal(basis_elt, zero)
     assert coset_equal(basis_elt, basis_elt)
     with pytest.raises(GenusMismatch):
-        coset_equal(zero, Wedge3Coset.zero(2))
+        coset_equal(zero, Wedge3Coset(2, ()))
 
 
 def test_tau_empty_family_is_zero():
     out = tau_bounding_pair(3, [], _x(1, 3))
-    assert out == Wedge3Coset.zero(3)
+    assert out == Wedge3Coset(3, ())
 
 
 def test_tau_single_pair_nonzero():

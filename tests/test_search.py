@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from multitwist import rep, search, verify, words
@@ -155,6 +156,54 @@ def test_minimum_is_at_most_trace_of_aB():
                 at_bound.add((mu, max_length))
     assert at_bound == {(mu, n) for mu in (1, 2, 4) for n in (2, 3, 4)} | \
         {(3, 2)}
+
+
+def _least_hyperbolic_trace(mu):
+    """F(mu) of the search module's lemma: the least |t| > 2 with t = 2
+    mod mu."""
+    return {1: 3, 2: 4, 3: 4, 4: 6}.get(mu, mu - 2)
+
+
+def test_every_trace_is_two_mod_mu():
+    # exact int64 products of the conjugate generators a, b, A, B, which
+    # share no code with rep; entries stay below (mu + 1)^8 < 2^63 here
+    for mu in range(1, 71):
+        gens = np.array([[[1, 1], [0, 1]], [[1, 0], [-mu, 1]],
+                         [[1, -1], [0, 1]], [[1, 0], [mu, 1]]], np.int64)
+        # the freely reduced words of one length, as their first and last
+        # letters (indices into gens; c + 2 mod 4 inverts c) and images
+        first = last = np.arange(4)
+        images = gens
+        for length in range(1, 9):
+            if length > 1:
+                grown = [(first[keep], np.full(keep.sum(), c),
+                          images[keep] @ gens[c])
+                         for c in range(4) for keep in [last != (c + 2) % 4]]
+                first, last, images = map(np.concatenate, zip(*grown))
+            cyclic = images[last != (first + 2) % 4]
+            # the count of cyclically reduced words of rank-2 free groups
+            assert len(cyclic) == 3 ** length + 2 + (-1) ** length
+            traces = cyclic[:, 0, 0] + cyclic[:, 1, 1]
+            assert ((traces - 2) % mu == 0).all(), (mu, length)
+            hyperbolic = np.abs(traces[np.abs(traces) > 2])
+            assert (hyperbolic >= _least_hyperbolic_trace(mu)).all()
+        if mu == 64:
+            ab = gens[0] @ gens[1]
+            assert ab[0, 0] + ab[1, 1] == -62
+
+
+def test_search_minimum_is_the_least_hyperbolic_trace():
+    # the lemma's bound holds at every length, and aB (mu = 1, 2, 4), aab
+    # (mu = 3) and ab (mu >= 5) attain it, so the search finds it from
+    # length 3, and from length 2 but at mu = 3
+    above = set()
+    for mu in range(1, 71):
+        for max_length in range(2, 9):
+            t = abs(min_dilatation_search(max_length, mu).minimum.trace)
+            assert t >= _least_hyperbolic_trace(mu), (mu, max_length)
+            if t > _least_hyperbolic_trace(mu):
+                above.add((mu, max_length))
+    assert above == {(3, 2)}
 
 
 def test_dedup_soundness_small():
