@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intervals
-from .intervals import Interval, decimal_str
+from .intervals import Interval, decimal_str, endpoint_strs
 
 LOWER_LOG_DILATATION = "lower_bound_on_log_dilatation"
 UPPER_LOG_DILATATION = "upper_bound_on_log_dilatation"
@@ -40,7 +40,7 @@ class BoundResult:
 
     def to_json_dict(self) -> dict:
         d = {
-            "bound": [decimal_str(self.value.lo), decimal_str(self.value.hi)],
+            "bound": endpoint_strs(self.value),
             "bound_float": self.value.as_floats(),
             "direction": self.direction,
             "validity_note": self.validity_note,

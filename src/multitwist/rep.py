@@ -11,6 +11,10 @@ T_B -> [[1, 0], [-mu, 1]].  Conjugation keeps traces and the
 identity, so every word is evaluated, classified and certified with
 plain Python ints; the conjugate of a matrix (a, b, c, d) in the
 original representation is (a, b / sqrt(mu), c * sqrt(mu), d).
+
+The certificate's endpoints are k / 2^j in lowest terms; the intervals
+module owns that format, tests its widths and prints each interval from
+one decimal conversion.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import intervals
-from .intervals import Interval, PrecisionError, decimal_str
+from .intervals import Interval, PrecisionError, decimal_str, endpoint_strs
 from .words import Word
 
 IDENTITY_CLASS = "identity"
@@ -104,30 +108,13 @@ class DilatationReport:
             "class": self.isometry_class,
         }
         if self.dilatation_interval is not None:
-            d["lambda"] = [decimal_str(self.dilatation_interval.lo),
-                           decimal_str(self.dilatation_interval.hi)]
-            d["log_lambda"] = [decimal_str(self.log_dilatation_interval.lo),
-                               decimal_str(self.log_dilatation_interval.hi)]
+            d["lambda"] = endpoint_strs(self.dilatation_interval)
+            d["log_lambda"] = endpoint_strs(self.log_dilatation_interval)
         # -|trace| in decimal is the trace's decimal, negated if positive:
         # one conversion of a trace of up to MAX_TRACE_BITS serves both
         t = trace["a"]
         d["char_poly"] = ["1", t if self.trace <= 0 else "-" + t, "1"]
         return d
-
-
-def _dyadic_scaled(x: Fraction, e: int) -> int:
-    """x * 2^e for a Fraction x whose denominator is a power of two that
-    divides 2^e."""
-    return x.numerator << (e + 1 - x.denominator.bit_length())
-
-
-def _relative_width_within(iv: Interval, bits: int) -> bool:
-    """iv.relative_width() <= 2^-bits, by shifts and int comparisons, for
-    an interval with power-of-two denominators."""
-    e = max(iv.lo.denominator, iv.hi.denominator).bit_length() - 1
-    lo, hi = _dyadic_scaled(iv.lo, e), _dyadic_scaled(iv.hi, e)
-    # width / max(1, |lo|, |hi|), all over 2^e; |lo|, |hi| <= max(-lo, hi)
-    return (hi - lo) << bits <= max(1 << e, -lo, hi)
 
 
 def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, Interval]:
@@ -143,13 +130,13 @@ def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, In
     bits = precision_bits + 8
     root = intervals.sqrt_fraction(Fraction(t * t - 4), bits + 1)
     # (t + root) / 2 as ints over 2^(bits + 2)
-    lo, hi = ((t << (bits + 1)) + _dyadic_scaled(x, bits + 1)
+    lo, hi = ((t << (bits + 1)) + intervals.dyadic_scaled(x, bits + 1)
               for x in (root.lo, root.hi))
     lam = Interval(intervals.dyadic(lo, bits + 2),
                    intervals.dyadic(hi, bits + 2))
     log_lam = intervals.log(lam, bits)
-    if not (_relative_width_within(lam, precision_bits)
-            and _relative_width_within(log_lam, precision_bits)):
+    if not (intervals.relative_width_within(lam, precision_bits)
+            and intervals.relative_width_within(log_lam, precision_bits)):
         raise PrecisionError(f"dilatation enclosure wider than "
                              f"2^-{precision_bits}")
     return lam, log_lam

@@ -44,7 +44,7 @@ from math import gcd
 from typing import Iterator
 
 from . import rep, words
-from .intervals import Interval, decimal_str, float_str
+from .intervals import Interval, decimal_str, endpoint_strs, float_str
 from .words import Word
 
 
@@ -340,8 +340,7 @@ class LcsRow:
             "word": str(self.word),
             "length": len(self.word),
             "trace": rep.trace_json(self.trace, self.mu),
-            "log_lambda": [decimal_str(self.log_dilatation.lo),
-                           decimal_str(self.log_dilatation.hi)],
+            "log_lambda": endpoint_strs(self.log_dilatation),
         }
 
 

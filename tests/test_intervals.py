@@ -3,6 +3,7 @@ oracle: mpmath is a test dependency only and shares no code with the
 integer fixed-point enclosures in multitwist.intervals."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -252,7 +253,69 @@ def test_relative_width_test_matches_fractions(lo):
         iv = Interval(intervals.dyadic(lo, 70), intervals.dyadic(lo + width, 70))
         for bits in range(0, 142):
             within = iv.relative_width() <= Fraction(1, 2 ** bits)
-            assert rep._relative_width_within(iv, bits) == within, (iv, bits)
+            assert (intervals.relative_width_within(iv, bits)
+                    == within), (iv, bits)
+
+
+def _signed_dyadic(k: int, e: int) -> Fraction:
+    return intervals.dyadic(k, e) if k >= 0 else -intervals.dyadic(-k, e)
+
+
+def _random_intervals(rng: random.Random, e: int):
+    """Intervals over 2^e: negative, zero and equal endpoints, numerators
+    of both parities, lowest terms over 2^j for j = 0, 1, 4 and e, and
+    numerator gaps on both sides of the limit of endpoint_strs's
+    one-conversion path."""
+    limit = 1 << intervals._SHARED_GAP_BITS
+    for gap in (0, 1, 2, 3, limit - 1, limit, limit + 1,
+                rng.getrandbits(40), rng.getrandbits(e + 2)):
+        for k in (rng.getrandbits(e + 2), -rng.getrandbits(e + 2), -gap,
+                  -(gap // 2), 0, rng.getrandbits(e) << 1, 1 << e,
+                  3 << max(e - 1, 0), -(5 << max(e - 4, 0))):
+            yield Interval(_signed_dyadic(k, e), _signed_dyadic(k + gap, e))
+
+
+@pytest.mark.parametrize("e", (0, 1, 2, 63, 64, 100, 639, 640, 641, 1024,
+                               4096, 12296, 14500))
+def test_endpoint_strs_match_decimal_str(e):
+    rng = random.Random(e)
+    for iv in _random_intervals(rng, e):
+        assert intervals.endpoint_strs(iv) == [
+            intervals.decimal_str(iv.lo), intervals.decimal_str(iv.hi)], iv
+
+
+def test_endpoint_strs_past_the_str_digit_limit():
+    # 2^65600 has 19,748 digits, past str()'s default 4300
+    rng = random.Random(65600)
+    k = rng.getrandbits(65602) | 1
+    for lo, hi in ((k, k + 1), (k - 1, k + 2), (-k, 5 - k), (k, k)):
+        iv = Interval(_signed_dyadic(lo, 65600), _signed_dyadic(hi, 65600))
+        assert intervals.endpoint_strs(iv) == [
+            intervals.decimal_str(iv.lo), intervals.decimal_str(iv.hi)]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (Fraction(1, 3), Fraction(1, 2)),
+    (Fraction(-7, 5), Fraction(22, 7)),
+    (Fraction(3, 2 ** 900), Fraction(2 ** 901 + 1, 3 * 2 ** 900)),
+    (Fraction(2 ** 1000 + 1, 3 ** 700), Fraction(2 ** 1000 + 2, 3 ** 700)),
+    (Fraction(1, 2 ** 2000), Fraction(5, 3 * 2 ** 2000)),
+    (Fraction(-5), Fraction(10 ** 400, 3))])
+def test_endpoint_strs_of_non_dyadic_fractions(lo, hi):
+    assert intervals.endpoint_strs(Interval(lo, hi)) == [
+        intervals.decimal_str(lo), intervals.decimal_str(hi)]
+
+
+@pytest.mark.parametrize("bits", (1024, 12288))
+def test_certified_intervals_print_from_one_conversion(bits, monkeypatch):
+    report = rep.dilatation(Word("ab"), 64, precision_bits=bits)
+    expected = report.to_json_dict()
+
+    def refuse(_x):
+        raise AssertionError("printed endpoint by endpoint")
+
+    monkeypatch.setattr(intervals, "decimal_str", refuse)
+    assert report.to_json_dict() == expected
 
 
 def test_dilatation_refuses_a_wide_log(monkeypatch):
