@@ -22,9 +22,9 @@ MAX_FAMILY_GENUS = 1024
 # the largest johnson-tau genus; dense classes then expand into up to
 # C(128, 3) = 341,376 triples
 MAX_JOHNSON_GENUS = 64
-# the largest --precision-bits; the certificate takes about 0.26 s there,
-# ln 2 included, and its cost grows faster than quadratically in the bit
-# count
+# the largest --precision-bits; the certificate takes about 0.25 s there,
+# ln 2 included, printing it 15 ms, and dilatation --word ab --mu 64 0.34 s
+# as a subprocess; the cost grows faster than quadratically in the bit count
 MAX_PRECISION_BITS = 65536
 # the largest size in bits of a trace that lcs-table or dilatation forms:
 # lcs-table --max-k 18 --mu 64 takes about 2.5 s, most of it in the isqrt of
