@@ -82,6 +82,11 @@ ARGVS = [
     ["tau-cc", "--genus", "2", "--log-lambda", "1"],
     ["tau-cc", "--genus", "5", "--log-lambda", "0"],
     ["tau-cc", "--genus", "5", "--log-lambda", "1e5"],
+    ["tau-cc", "--genus", "1000000"],
+    ["tau-cc", "--genus", "64", "--log-lambda", "6931/10000"],
+    ["tau-cc", "--genus", "3", "--log-lambda", "1/3"],
+    ["bounds", "--group", "brunnian", "--p", "97"],
+    ["bounds", "--group", "congruence", "--r", "1000"],
     ["verify-paper"],
     ["verify-paper", "--format", "json"],
 ]
