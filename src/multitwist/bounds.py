@@ -1,6 +1,7 @@
 """Closed-form dilatation and translation-length bounds.
 
-Every evaluator returns a certified interval, never a bare float; the
+Every evaluator returns a certified interval, never a bare float, and
+writes its endpoints from the monotonicity and sign of its formula; the
 underlying inequalities are strict, so enclosures are the honest output.
 Where a bound is the least of two cases, the binding case is proved in
 its docstring, and only that case is computed.
@@ -82,12 +83,11 @@ def torelli_cubic_root(precision_bits: int = _BITS) -> Interval:
     if precision_bits < 1:
         raise ValueError("precision_bits must be >= 1")
     bits = precision_bits + 8
-    # Cardano: -2/3 + (cbrt(82 - 9*sqrt(83)) + cbrt(82 + 9*sqrt(83)))/3
-    root83 = intervals.sqrt_fraction(83, 4 * bits)
-    third = Fraction(1, 3)
-    return (Interval.point(Fraction(-2, 3))
-            + intervals.cbrt(82 - 9 * root83, bits) * third
-            + intervals.cbrt(82 + 9 * root83, bits) * third)
+    # (cbrt(82 - 9*sqrt(83)) + cbrt(82 + 9*sqrt(83)) - 2)/3; cbrt increases
+    sqrt83 = intervals.sqrt_fraction(83, 4 * bits)
+    c1 = intervals.cbrt(Interval(82 - 9 * sqrt83.hi, 82 - 9 * sqrt83.lo), bits)
+    c2 = intervals.cbrt(Interval(82 + 9 * sqrt83.lo, 82 + 9 * sqrt83.hi), bits)
+    return Interval((c1.lo + c2.lo - 2) / 3, (c1.hi + c2.hi - 2) / 3)
 
 
 def torelli_lower() -> BoundResult:
@@ -164,16 +164,18 @@ def tau_cc_upper(g: int, log_lambda: Interval) -> BoundResult:
             f"hypothesis lambda <= g - 1/2 = {shown} not certified: "
             f"log(lambda) upper endpoint {_six_places(log_lambda.hi)} exceeds "
             f"certified log({shown}) >= {_six_places(log_threshold.lo)}")
-    value = 4 * log_lambda / log_threshold
+    # both logs are positive, so the quotient runs from lo/hi to hi/lo
+    value = Interval(4 * log_lambda.lo / log_threshold.hi,
+                     4 * log_lambda.hi / log_threshold.lo)
     return BoundResult(value, UPPER_TAU_C,
                        f"valid for pseudo-Anosov f on genus {g} with "
                        f"dilatation at most g - 1/2")
 
 
 def _log_hk() -> Interval:
-    """log(2 + sqrt(3)), of tau_cc_infs_upper and hk_upper."""
+    """log(2 + sqrt(3)); adding 2 keeps root3's endpoints in order."""
     root3 = intervals.sqrt_fraction(3, 2 * _BITS)
-    return intervals.log(2 + root3, _BITS)
+    return intervals.log(Interval(2 + root3.lo, 2 + root3.hi), _BITS)
 
 
 def tau_cc_infs_upper(g: int) -> BoundResult:
@@ -181,9 +183,11 @@ def tau_cc_infs_upper(g: int) -> BoundResult:
     if g < 3:
         raise ValueError("asymptotic curve-complex bound requires g >= 3; "
                          f"genus {g} is out of scope")
-    numerator = 4 * _log_hk()
-    denominator = g * _log_rational(Fraction(2 * g - 1, 2))
-    return BoundResult(numerator / denominator, UPPER_TAU_C,
+    log_hk, log_g = _log_hk(), _log_rational(Fraction(2 * g - 1, 2))
+    # both logs are positive, as g - 1/2 >= 5/2
+    value = Interval(4 * log_hk.lo / (g * log_g.hi),
+                     4 * log_hk.hi / (g * log_g.lo))
+    return BoundResult(value, UPPER_TAU_C,
                        f"upper bound on the minimal curve-complex translation "
                        f"length at genus {g}")
 

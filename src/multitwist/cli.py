@@ -366,7 +366,7 @@ def run(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    # ArithmeticError covers ZeroDivisionError and intervals.PrecisionError
+    # ArithmeticError covers intervals.PrecisionError and OverflowError
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,10 @@
-"""Rational interval arithmetic with certified sqrt, cbrt, and log.
+"""Closed intervals with exact endpoints, and certified sqrt, cbrt and log.
 
-Endpoints are exact Fractions.  Ring operations are exact; the radical
-and transcendental functions return enclosures whose width is controlled
-by a bit count, computed in integer fixed point with the standard library
+An Interval is a validated pair of Fraction endpoints with no arithmetic
+of its own: each caller writes the endpoints of its formula from the
+formula's monotonicity and sign.  The radical and transcendental
+functions return enclosures whose width is controlled by a bit count,
+computed in integer fixed point with the standard library
 alone.  sqrt_fraction of an int and cbrt take integer roots with an exact
 check of the last digit.  log reduces its argument by a few square roots,
 about bits^(1/3) / 3 of them (Brent, "Fast multiple-precision evaluation
@@ -96,32 +98,6 @@ class Interval:
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def __add__(self, other):
-        other = _coerce(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        products = [self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi]
-        return Interval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("division by interval containing 0")
-        return self * Interval(1 / other.hi, 1 / other.lo)
-
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
 
@@ -198,12 +174,6 @@ def _lowest_terms_str(num: Decimal, den: Decimal, e: int, j: int) -> str:
         num = _EXACT.divide_int(num, cut)
         den = _EXACT.divide_int(den, cut)
     return f"{num}/{den}" if j else str(num)
-
-
-def _coerce(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return Interval.point(x)
 
 
 def sqrt_fraction(n: int, bits: int) -> Interval:

@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction
+from math import log
 
+import mpmath
 import pytest
 
 from multitwist import bounds, intervals, verify
@@ -64,7 +67,8 @@ def test_torelli_lower():
     assert r.value.lo > Fraction("0.197")
     assert r.direction == bounds.LOWER_LOG_DILATATION
     # case 1 alone is log sqrt(2)
-    case1 = bounds._log_rational(2) * Fraction(1, 2)
+    log2 = bounds._log_rational(2)
+    case1 = Interval(log2.lo / 2, log2.hi / 2)
     assert _within(case1, "0.346573", "0.346574")
     assert r.value.hi < case1.lo
     # at level 3 case 1 is surgery(3, 2) = log(3/2)/2, still above log r
@@ -118,7 +122,8 @@ def test_tau_cc_upper_examples():
 
 def test_tau_cc_upper_matches_infs_at_g3():
     root3 = intervals.sqrt_fraction(3, 128)
-    log_lambda = intervals.log(2 + root3, 64) * Fraction(1, 3)
+    log_hk = intervals.log(Interval(2 + root3.lo, 2 + root3.hi), 64)
+    log_lambda = Interval(log_hk.lo / 3, log_hk.hi / 3)
     direct = bounds.tau_cc_upper(3, log_lambda)
     infs = bounds.tau_cc_infs_upper(3)
     assert direct.value.overlaps(infs.value)
@@ -135,10 +140,13 @@ def test_tau_cc_infs_examples():
 def test_tau_cc_infs_relation():
     # value * g * log(g - 1/2) = 4 * log(2 + sqrt 3)
     root3 = intervals.sqrt_fraction(3, 128)
-    rhs = 4 * intervals.log(2 + root3, 64)
+    log_hk = intervals.log(Interval(2 + root3.lo, 2 + root3.hi), 64)
+    rhs = Interval(4 * log_hk.lo, 4 * log_hk.hi)
     for g in range(3, 51):
-        lhs = (bounds.tau_cc_infs_upper(g).value * g
-               * bounds._log_rational(Fraction(2 * g - 1, 2)))
+        value = bounds.tau_cc_infs_upper(g).value
+        log_g = bounds._log_rational(Fraction(2 * g - 1, 2))
+        # every factor is positive
+        lhs = Interval(value.lo * g * log_g.lo, value.hi * g * log_g.hi)
         assert lhs.overlaps(rhs), g
 
 
@@ -154,9 +162,64 @@ def test_hk_upper():
     assert _within(bounds.hk_upper(2).value, "0.658478", "0.658479")
     two = bounds.hk_upper(2).value
     four = bounds.hk_upper(4).value
-    assert (two * Fraction(1, 2)).overlaps(four)
+    assert Interval(two.lo / 2, two.hi / 2).overlaps(four)
     with pytest.raises(ValueError):
         bounds.hk_upper(1)
+
+
+# mpmath oracles for the closed forms: each certified interval contains
+# mpmath's value at twice the precision plus 64 bits, so an endpoint taken
+# from the wrong side of its formula, off by about 2^-bits, is caught
+
+def _fraction(v):
+    man, exp = v.man_exp
+    return (-1 if v < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def _contains(iv, bits, fn):
+    with mpmath.workprec(2 * bits + 64):
+        v = _fraction(fn())
+    return iv.lo <= v <= iv.hi
+
+
+def _mp_log_hk():
+    return mpmath.log(2 + mpmath.sqrt(3))
+
+
+def _mp_log_threshold(g):
+    return mpmath.log(mpmath.mpf(2 * g - 1) / 2)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 60, 64, 200])
+def test_cubic_root_contains_mpmath(bits):
+    root = bounds.torelli_cubic_root(bits)
+    assert _contains(root, bits, lambda: mpmath.findroot(
+        lambda x: x ** 3 + 2 * x ** 2 + x - 6, mpmath.mpf(1.2)))
+
+
+def test_tau_cc_upper_contains_mpmath():
+    rng = random.Random(30)
+    for _ in range(200):
+        g = rng.choice([rng.randrange(2, 100), rng.randrange(2, 10 ** 6 + 1)])
+        q = rng.randrange(10, 10 ** 6)
+        # a rational in (0, log(g - 1/2)), clear of the threshold
+        ll = Fraction(rng.randrange(1, int(q * log(g - 0.5) * 0.999)), q)
+        value = bounds.tau_cc_upper(g, Interval.point(ll)).value
+        assert _contains(value, bounds._BITS, lambda: 4 * mpmath.mpf(
+            ll.numerator) / ll.denominator / _mp_log_threshold(g)), (g, ll)
+
+
+def test_tau_cc_infs_upper_contains_mpmath():
+    for g in range(3, 301):
+        value = bounds.tau_cc_infs_upper(g).value
+        assert _contains(value, bounds._BITS, lambda: 4 * _mp_log_hk()
+                         / (g * _mp_log_threshold(g))), g
+
+
+def test_hk_upper_contains_mpmath():
+    for g in range(2, 301):
+        value = bounds.hk_upper(g).value
+        assert _contains(value, bounds._BITS, lambda: _mp_log_hk() / g), g
 
 
 def test_bound_ordering():
@@ -189,8 +252,6 @@ def test_interval_endpoints_are_exact():
         Interval(Fraction(0), 0.5)
     with pytest.raises(TypeError):
         Interval.point(0.5)
-    with pytest.raises(TypeError):
-        Interval(1, 2) * 0.5
 
 
 @pytest.mark.parametrize("x", [0, 7, -62, 10 ** 40, Fraction(-3, 7),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from multitwist import rep
-from multitwist.intervals import Interval
 from multitwist.words import Word
 
 from free_words import cyclically_reduced_strings
@@ -147,9 +146,15 @@ def test_power_law():
         assert iv.lo - slack <= n * mid <= iv.hi + slack
 
 
-def test_lambda_times_inverse_is_one():
-    for s in ("ab", "aab", "abAB", "aB"):
-        r = rep.dilatation(Word(s), 64)
-        lam = r.dilatation_interval
-        product = lam * (Interval.point(1) / lam)
-        assert product.lo <= 1 <= product.hi
+def test_lambda_plus_inverse_is_trace():
+    # lambda + 1/lambda = |t|, and x + 1/x increases for x > 1
+    for mu in (5, 16, 64):
+        for length in range(1, 7):
+            for s in cyclically_reduced_strings(length):
+                for bits in (60, 1024):
+                    r = rep.dilatation(Word(s), mu, bits)
+                    if r.isometry_class != rep.HYPERBOLIC:
+                        continue
+                    lam, t = r.dilatation_interval, abs(r.trace)
+                    assert lam.lo > 1
+                    assert lam.lo + 1 / lam.lo <= t <= lam.hi + 1 / lam.hi, s
