@@ -39,6 +39,7 @@ ARGVS = [
     ["dilatation", "--word", "ab", "--mu", "64", "--precision-bits", "12288"],
     ["dilatation", "--word", "abAB" * 32, "--mu", "5", "--precision-bits",
      "4096"],
+    ["dilatation", "--word", "ab", "--mu", "64", "--precision-bits", "65536"],
     ["family", "--genus", "3", "--kind", "torelli"],
     ["family", "--genus", "4", "--kind", "braid", "--format", "csv"],
     ["family", "--genus", "2", "--kind", "torelli", "--format", "csv"],
@@ -67,6 +68,7 @@ ARGVS = [
     ["lcs-table", "--max-k", "19", "--mu", "64"],
     ["lcs-table", "--max-k", "12", "--mu", "5", "--format", "json"],
     ["lcs-table", "--max-k", "9", "--mu", "64"],
+    ["lcs-table", "--max-k", "16", "--mu", "64"],
     ["johnson-tau", "--genus", "3", "--pairs", "x2,y2", "--a", "x1"],
     ["johnson-tau", "--genus", "4", "--pairs", "x2,y2;x3,y3", "--a", "y1"],
     ["johnson-tau", "--genus", "3", "--pairs", "x2+x3,y2;x3,y3-y2",
