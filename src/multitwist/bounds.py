@@ -3,8 +3,10 @@
 Every evaluator returns a certified interval, never a bare float, and
 writes its endpoints from the monotonicity and sign of its formula; the
 underlying inequalities are strict, so enclosures are the honest output.
-Where a bound is the least of two cases, the binding case is proved in
-its docstring, and only that case is computed.
+The two algebraic constants, the Torelli cubic's root and 2 + sqrt(3),
+come from intervals.root, whose bracket their docstrings prove.  Where a
+bound is the least of two cases, the binding case is proved in its
+docstring, and only that case is computed.
 """
 
 from __future__ import annotations
@@ -79,15 +81,13 @@ def punctured_surgery_lower(n: int) -> BoundResult:
 
 
 def torelli_cubic_root(precision_bits: int = _BITS) -> Interval:
-    """Unique real root of x^3 + 2x^2 + x - 6, by Cardano's formula."""
+    """The real root of f(x) = x^3 + 2x^2 + x - 6, to within
+    2^-(precision_bits + 2): f(1) = -2 < 0 < 12 = f(2), and on (1, 2)
+    f' = (3x + 1)(x + 1) > 0 and f'' = 6x + 4 > 0.  f(-1) = -6 is f's
+    local maximum, so the root is its only real one."""
     if precision_bits < 1:
         raise ValueError("precision_bits must be >= 1")
-    bits = precision_bits + 8
-    # (cbrt(82 - 9*sqrt(83)) + cbrt(82 + 9*sqrt(83)) - 2)/3; cbrt increases
-    sqrt83 = intervals.sqrt_fraction(83, 4 * bits)
-    c1 = intervals.cbrt(Interval(82 - 9 * sqrt83.hi, 82 - 9 * sqrt83.lo), bits)
-    c2 = intervals.cbrt(Interval(82 + 9 * sqrt83.lo, 82 + 9 * sqrt83.hi), bits)
-    return Interval((c1.lo + c2.lo - 2) / 3, (c1.hi + c2.hi - 2) / 3)
+    return intervals.root([1, 2, 1, -6], 1, precision_bits + 2)
 
 
 def torelli_lower() -> BoundResult:
@@ -173,9 +173,9 @@ def tau_cc_upper(g: int, log_lambda: Interval) -> BoundResult:
 
 
 def _log_hk() -> Interval:
-    """log(2 + sqrt(3)); adding 2 keeps root3's endpoints in order."""
-    root3 = intervals.sqrt_fraction(3, 2 * _BITS)
-    return intervals.log(Interval(2 + root3.lo, 2 + root3.hi), _BITS)
+    """log of 2 + sqrt(3), the root of f(x) = x^2 - 4x + 1 in (3, 4):
+    f(3) = -2 < 0 < 1 = f(4), and there f' = 2x - 4 > 0 and f'' = 2 > 0."""
+    return intervals.log(intervals.root([1, -4, 1], 3, 2 * _BITS), _BITS)
 
 
 def tau_cc_infs_upper(g: int) -> BoundResult:

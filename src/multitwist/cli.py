@@ -27,10 +27,10 @@ MAX_JOHNSON_GENUS = 64
 # as a subprocess; the cost grows faster than quadratically in the bit count
 MAX_PRECISION_BITS = 65536
 # the largest size in bits of a trace that lcs-table or dilatation forms:
-# lcs-table --max-k 18 --mu 64 takes about 2.5 s, most of it in the isqrt of
-# the certificate and the decimal digits of the trace; each further level,
-# or doubling of the bits of mu, costs 3-4 times as much; a dilatation word
-# at the bound takes 2.6-7 s (7 s at --mu 126 with 131,070 letters)
+# lcs-table --max-k 18 --mu 64 takes about 1.6 s, almost all of it in the
+# decimal digits of the trace; each further level, or doubling of the bits
+# of mu, costs 3-4 times as much; a dilatation word at the bound takes
+# 2.6-7 s (7 s at --mu 126 with 131,070 letters)
 MAX_TRACE_BITS = 2 ** 17 * 7
 # the largest search --max-len, bound by time alone (the README gives the
 # measured times): each further letter about triples the time, while the
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
     p.add_argument("--max-k", type=_bounded_int(), required=True,
                    help=f"2^(max_k - 1) * (bits of mu) at most "
-                        f"{MAX_TRACE_BITS} (about 2.5 s at --max-k 18 --mu 64)")
+                        f"{MAX_TRACE_BITS} (about 1.6 s at --max-k 18 --mu 64)")
     p.add_argument("--mu", type=_bounded_int(), required=True)
     output_format(p, "csv", "json")
     precision_bits(p)

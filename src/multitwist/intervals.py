@@ -1,30 +1,24 @@
-"""Closed intervals with exact endpoints, and certified sqrt, cbrt and log.
+"""Closed intervals with exact endpoints, certified roots of int
+polynomials, and certified log.
 
 An Interval is a validated pair of Fraction endpoints with no arithmetic
 of its own: each caller writes the endpoints of its formula from the
-formula's monotonicity and sign.  The radical and transcendental
-functions return enclosures whose width is controlled by a bit count,
-computed in integer fixed point with the standard library
-alone.  sqrt_fraction of an int and cbrt take integer roots with an exact
-check of the last digit.  log reduces its argument by a few square roots,
-about bits^(1/3) / 3 of them (Brent, "Fast multiple-precision evaluation
-of elementary functions", J. ACM 23, 1976), and sums the atanh series by
-rectangular splitting, which needs about twice the square root of the
-term count in products (Smith, "Efficient multiple-precision evaluation
-of elementary functions", Math. Comp. 52, 1989; Brent and Zimmermann,
-"Modern Computer Arithmetic", 2010, section 4.4.3).  The tail blocks of
-the series run at reduced precision: a block that is later scaled by 2^-c
-is summed to c bits fewer.  ln 2 is 2 atanh(1/3) summed by binary
-splitting.  Every rounding is counted in units of the last place, and the
-guard bits follow from those counts.  Endpoints that are k / 2^j are
-built in lowest terms without a gcd.
+formula's monotonicity and sign.  root takes every algebraic number of
+the package (each dilatation, 2 + sqrt(3), the Torelli cubic's root) to
+a grid 2^-bits by Newton's method and certifies it by an exact sign
+check in ints (Yap, "Fundamental Problems of Algorithmic Algebra",
+2000).  log, in integer fixed point, takes about bits^(1/3) / 3 square
+roots (Brent, J. ACM 23, 1976), then sums the atanh series by
+rectangular splitting (Smith, Math. Comp. 52, 1989; Brent and
+Zimmermann, "Modern Computer Arithmetic", 2010, 4.4.3), counting every
+rounding in ulps.
 
-This module owns that dyadic endpoint format: it scales such endpoints
-to a common 2^e, tests their relative width, and prints every interval
-with dyadic endpoints from one decimal conversion of the lower
-numerator.  Converting an int to Decimal costs time quadratic in its
-size (Brent and Zimmermann, section 1.7), while the upper numerator then
-costs an exact addition and both denominators one exact power of two.
+Endpoints k / 2^j are built in lowest terms without a gcd, scaled to a
+common 2^e to test a relative width, and each interval is printed from
+one decimal conversion of its lower numerator, as that conversion costs
+time quadratic in its size (Brent and Zimmermann, 1.7).  sqrt_fraction,
+sqrt and cbrt are stubs that raise, kept as patch targets of the
+benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -177,46 +171,63 @@ def _lowest_terms_str(num: Decimal, den: Decimal, e: int, j: int) -> str:
 
 
 def sqrt_fraction(n: int, bits: int) -> Interval:
-    """Enclosure of sqrt(n), an int n >= 0, of width 2^-bits or 0; the
-    name stays because the benchmark's tracer spans it."""
-    if n < 0:
-        raise ValueError("sqrt of negative value")
-    scaled = n << (2 * bits)
-    s = isqrt(scaled)
-    return Interval(dyadic(s, bits), dyadic(s + (s * s != scaled), bits))
+    raise NotImplementedError("a patch target of the benchmark's tracer")
 
 
 def sqrt(x: Interval, bits: int) -> Interval:
     raise NotImplementedError("a patch target of the benchmark's tracer")
 
 
-def _icbrt(n: int) -> int:
-    """floor(n^(1/3)) for an int n >= 0, by Newton's method from above."""
-    if n == 0:
-        return 0
-    x = 1 << -(-n.bit_length() // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
 def cbrt(x: Interval, bits: int) -> Interval:
-    """Enclosure of the cube root, x >= 0, of width at most
-    2^-bits + cbrt(x.hi) - cbrt(x.lo).  The cube of a multiple of
-    2^-(bits + 2) gives a point."""
-    if x.lo < 0:
-        raise ValueError("cbrt enclosure implemented for x >= 0 only")
-    # each endpoint is off by less than two units of 2^-b: one from
-    # rounding x to the grid 2^-3b, one from the integer cube root
-    b = bits + 2
-    lo = (x.lo.numerator << 3 * b) // x.lo.denominator
-    hi = -(-(x.hi.numerator << 3 * b) // x.hi.denominator)
-    root_hi = _icbrt(hi)
-    if root_hi ** 3 != hi:
-        root_hi += 1
-    return Interval(dyadic(_icbrt(lo), b), dyadic(root_hi, b))
+    raise NotImplementedError("a patch target of the benchmark's tracer")
+
+
+def _horner(coeffs: list[int], k: int, e: int) -> int:
+    """2^(n e) f(k / 2^e) for f of degree n, int coefficients leading first."""
+    acc = 0
+    for i, c in enumerate(coeffs):
+        acc = acc * k + (c << e * i)
+    return acc
+
+
+def _newton(coeffs: list[int], lo: int, bits: int) -> int:
+    """An int k with floor(root * 2^bits) <= k < root * 2^bits + 1: one
+    Newton step over 2^-bits from the estimate over 2^-p, p = bits // 2 + 1,
+    or from lo + 1 at bits <= 2 (Brent and Zimmermann 4.2).
+
+    A step x - f(x) / f'(x) from an error e leaves c e^2, c = f''(y) /
+    (2 f'(x)) for a y between x and the root: c >= 0 where f increases
+    and is convex, so the step lands at or right of the root.  Where also
+    c < 1, as near each caller's root (at most 0.55, the Torelli
+    cubic's), an error below 2^-p leaves less than 2^-(bits + 1), plus
+    2^-(bits + 1) from rounding to nearest.
+    """
+    p = bits // 2 + 1
+    k = (lo + 1) << bits if bits <= 2 else _newton(coeffs, lo, p) << bits - p
+    n = len(coeffs) - 1
+    d = _horner([c * (n - i) for i, c in enumerate(coeffs[:-1])], k, bits)
+    # 2^bits f(x) / f'(x) is _horner(f) / _horner(f'), rounded to nearest
+    return k - (2 * _horner(coeffs, k, bits) + d) // (2 * d)
+
+
+def root(coeffs: list[int], lo: int, bits: int) -> Interval:
+    """[k, k + 1] / 2^bits, or the point k / 2^bits, around the root in
+    (lo, lo + 1) of f, with int coefficients leading first, which must
+    increase and be convex there with f(lo) < 0 < f(lo + 1), as each
+    caller proves.  k is _newton's estimate with two guard bits, floored,
+    less at most one step; the certificate is the exact sign check
+    f(k / 2^bits) <= 0 < f((k + 1) / 2^bits), one Horner pass in ints
+    per endpoint, and a k that fails it raises ValueError."""
+    k = _newton(coeffs, lo, bits + 2) >> 2
+    low = _horner(coeffs, k, bits)
+    if low > 0:
+        k, low, high = k - 1, _horner(coeffs, k - 1, bits), low
+    else:
+        high = _horner(coeffs, k + 1, bits)
+    if not low <= 0 < high:
+        raise ValueError(f"no sign change at {k} / 2^{bits}: f is not "
+                         f"increasing and convex on ({lo}, {lo + 1})")
+    return Interval(dyadic(k, bits), dyadic(k + (low < 0), bits))
 
 
 @lru_cache(maxsize=16)
@@ -261,7 +272,7 @@ def _log_precision(bits: int, e: int) -> tuple[int, int, int]:
     # a third of a full one each; block about sqrt(n / 2) balances the
     # two.  Timed log kernels: blocks 12-22 within 2% of each other at
     # bits = 12296 (27, sqrt(n), 4% slower), 10-15 at 4104, 24-34 at 65544.
-    roots = min(_icbrt(bits) // 3 + 1, 128)
+    roots = next((r for r in range(1, 128) if 27 * r ** 3 > bits), 128)
     block = isqrt(bits // (4 * roots + 4)) + 1
     # _log_fixed's error count is (2 block + 10) 2^roots + 2 |e|, the 2
     # being _ln2's; each part is below 2^(guard - 1)

@@ -1,20 +1,14 @@
 """The representation <T_A, T_B> -> PSL2(R) from two filling multitwists.
 
 T_A maps to [[1, sqrt(mu)], [0, 1]] and T_B to [[1, 0], [-sqrt(mu), 1]],
-where mu is the Perron-Frobenius eigenvalue of N*N^t for the intersection
-matrix N of the two multicurves.  Hyperbolic images are pseudo-Anosov and
-the dilatation is the absolute value of the leading eigenvalue.
-
-Images are evaluated in the conjugate representation M -> D M D^-1 with
-D = diag(1, sqrt(mu)), where T_A -> [[1, 1], [0, 1]] and
-T_B -> [[1, 0], [-mu, 1]].  Conjugation keeps traces and the
-identity, so every word is evaluated, classified and certified with
-plain Python ints; the conjugate of a matrix (a, b, c, d) in the
-original representation is (a, b / sqrt(mu), c * sqrt(mu), d).
-
-The certificate's endpoints are k / 2^j in lowest terms; the intervals
-module owns that format, takes the square root of the int t^2 - 4, tests
-the widths and prints each interval from one decimal conversion.
+mu being the Perron-Frobenius eigenvalue of N*N^t for the intersection
+matrix N of the two multicurves.  Hyperbolic images are pseudo-Anosov,
+and the dilatation is the larger root of x^2 - |t| x + 1, t the trace.
+Words are evaluated in the conjugate representation by
+D = diag(1, sqrt(mu)), T_A -> [[1, 1], [0, 1]] and
+T_B -> [[1, 0], [-mu, 1]], which keeps traces and the identity, so each
+word is evaluated, classified and certified in plain ints, the
+dilatation by intervals.root's exact sign check.
 """
 
 from __future__ import annotations
@@ -117,22 +111,16 @@ class DilatationReport:
 
 
 def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, Interval]:
-    """lambda = (|t| + sqrt(t^2 - 4))/2 and log(lambda), both certified to
-    relative width 2^-precision_bits.
-
-    At bits = precision_bits + 8 the root has width at most 2^-(bits + 1),
-    so lambda has width at most 2^-(bits + 2), and log(lambda) at most
-    2^-bits + width(lambda) / lambda: one pass meets both widths.  Every
-    endpoint is k / 2^j in lowest terms.
-    """
+    """lambda, the root of f(x) = x^2 - |t| x + 1 in (|t| - 1, |t|), and
+    log(lambda), both to relative width 2^-precision_bits, for |t| > 2:
+    f(|t| - 1) = 2 - |t| < 0 < 1 = f(|t|), and there f' = 2x - |t| > 0
+    and f'' = 2 > 0.  On root's grid 2^-(bits + 2), with
+    bits = precision_bits + 8, lambda has width at most 2^-(bits + 2) and
+    log(lambda) at most 2^-bits + width(lambda) / lambda: one pass meets
+    both widths."""
     t = abs(trace)
     bits = precision_bits + 8
-    root = intervals.sqrt_fraction(t * t - 4, bits + 1)
-    # (t + root) / 2 as ints over 2^(bits + 2)
-    lo, hi = ((t << (bits + 1)) + intervals.dyadic_scaled(x, bits + 1)
-              for x in (root.lo, root.hi))
-    lam = Interval(intervals.dyadic(lo, bits + 2),
-                   intervals.dyadic(hi, bits + 2))
+    lam = intervals.root([1, -t, 1], t - 1, bits + 2)
     log_lam = intervals.log(lam, bits)
     if not (intervals.relative_width_within(lam, precision_bits)
             and intervals.relative_width_within(log_lam, precision_bits)):

@@ -68,7 +68,7 @@ def _bisect_cubic(precision_bits: int) -> Interval:
     int grid m / 2^e with e = precision_bits + 2: every midpoint lies on
     it, and x = m / 2^e has x^3 + 2x^2 + x - 6 < 0 exactly when
     ((m + 2^(e+1)) m + 4^e) m - 6 * 8^e < 0.  The oracle of
-    bounds.torelli_cubic_root, which uses Cardano's formula."""
+    bounds.torelli_cubic_root."""
     e = precision_bits + 2
     one = 1 << e
     lo, hi = one, 2 * one
@@ -85,7 +85,7 @@ def check_torelli_lower():
     # true root 1.21877658...; the bracket digits follow the bisection
     # oracle (the 5-digit rounding 1.21878 printed elsewhere is above it)
     root = bounds.torelli_cubic_root(precision_bits=60)
-    assert root.overlaps(_bisect_cubic(60)), "Cardano and bisection disagree"
+    assert root == _bisect_cubic(60), "Newton and bisection disagree"
     assert root.width <= Fraction(1, 10 ** 9)
     assert _within(root, "1.21877", "1.21878"), root.as_floats()
     # r^2 < 2 puts log r below case 1, log sqrt(2)
@@ -300,8 +300,8 @@ CHECKS = [
      check_braid_upper),
     ("pf-certificates", "PF eigenvalue exactly 64 (torelli) / 16 (braid), "
                         "g up to 64", check_pf_certificates),
-    ("torelli-lower", "cubic root 1.21877..., log > .197, Cardano agrees "
-                      "with bisection", check_torelli_lower),
+    ("torelli-lower", "cubic root 1.21877..., log > .197, Newton's bracket "
+                      "equals bisection's", check_torelli_lower),
     ("johnson-congruence", "log 2 = .693...; surgery(3,2) = .20273...; "
                            "level 3 > .197", check_johnson_congruence),
     ("brunnian", "brunnian = punctured surgery = log(p/4), p in 5..100",

@@ -9,6 +9,8 @@ from multitwist import bounds, intervals, verify
 from multitwist.bounds import HypothesisViolation
 from multitwist.intervals import Interval
 
+from test_root import sqrt_interval
+
 
 def _within(iv, lo, hi):
     return Fraction(lo) <= iv.lo and iv.hi <= Fraction(hi)
@@ -51,13 +53,10 @@ def test_cubic_root_defining_property():
     assert p_lo <= 0 <= p_hi
 
 
-def test_cardano_bisection_overlap():
-    # the Cardano enclosure lies inside the bisection oracle's at every
-    # precision, so it is also within 2^-(bits + 2) of the root
+def test_cubic_root_equals_bisection():
+    # Newton's bracket is the bisection oracle's at every precision
     for bits in range(1, 130):
-        root = bounds.torelli_cubic_root(bits)
-        oracle = verify._bisect_cubic(bits)
-        assert oracle.lo <= root.lo and root.hi <= oracle.hi, bits
+        assert bounds.torelli_cubic_root(bits) == verify._bisect_cubic(bits), bits
 
 
 def test_torelli_lower():
@@ -121,7 +120,7 @@ def test_tau_cc_upper_examples():
 
 
 def test_tau_cc_upper_matches_infs_at_g3():
-    root3 = intervals.sqrt_fraction(3, 128)
+    root3 = sqrt_interval(3, 128)
     log_hk = intervals.log(Interval(2 + root3.lo, 2 + root3.hi), 64)
     log_lambda = Interval(log_hk.lo / 3, log_hk.hi / 3)
     direct = bounds.tau_cc_upper(3, log_lambda)
@@ -139,7 +138,7 @@ def test_tau_cc_infs_examples():
 
 def test_tau_cc_infs_relation():
     # value * g * log(g - 1/2) = 4 * log(2 + sqrt 3)
-    root3 = intervals.sqrt_fraction(3, 128)
+    root3 = sqrt_interval(3, 128)
     log_hk = intervals.log(Interval(2 + root3.lo, 2 + root3.hi), 64)
     rhs = Interval(4 * log_hk.lo, 4 * log_hk.hi)
     for g in range(3, 51):

@@ -491,13 +491,14 @@ def test_dilatation_text_beyond_float_range(capsys):
     assert head.startswith(f"word {word}: hyperbolic, |trace| = ")
     lam_lo, lam_hi = (Fraction(x) for x in lam.split("]")[0].split(", "))
     log_lo, log_hi = (float(x) for x in log_lam.split("]")[0].split(", "))
-    mpmath.mp.prec = 80
-    t = mpmath.mpf(62)
-    exact = ((t + mpmath.sqrt(t * t - 4)) / 2) ** 200
-    for x in (lam_lo, lam_hi):
-        assert abs(mpmath.mpf(x.numerator) / x.denominator / exact - 1) < 1e-15
-    assert log_lo == log_hi == pytest.approx(float(mpmath.log(exact)),
-                                             rel=1e-15)
+    with mpmath.workprec(80):
+        t = mpmath.mpf(62)
+        exact = ((t + mpmath.sqrt(t * t - 4)) / 2) ** 200
+        for x in (lam_lo, lam_hi):
+            assert abs(mpmath.mpf(x.numerator) / x.denominator / exact
+                       - 1) < 1e-15
+        assert log_lo == log_hi == pytest.approx(float(mpmath.log(exact)),
+                                                 rel=1e-15)
 
 
 def test_tau_cc_hypothesis_message_beyond_float_range(capsys):

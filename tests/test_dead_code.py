@@ -2,6 +2,7 @@
 there: code that only tests reach is deleted, not kept for them."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -11,11 +12,14 @@ SOURCES = sorted([*ROOT.glob("src/multitwist/*.py"),
 
 # deleted with the benchmark change (ROADMAP item 2): perfbench/tracing.py
 # patches these, so they stay until the tracer stops naming them.  The
-# quadratic module, intervals.sqrt and bounds.m_of_k are already stubs
-# that raise; the tests check the enumerator through enumerate_classes
+# quadratic module, intervals.sqrt, sqrt_fraction and cbrt and
+# bounds.m_of_k are already stubs that raise; the tests check the
+# enumerator through enumerate_classes
 PINNED_MODULES = {"quadratic"}
 PINNED = {("bounds", "m_of_k"), ("intervals", "sqrt"),
+          ("intervals", "sqrt_fraction"), ("intervals", "cbrt"),
           ("search", "enumerate_classes")}
+TRACER = ROOT / "perfbench" / "tracing.py"
 
 
 def _used_names(tree) -> Counter:
@@ -45,3 +49,11 @@ def _unreferenced():
 def test_every_definition_is_referenced():
     # a pinned name that gains a caller or is deleted leaves PINNED too
     assert set(_unreferenced()) == PINNED
+
+
+def test_every_pin_is_named_by_the_tracer():
+    # a name the tracer no longer patches is deleted, not kept pinned
+    tracer = TRACER.read_text()
+    names = PINNED_MODULES | {name for _, name in PINNED}
+    assert {name for name in names
+            if not re.search(rf"\b{name}\b", tracer)} == set()

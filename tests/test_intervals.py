@@ -1,13 +1,13 @@
-"""Certified log and cube root, checked against mpmath as an independent
-oracle: mpmath is a test dependency only and shares no code with the
-integer fixed-point enclosures in multitwist.intervals."""
+"""Certified log, checked against mpmath as an independent oracle: mpmath
+is a test dependency only and shares no code with the integer fixed-point
+enclosures in multitwist.intervals.  Dyadic endpoints and their printing
+are checked against Fraction and decimal_str."""
 
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
 from pathlib import Path
 
 import mpmath
@@ -33,8 +33,7 @@ def _mp_encloses(iv: Interval, fn, lo: Fraction, hi: Fraction,
                  bits: int) -> bool:
     """iv contains mpmath's fn(lo) and fn(hi) to within 2^-(2 bits + 64),
     twice the precision and a margin.  mpmath works 256 bits beyond that
-    and the magnitude of the argument, because its high-precision cbrt
-    can be off by 2^211 units in its last place."""
+    and the magnitude of the argument."""
     prec = (2 * bits + 320
             + abs(lo.numerator.bit_length() - lo.denominator.bit_length()))
     with mpmath.workprec(prec):
@@ -80,6 +79,16 @@ def test_log_encloses_mpmath_within_width(bits):
         _check_log(Interval(lo, hi), bits)
 
     check()
+
+
+def test_log_root_count_is_a_third_of_the_cube_root():
+    # floor(bits^(1/3)) // 3 + 1 roots, capped at 128, for every bit
+    # count that log meets
+    c = 1
+    for bits in range(1, 65536 + 300):
+        while (c + 1) ** 3 <= bits:
+            c += 1
+        assert intervals._log_precision(bits, 0)[1] == min(c // 3 + 1, 128)
 
 
 SWEEP_BITS = range(1, 301)
@@ -188,26 +197,6 @@ def test_endpoints_are_dyadic_in_lowest_terms(bits):
         _assert_lowest_dyadic(intervals.log(x, bits))
 
 
-@pytest.mark.parametrize("bits", (0, 1, 64, 1024))
-def test_sqrt_fraction_of_an_int(bits):
-    """For every n up to 10^4 and random n up to 2^20000, the endpoints
-    are s / 2^bits and (s + 1) / 2^bits in lowest terms with
-    s^2 <= n 4^bits < (s + 1)^2, or the point s / 2^bits if n is a
-    square."""
-    rng = random.Random(bits)
-    for n in [*range(10 ** 4 + 1),
-              *(rng.getrandbits(rng.randrange(1, 20001)) for _ in range(100))]:
-        iv = intervals.sqrt_fraction(n, bits)
-        _assert_lowest_dyadic(iv)
-        s, top = (x * 2 ** bits for x in (iv.lo, iv.hi))
-        assert s.denominator == top.denominator == 1, (n, iv)
-        scaled = n << (2 * bits)
-        assert s * s <= scaled < (s + 1) ** 2, (n, iv)
-        assert top - s == (isqrt(n) ** 2 != n), (n, iv)
-    with pytest.raises(ValueError):
-        intervals.sqrt_fraction(-1, 64)
-
-
 @pytest.mark.parametrize("w", (1, 7, 64, 1088, 12416, 16448))
 def test_ln2_bracket_against_mpmath(w):
     # one call through the cache, one computed afresh
@@ -228,32 +217,9 @@ def test_hyperbolic_dilatation_meets_width_over_sweep(trace):
         assert log_lam.relative_width() <= Fraction(1, 2 ** bits)
 
 
-@pytest.mark.parametrize("bits", BITS)
-def test_cbrt_encloses_mpmath_within_width(bits):
-    @settings(max_examples=EXAMPLES[bits], deadline=None)
-    @given(st.one_of(st.just(Fraction(0)), positive))
-    def check(x):
-        iv = intervals.cbrt(Interval.point(x), bits)
-        assert _mp_encloses(iv, mpmath.cbrt, x, x, bits)
-        assert iv.lo ** 3 <= x <= iv.hi ** 3
-        assert iv.width <= Fraction(1, 2 ** bits)
-
-    check()
-
-
-@pytest.mark.parametrize("x, root", [(Fraction(27, 8), Fraction(3, 2)),
-                                     (Fraction(2 ** 300), Fraction(2 ** 100)),
-                                     (Fraction(0), Fraction(0))])
-@pytest.mark.parametrize("bits", BITS)
-def test_cbrt_of_exact_cube_is_a_point(x, root, bits):
-    assert intervals.cbrt(Interval.point(x), bits) == Interval.point(root)
-
-
 @pytest.mark.parametrize("fn, x", [(intervals.log, Interval(0, 1)),
                                    (intervals.log, Interval(-2, -1)),
-                                   (intervals.log, Interval(-1, 1)),
-                                   (intervals.cbrt, Interval(-1, 1)),
-                                   (intervals.cbrt, Interval(-2, -1))])
+                                   (intervals.log, Interval(-1, 1))])
 def test_out_of_domain_raises_value_error(fn, x):
     with pytest.raises(ValueError):
         fn(x, 64)
