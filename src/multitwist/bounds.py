@@ -23,7 +23,7 @@ UPPER_TAU_C = "upper_bound_on_tau_C"
 
 # relative width 10^-12 required of every BoundResult; 2^-48 ~ 3.6e-15
 _BITS = 64
-_REL_WIDTH = Fraction(1, 10 ** 12)
+_REL_WIDTH_INVERSE = 10 ** 12
 
 
 class HypothesisViolation(ValueError):
@@ -38,7 +38,12 @@ class BoundResult:
     binding_case: str = ""
 
     def __post_init__(self):
-        if self.value.relative_width() > _REL_WIDTH:
+        # width / max(1, |lo|, |hi|) > 10^-12 in ints, over the common
+        # denominator q of the endpoints; |lo|, |hi| <= max(-lo, hi)
+        lo, hi = self.value.lo, self.value.hi
+        q = lo.denominator * hi.denominator
+        a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        if (b - a) * _REL_WIDTH_INVERSE > max(q, -a, b):
             raise ValueError("bound interval too wide")
 
     def to_json_dict(self) -> dict:

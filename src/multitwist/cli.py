@@ -32,12 +32,14 @@ MAX_PRECISION_BITS = 65536
 # of mu, costs 3-4 times as much; a dilatation word at the bound takes
 # 2.6-7 s (7 s at --mu 126 with 131,070 letters)
 MAX_TRACE_BITS = 2 ** 17 * 7
-# the largest search --max-len, bound by time alone (the README gives the
-# measured times): each further letter about triples the time, while the
-# streamed search keeps the RSS flat
+# the largest search --max-len, bound by time alone at mu <= 4 (the README
+# gives the measured times): there each further letter about triples the
+# time, while the streamed search keeps the RSS flat; from mu 5 the search
+# enumerates nothing and takes start-up time at any length
 MAX_SEARCH_LENGTH = 17
-# the largest search --mu: the search slows as mu gains bits (9-16 s at
-# --max-len 12 with a 4300-digit mu, 0.1-0.2 s at mu 64)
+# the largest search --mu; it bounded the enumeration's time when every mu
+# enumerated (9-16 s at --max-len 12 with a 4300-digit mu), and from mu 5
+# bounds only the size of the one certificate
 MAX_SEARCH_MU = 2 ** 64 - 1
 
 
@@ -317,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
                    required=True,
-                   help=f"at most {MAX_SEARCH_LENGTH} (about 4.6 s at mu 64)")
+                   help=f"at most {MAX_SEARCH_LENGTH} (about 4.6 s at mu 3, "
+                        f"start-up time from mu 5)")
     p.add_argument("--mu", type=_bounded_int(high=MAX_SEARCH_MU),
                    required=True, help="at most 2^64 - 1")
     precision_bits(p)

@@ -85,10 +85,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def relative_width(self) -> Fraction:
-        scale = max(Fraction(1), abs(self.lo), abs(self.hi))
-        return self.width / scale
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -118,8 +114,8 @@ def dyadic_scaled(x: Fraction, e: int) -> int:
 
 
 def relative_width_within(iv: Interval, bits: int) -> bool:
-    """iv.relative_width() <= 2^-bits, by shifts and int comparisons, for
-    an interval with power-of-two denominators."""
+    """width / max(1, |lo|, |hi|) <= 2^-bits, by shifts and int
+    comparisons, for an interval with power-of-two denominators."""
     e = max(iv.lo.denominator, iv.hi.denominator).bit_length() - 1
     lo, hi = dyadic_scaled(iv.lo, e), dyadic_scaled(iv.hi, e)
     # width / max(1, |lo|, |hi|), all over 2^e; |lo|, |hi| <= max(-lo, hi)

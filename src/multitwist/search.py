@@ -19,10 +19,10 @@ operation and the search holds only its stack of at most
 3 * max_length open nodes.
 
 enumerate_classes keeps the candidates that no rotation of their inverse,
-swap or swapped inverse undercuts.  min_dilatation_search starts from
-|tr aB| = mu + 2 and runs that orbit test only on candidates whose
-|trace| ties the least so far: one below it is always the least word of
-its orbit.  It counts the classes it covers by Burnside's lemma
+swap or swapped inverse undercuts.  At mu <= 4, min_dilatation_search
+starts from |tr aB| = mu + 2 and runs that orbit test only on candidates
+whose |trace| ties the least so far: one below it is always the least
+word of its orbit.  It counts the classes it covers by Burnside's lemma
 (_class_count).  orbit_representative is the definitional canonical form
 that the tests check all of this against, on words they build themselves.
 
@@ -32,6 +32,41 @@ mu = 1-4 and F(mu) = mu - 2 from mu = 5.  Proof: T_B = [[1, 0], [-mu, 1]]
 is I mod mu, so every word is a power of T_A = [[1, 1], [0, 1]] mod mu,
 of trace 2.  A trace 2 + k mu with |2 + k mu| > 2 is at least mu + 2 or
 at most 2 - k mu with k mu > 4, and the least such |trace| is F(mu).
+
+From mu = 5 the least class is known too, so min_dilatation_search
+enumerates nothing there.  Syllable lemma: let mu >= 5 and
+w = a^p1 b^q1 ... a^pn b^qn with n >= 1 and every p_i, q_i != 0.  Then
+|tr w| >= |tr (ab)^n|, with equality only when every exponent is 1 or
+every exponent is -1 (cf. Lyndon and Ullman, Canad. J. Math. 21, 1969).
+Proof: in the original representation, with s = sqrt(mu) > 2,
+U(x) = [[1, x], [0, 1]] and J = [[0, -1], [1, 0]], T_A^p = U(ps) and
+T_B^q = J^-1 U(qs) J with J^-1 = -J.  So w maps to (-1)^n M(x_1) ...
+M(x_2n), where M(x) = U(x) J = [[x, -1], [1, 0]] and
+x = (p1 s, q1 s, ..., qn s), every |x_j| >= s.  Let r > 1 solve
+r + 1/r = s.  M(x) takes (u, v) to (xu - v, u), so applying the 2n
+factors to (u, v) one at a time, x_j the entry of the j-th factor
+applied, gives first coordinates K_j = x_j K_(j-1) - K_(j-2), from
+K_0 = u and K_-1 = v: a continuant (Graham, Knuth and Patashnik,
+Concrete Mathematics, 6.7).  If |v| <= |u| / r, then
+|xu - v| >= s|u| - |u| / r = r|u|: the cone |v| <= |u| / r is mapped into
+itself with its first coordinate stretched by r at least.  The product P
+of the 2n factors maps the cone's interval of slopes v / u, [-1/r, 1/r],
+into itself, so it fixes a slope there: P has an eigenvector in the cone
+whose eigenvalue has |lambda| >= r^2n, and
+|tr w| = |lambda| + 1/|lambda| >= r^2n + r^-2n.  The image of ab has
+eigenvalues -r^2 and -r^-2 (its trace is 2 - mu = -(r^2 + r^-2)), so
+|tr (ab)^n| = r^2n + r^-2n.  Equality forces |lambda| = r^2n, so for
+the eigenvector every step of the chain is tight: |x_j| = s,
+|K_(j-2)| = |K_(j-1)| / r > 0, and K_(j-2) has the sign of
+x_j K_(j-1).  Then K_j has the sign of K_(j-2), x_j that of
+K_(j-1) K_(j-2), and x_(j+1) that of K_j K_(j-1), the same: every
+exponent is 1, or every one is -1.
+Every cyclically reduced word with both letters is a rotation of such a
+w, and a power of a or of b alone has trace 2.  As r^2n + r^-2n grows
+with n, the least |trace| is mu - 2, taken at n = 1 by ab, ba, AB and BA
+only: the orbit of ab, alone, at every length.  At mu <= 4, s <= 2 and the cone
+argument fails (aB and aab tie at |trace| 6 at mu = 4), so the search
+enumerates there.
 
 lcs_table takes each word w(k) from words.nested_commutator and each
 trace from a closed form, and only row 1 can fail to be hyperbolic.
@@ -277,9 +312,9 @@ class SearchReport:
         }
 
 
-def min_dilatation_search(max_length: int, mu: int,
-                          precision_bits: int = 60) -> SearchReport:
-    """Exact minimum of |trace| over hyperbolic classes up to max_length.
+def _least_keys(max_length: int, mu: int) -> list[str]:
+    """Keys of the least words of the orbits of least |trace| > 2, up to
+    max_length >= 2, in increasing order, by enumeration.
 
     The candidates of _necklaces come with their traces, and only those
     that may be minima are tested against their orbits.  Every word of
@@ -297,15 +332,9 @@ def min_dilatation_search(max_length: int, mu: int,
     _least_in_orbit keeps it, as at a minimum of mu + 2 itself (mu = 1, 2
     and 4, and mu = 3 at max_length 2).  aB, key 03, is a candidate for
     every max_length >= 2 and the least word of its orbit, so the list is
-    never empty.  Words are built only for the minima.  classes_examined
-    is _class_count(max_length), the number of classes the search
-    covers, whether or not they were tested.
+    never empty, and as the candidates come in increasing key order, it
+    is sorted.
     """
-    if max_length < 2:
-        raise ValueError("max_length must be >= 2")
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
-
     best_abs = mu + 2
     minima: list[str] = []
     for key, lead, t in _necklaces(max_length, mu):
@@ -318,8 +347,25 @@ def min_dilatation_search(max_length: int, mu: int,
             best_abs, minima = t, [key]
         elif _least_in_orbit(key, lead):
             minima.append(key)
-    # the candidates come in increasing key order, so minima is already
-    # sorted and minima[0] is the least of them
+    return minima
+
+
+def min_dilatation_search(max_length: int, mu: int,
+                          precision_bits: int = 60) -> SearchReport:
+    """Exact minimum of |trace| over hyperbolic classes up to max_length.
+
+    From mu = 5 the syllable lemma of the module docstring gives the
+    answer, the class of ab, key 01, alone, at every max_length >= 2;
+    below, _least_keys enumerates.  Words are built only for the minima.
+    classes_examined is _class_count(max_length), the number of classes
+    the search covers, whether or not they were tested.
+    """
+    if max_length < 2:
+        raise ValueError("max_length must be >= 2")
+    if mu < 1:
+        raise ValueError("mu must be >= 1")
+
+    minima = ["01"] if mu >= 5 else _least_keys(max_length, mu)
     all_minima = tuple(Word(key.translate(_FROM_KEY)) for key in minima)
     report = rep.dilatation(all_minima[0], mu, precision_bits)
     return SearchReport(mu, max_length, _class_count(max_length), report,

@@ -138,7 +138,10 @@ def brute_force_min_abs_trace(max_length: int, mu: int):
     Independent of rep and search: a depth-first walk over the freely
     reduced words carries each prefix's product of the original generators
     [[1, r], [0, 1]] and [[1, 0], [-r, 1]], r = sqrt(mu), as a plain-int
-    matrix, so mu must be a perfect square.  Only the current minima are
+    matrix, so mu must be a perfect square.  The words of max_length are
+    leaves: their parent takes each one's trace from its own product and
+    the letter's image, builds the word only when it ties or beats the
+    least so far, and pushes none of them.  Only the current minima are
     kept.
     """
     r = isqrt(mu)
@@ -160,7 +163,20 @@ def brute_force_min_abs_trace(max_length: int, mu: int):
                 best, best_words = t, [s]
             elif t == best:
                 best_words.append(s)
-        if len(s) < max_length:
+        if len(s) + 1 == max_length:
+            first_inverse = s[0].swapcase()
+            for c in follow[s[-1]]:
+                e, f, g, h = images[c]
+                # the trace of the child's product, its word s + c
+                t = abs(p * e + q * g + u * f + v * h)
+                if t <= 2 or c == first_inverse or (best is not None
+                                                    and t > best):
+                    continue
+                if best is None or t < best:
+                    best, best_words = t, [s + c]
+                else:
+                    best_words.append(s + c)
+        elif len(s) < max_length:
             for c in follow[s[-1]]:
                 e, f, g, h = images[c]
                 stack.append((s + c, p * e + q * g, p * f + q * h,

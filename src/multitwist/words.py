@@ -8,7 +8,6 @@ is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 ALPHABET = "abAB"
 _LETTERS = frozenset(ALPHABET)
@@ -19,16 +18,28 @@ def _is_reduced(s: str) -> bool:
     return not ("aA" in s or "Aa" in s or "bB" in s or "Bb" in s)
 
 
-def _reduce_chars(chars: Iterable[str]) -> str:
+def _check_letters(s: str) -> None:
+    if not _LETTERS.issuperset(s):
+        bad = next(c for c in s if c not in _LETTERS)
+        raise ValueError(f"invalid letter {bad!r}")
+
+
+def _reduce_chars(s: str) -> str:
     stack: list[str] = []
-    for c in chars:
-        if c not in ALPHABET:
-            raise ValueError(f"invalid letter {c!r}")
+    for c in s:
         if stack and stack[-1] == c.swapcase():
             stack.pop()
         else:
             stack.append(c)
     return "".join(stack)
+
+
+def _trusted(s: str) -> "Word":
+    """Word(s) for letters already known to be valid and freely reduced,
+    built without __post_init__ checking them a second time."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", s)
+    return w
 
 
 @dataclass(frozen=True)
@@ -39,18 +50,15 @@ class Word:
 
     def __post_init__(self):
         s = self.letters
-        if not _LETTERS.issuperset(s):
-            bad = next(c for c in s if c not in _LETTERS)
-            raise ValueError(f"invalid letter {bad!r}")
+        _check_letters(s)
         if not _is_reduced(s):
             raise ValueError(f"word {s!r} is not freely reduced")
 
-    @classmethod
-    def parse(cls, s: str) -> "Word":
+    @staticmethod
+    def parse(s: str) -> "Word":
         """Parse the a/b/A/B encoding, freely reducing the input."""
-        if _is_reduced(s):
-            return cls(s)
-        return cls(_reduce_chars(s))
+        _check_letters(s)
+        return _trusted(s if _is_reduced(s) else _reduce_chars(s))
 
     def __str__(self):
         return self.letters
@@ -59,19 +67,23 @@ class Word:
         return len(self.letters)
 
     def inverse(self) -> "Word":
-        return Word(self.letters[::-1].swapcase())
+        return _trusted(self.letters[::-1].swapcase())
 
     def is_identity(self) -> bool:
         return not self.letters
 
     def swap_generators(self) -> "Word":
         """Exchange a<->b and A<->B."""
-        return Word(self.letters.translate(_SWAP))
+        return _trusted(self.letters.translate(_SWAP))
 
     def rotations(self) -> list["Word"]:
-        """All cyclic rotations; only meaningful for cyclically reduced words."""
+        """All cyclic rotations; only meaningful for cyclically reduced
+        words: of any other word of two or more letters, one rotation is
+        not freely reduced, and Word raises on it."""
         s = self.letters
-        return [Word(s[i:] + s[:i]) for i in range(max(len(s), 1))]
+        # every rotation of a cyclically reduced word is freely reduced
+        build = Word if s[:1] == s[-1:].swapcase() else _trusted
+        return [build(s[i:] + s[:i]) for i in range(max(len(s), 1))]
 
 
 def nested_commutator(k: int) -> Word:

@@ -270,3 +270,53 @@ def test_int_bisection_matches_fraction_bisection():
                 hi = mid
         iv = verify._bisect_cubic(bits)
         assert (iv.lo, iv.hi) == (lo, hi), bits
+
+
+def _too_wide(lo: Fraction, hi: Fraction) -> bool:
+    """The relative-width rule of BoundResult, in Fractions."""
+    return (hi - lo) / max(Fraction(1), abs(lo), abs(hi)) > Fraction(
+        1, 10 ** 12)
+
+
+def _bound_refused(lo: Fraction, hi: Fraction) -> bool:
+    try:
+        bounds.BoundResult(Interval(lo, hi), bounds.LOWER_LOG_DILATATION,
+                           "width test")
+    except ValueError:
+        return True
+    return False
+
+
+def test_bound_width_test_matches_fractions():
+    rng = random.Random(12)
+    rel = Fraction(1, 10 ** 12)
+    cases = []
+    for _ in range(300):
+        den = rng.choice((1, 3, 2 ** 64, 10 ** 15 + 7,
+                          rng.randint(1, 10 ** 30)))
+        ulp = Fraction(1, den * rng.choice((1, 10 ** 20, 2 ** 90)))
+        lo = Fraction(rng.randint(-10 ** 20, 10 ** 20), den)
+        # at the width limit, and one ulp on either side: a scale of 1
+        # (|endpoints| < 1, crossing 0 or not), of hi or of -lo
+        small = Fraction(rng.randint(-10 ** 12, 10 ** 12), 10 ** 13 + 1)
+        edges = [(small, small + rel)]
+        if lo > 0:
+            edges.append((lo, lo / (1 - rel)))
+        elif lo < 0:
+            edges.append((lo, lo * (1 - rel)))
+        for a, b in edges:
+            cases += [(a, b), (a, b - ulp), (a, b + ulp)]
+        # and arbitrary widths, crossing 0 or not
+        hi = lo + Fraction(rng.randint(0, 10 ** 12), den) * rng.choice(
+            (1, rel, rel * rel))
+        cases += [(lo, hi), (-hi, -lo), (lo / 10 ** 25, hi / 10 ** 25)]
+    verdicts = set()
+    for lo, hi in cases:
+        if lo <= hi:
+            assert _bound_refused(lo, hi) == _too_wide(lo, hi), (lo, hi)
+            verdicts.add(_too_wide(lo, hi))
+    assert verdicts == {True, False}
+    # exactly at the limit a bound is accepted
+    assert not _bound_refused(Fraction(-3, 10 ** 13), Fraction(7, 10 ** 13))
+    assert _bound_refused(Fraction(-3, 10 ** 13),
+                          Fraction(7, 10 ** 13) + Fraction(1, 10 ** 40))

@@ -395,3 +395,100 @@ def test_prefix_dfs_oracle_matches_product_order_brute_force():
                 _product_order_minima(max_length, mu), (mu, max_length)
     with pytest.raises(ValueError):
         verify.brute_force_min_abs_trace(4, 5)
+
+
+def _leaf_free_minima(max_length, mu):
+    """Oracle: the depth-first walk of verify.brute_force_min_abs_trace
+    without its leaf path, every word pushed and popped, then sorted by
+    length and in the letter order."""
+    r = math.isqrt(mu)
+    images = {"a": (1, r, 0, 1), "A": (1, -r, 0, 1),
+              "b": (1, 0, -r, 1), "B": (1, 0, r, 1)}
+    best, found = None, []
+    stack = [(c, *images[c]) for c in images]
+    while stack:
+        s, p, q, u, v = stack.pop()
+        t = abs(p + v)
+        if t > 2 and s[-1] != s[0].swapcase():
+            if best is None or t < best:
+                best, found = t, [s]
+            elif t == best:
+                found.append(s)
+        if len(s) < max_length:
+            for c in images:
+                if c != s[-1].swapcase():
+                    e, f, g, h = images[c]
+                    stack.append((s + c, p * e + q * g, p * f + q * h,
+                                  u * e + v * g, u * f + v * h))
+    order = str.maketrans("abAB", "0123")
+    return best, sorted(found, key=lambda w: (len(w), w.translate(order)))
+
+
+def test_oracle_leaf_path_matches_leaf_free_walk():
+    for mu in (1, 4, 9, 64):
+        for max_length in range(1, 9):
+            assert verify.brute_force_min_abs_trace(max_length, mu) == \
+                _leaf_free_minima(max_length, mu), (mu, max_length)
+
+
+def test_search_from_mu_five_enumerates_nothing(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the search enumerated")
+
+    monkeypatch.setattr(search, "_necklaces", refuse)
+    for mu in (5, 6, 7, 64, 2 ** 64 - 1):
+        for max_length in (2, 3, 17):
+            report = min_dilatation_search(max_length, mu)
+            assert report.all_minima == (Word("ab"),)
+            assert report.minimum.trace == 2 - mu
+            assert report.classes_examined == \
+                search._class_count(max_length)
+    with pytest.raises(AssertionError):
+        min_dilatation_search(8, 4)
+
+
+def test_search_at_mu_four_enumerates():
+    # below mu = 5 the lemma fails: aab and aB tie at |trace| 6
+    report = min_dilatation_search(8, 4)
+    assert abs(report.minimum.trace) == 6
+    assert [str(w) for w in report.all_minima] == ["aab", "aB"]
+
+
+def test_enumeration_agrees_with_the_syllable_lemma():
+    for mu in (5, 6, 7, 64):
+        for max_length in range(2, 13):
+            assert search._least_keys(max_length, mu) == ["01"], \
+                (mu, max_length)
+
+
+def test_syllable_lemma_exhaustive():
+    # a^p1 b^q1 ... a^pn b^qn from int products of the conjugate images
+    # a^p b^q = [[1, p], [0, 1]] [[1, 0], [-q mu, 1]], sharing no code with
+    # rep: |trace| >= |tr (ab)^n|, with equality only at all-1 and all-(-1)
+    for mu in (5, 6, 7, 64):
+        # |tr (ab)^n| = 2 T_n((mu - 2) / 2): V_0 = 2, V_1 = mu - 2 and
+        # V_n = (mu - 2) V_(n-1) - V_(n-2)
+        chebyshev = [2, mu - 2]
+        for n in range(2, 5):
+            chebyshev.append((mu - 2) * chebyshev[-1] - chebyshev[-2])
+        for n, top in ((1, 3), (2, 3), (3, 3), (4, 2)):
+            exponents = [e for e in range(-top, top + 1) if e]
+            pairs = {(p, q): (1 - p * q * mu, p, -q * mu, 1)
+                     for p in exponents for q in exponents}
+            prefixes = {(): (1, 0, 0, 1)}
+            for _ in range(n - 1):
+                prefixes = {
+                    k + pq: (a * e + b * g, a * f + b * h,
+                             c * e + d * g, c * f + d * h)
+                    for k, (a, b, c, d) in prefixes.items()
+                    for pq, (e, f, g, h) in pairs.items()}
+            least, at = None, []
+            for k, (a, b, c, d) in prefixes.items():
+                for pq, (e, f, g, h) in pairs.items():
+                    t = abs(a * e + b * g + c * f + d * h)
+                    if least is None or t < least:
+                        least, at = t, [k + pq]
+                    elif t == least:
+                        at.append(k + pq)
+            assert least == chebyshev[n], (mu, n)
+            assert sorted(at) == [(-1,) * 2 * n, (1,) * 2 * n], (mu, n)

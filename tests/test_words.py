@@ -128,3 +128,32 @@ def test_parse_matches_stack_reduction():
             assert str(info.value) == str(exc)
         else:
             assert Word.parse(text).letters == expected
+
+
+def test_unchecked_builds_equal_the_checked_constructor():
+    # parse, inverse, swap and the rotations of a cyclically reduced word
+    # build their Words without a second check; each must equal Word()
+    # applied to the stack reduction of the letters it stands for
+    invert = str.maketrans("abAB", "ABab")
+    swap = str.maketrans("abAB", "baBA")
+    for length in range(8):
+        for chars in itertools.product("abAB", repeat=length):
+            text = "".join(chars)
+            reduced = _stack_reduce(text)
+            w = Word.parse(text)
+            assert w == Word(reduced) and type(w.letters) is str
+            assert w.inverse() == Word(
+                _stack_reduce(reduced[::-1].translate(invert)))
+            assert w.swap_generators() == Word(
+                _stack_reduce(reduced.translate(swap)))
+            if reduced and reduced[0] == reduced[-1].translate(invert):
+                continue
+            assert w.rotations() == [
+                Word(_stack_reduce(reduced[i:] + reduced[:i]))
+                for i in range(max(len(reduced), 1))]
+
+
+def test_rotations_of_a_word_not_cyclically_reduced_raise():
+    with pytest.raises(ValueError) as info:
+        Word("abA").rotations()
+    assert str(info.value) == "word 'bAa' is not freely reduced"
