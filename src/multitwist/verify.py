@@ -138,11 +138,11 @@ def brute_force_min_abs_trace(max_length: int, mu: int):
     Independent of rep and search: a depth-first walk over the freely
     reduced words carries each prefix's product of the original generators
     [[1, r], [0, 1]] and [[1, 0], [-r, 1]], r = sqrt(mu), as a plain-int
-    matrix, so mu must be a perfect square.  The words of max_length are
-    leaves: their parent takes each one's trace from its own product and
-    the letter's image, builds the word only when it ties or beats the
-    least so far, and pushes none of them.  Only the current minima are
-    kept.
+    matrix, so mu must be a perfect square.  Each word is judged in its
+    parent, from the parent's product and the letter's image; the word is
+    built only when it ties or beats the least so far, and only a word
+    shorter than max_length is pushed.  A single letter has trace 2 and is
+    never a minimum.  Only the current minima are kept.
     """
     r = isqrt(mu)
     if r * r != mu:
@@ -152,35 +152,26 @@ def brute_force_min_abs_trace(max_length: int, mu: int):
     follow = {c: [d for d in images if d != c.swapcase()] for c in images}
     best = None
     best_words = []
-    stack = [(c, *images[c]) for c in images]
+    # every word on the stack is shorter than max_length
+    stack = [(c, *images[c]) for c in images] if max_length > 1 else []
     while stack:
         s, p, q, u, v = stack.pop()
-        t = abs(p + v)
-        # the last letter must not cancel the first; |trace| <= 2 is the
-        # identity, elliptic or parabolic
-        if t > 2 and s[-1] != s[0].swapcase():
-            if best is None or t < best:
-                best, best_words = t, [s]
-            elif t == best:
-                best_words.append(s)
-        if len(s) + 1 == max_length:
-            first_inverse = s[0].swapcase()
-            for c in follow[s[-1]]:
-                e, f, g, h = images[c]
-                # the trace of the child's product, its word s + c
-                t = abs(p * e + q * g + u * f + v * h)
-                if t <= 2 or c == first_inverse or (best is not None
-                                                    and t > best):
-                    continue
+        push = len(s) + 1 < max_length
+        first_inverse = s[0].swapcase()
+        for c in follow[s[-1]]:
+            e, f, g, h = images[c]
+            # the diagonal of the child's product, its word s + c; the
+            # last letter must not cancel the first, and |trace| <= 2 is
+            # the identity, elliptic or parabolic
+            pe, vh = p * e + q * g, u * f + v * h
+            t = abs(pe + vh)
+            if t > 2 and c != first_inverse and (best is None or t <= best):
                 if best is None or t < best:
                     best, best_words = t, [s + c]
                 else:
                     best_words.append(s + c)
-        elif len(s) < max_length:
-            for c in follow[s[-1]]:
-                e, f, g, h = images[c]
-                stack.append((s + c, p * e + q * g, p * f + q * h,
-                              u * e + v * g, u * f + v * h))
+            if push:
+                stack.append((s + c, pe, p * f + q * h, u * e + v * g, vh))
     order = str.maketrans("abAB", "0123")
     best_words.sort(key=lambda w: (len(w), w.translate(order)))
     return best, best_words

@@ -36,7 +36,8 @@ def _reduce_chars(s: str) -> str:
 
 def _trusted(s: str) -> "Word":
     """Word(s) for letters already known to be valid and freely reduced,
-    built without __post_init__ checking them a second time."""
+    built without __post_init__ checking them a second time.  It sets the
+    one field, letters; tests/test_words.py pins that Word has no other."""
     w = object.__new__(Word)
     object.__setattr__(w, "letters", s)
     return w

@@ -397,10 +397,10 @@ def test_prefix_dfs_oracle_matches_product_order_brute_force():
         verify.brute_force_min_abs_trace(4, 5)
 
 
-def _leaf_free_minima(max_length, mu):
-    """Oracle: the depth-first walk of verify.brute_force_min_abs_trace
-    without its leaf path, every word pushed and popped, then sorted by
-    length and in the letter order."""
+def _pop_time_minima(max_length, mu):
+    """Oracle: a depth-first walk that pushes every word up to max_length
+    and judges each one when it is popped, from its own product, then
+    sorts the minima by length and in the letter order."""
     r = math.isqrt(mu)
     images = {"a": (1, r, 0, 1), "A": (1, -r, 0, 1),
               "b": (1, 0, -r, 1), "B": (1, 0, r, 1)}
@@ -424,11 +424,11 @@ def _leaf_free_minima(max_length, mu):
     return best, sorted(found, key=lambda w: (len(w), w.translate(order)))
 
 
-def test_oracle_leaf_path_matches_leaf_free_walk():
+def test_oracle_matches_pop_time_walk():
     for mu in (1, 4, 9, 64):
-        for max_length in range(1, 9):
+        for max_length in range(0, 9):
             assert verify.brute_force_min_abs_trace(max_length, mu) == \
-                _leaf_free_minima(max_length, mu), (mu, max_length)
+                _pop_time_minima(max_length, mu), (mu, max_length)
 
 
 def test_search_from_mu_five_enumerates_nothing(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -133,7 +134,9 @@ def test_parse_matches_stack_reduction():
 def test_unchecked_builds_equal_the_checked_constructor():
     # parse, inverse, swap and the rotations of a cyclically reduced word
     # build their Words without a second check; each must equal Word()
-    # applied to the stack reduction of the letters it stands for
+    # applied to the stack reduction of the letters it stands for.  The
+    # unchecked build sets letters alone, so Word may have no other field
+    assert [f.name for f in dataclasses.fields(Word)] == ["letters"]
     invert = str.maketrans("abAB", "ABab")
     swap = str.maketrans("abAB", "baBA")
     for length in range(8):
