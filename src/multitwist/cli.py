@@ -37,10 +37,6 @@ MAX_TRACE_BITS = 2 ** 17 * 7
 # time, while the streamed search keeps the RSS flat; from mu 5 the search
 # enumerates nothing and takes start-up time at any length
 MAX_SEARCH_LENGTH = 17
-# the largest search --mu; it bounded the enumeration's time when every mu
-# enumerated (9-16 s at --max-len 12 with a 4300-digit mu), and from mu 5
-# bounds only the size of the one certificate
-MAX_SEARCH_MU = 2 ** 64 - 1
 
 
 def _bounded_int(low=None, high=None):
@@ -321,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True,
                    help=f"at most {MAX_SEARCH_LENGTH} (about 4.6 s at mu 3, "
                         f"start-up time from mu 5)")
-    p.add_argument("--mu", type=_bounded_int(high=MAX_SEARCH_MU),
-                   required=True, help="at most 2^64 - 1")
+    p.add_argument("--mu", type=_bounded_int(), required=True)
     precision_bits(p)
     p.set_defaults(func=_cmd_search)
 
@@ -375,11 +370,11 @@ def run(argv=None) -> int:
         return 1
 
 
-def main(entry=run) -> None:
-    """Exit with entry()'s code, or with 1 and no traceback when the
+def main() -> None:
+    """Exit with run()'s code, or with 1 and no traceback when the
     reader of stdout closed early."""
     try:
-        code = entry()
+        code = run()
         sys.stdout.flush()
     except BrokenPipeError:
         # point stdout at devnull so that the interpreter's flush at exit

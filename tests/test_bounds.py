@@ -95,13 +95,6 @@ def test_brunnian_matches_punctured_surgery():
         bounds.brunnian_lower(4)
 
 
-def test_filling_intersection():
-    assert bounds.filling_intersection_lower(2) == 3
-    assert bounds.filling_intersection_lower(10) == 19
-    with pytest.raises(ValueError):
-        bounds.filling_intersection_lower(1)
-
-
 def test_tau_cc_upper_examples():
     log2 = bounds._log_rational(2)
     r = bounds.tau_cc_upper(100, log2)
@@ -147,6 +140,19 @@ def test_tau_cc_infs_relation():
         # every factor is positive
         lhs = Interval(value.lo * g * log_g.lo, value.hi * g * log_g.hi)
         assert lhs.overlaps(rhs), g
+
+
+def test_tau_cc_infs_is_the_closed_formula():
+    # tau_cc_upper at the Hironaka-Kin dilatation gives exactly the
+    # endpoints of 4*log(2 + sqrt 3)/(g*log(g - 1/2)); its hypothesis
+    # check raises no HypothesisViolation at any of these g
+    log_hk = bounds._log_hk()
+    for g in (3, 4, 64, 10 ** 50, 10 ** 4000):
+        log_g = intervals.log(Interval.point(Fraction(2 * g - 1, 2)),
+                              bounds._BITS)
+        value = bounds.tau_cc_infs_upper(g).value
+        assert value.lo == 4 * log_hk.lo / (g * log_g.hi), g
+        assert value.hi == 4 * log_hk.hi / (g * log_g.lo), g
 
 
 def test_tau_cc_infs_monotone_decreasing():

@@ -453,22 +453,22 @@ def test_search_length_cap(capsys):
 
 
 def test_search_mu_cap(capsys):
-    code = run(["search", "--max-len", "4", "--mu", str(2 ** 64)])
+    # from mu 5 the search enumerates nothing, so a huge mu costs one
+    # certificate; only the int-from-str digit limit bounds it
+    for mu in (2 ** 64, int("9" * 4300)):
+        code, payload = _run_json(capsys, ["search", "--max-len", "17",
+                                           "--mu", str(mu)])
+        assert code == 0
+        assert payload["all_minima"] == ["ab"]
+    code = run(["search", "--max-len", "4", "--mu", "9" * 4301])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "usage:" in captured.err
-    assert (f"--mu: must be <= {2 ** 64 - 1}, got {2 ** 64}"
-            in captured.err)
+    assert "--mu: expected an integer" in captured.err
     # below 1 it stays a computation error
     assert run(["search", "--max-len", "4", "--mu", "0"]) == 1
     assert capsys.readouterr().err == "error: mu must be >= 1\n"
-    code, payload = _run_json(capsys, ["search", "--max-len", "4",
-                                       "--mu", str(2 ** 64 - 1)])
-    assert code == 0
-    assert payload["all_minima"] == ["ab"]
-    assert run(["search", "--help"]) == 0
-    assert "at most 2^64 - 1" in capsys.readouterr().out
 
 
 def test_dilatation_text_unchanged_in_float_range(capsys):
@@ -725,21 +725,3 @@ def test_reader_closing_early_leaves_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
-
-
-def test_bounds_report_reader_closing_early_leaves_no_traceback():
-    src = str(Path(multitwist.__file__).resolve().parents[1])
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # about 80 kB of output: more than a pipe holds, so a write must fail
-    proc = subprocess.Popen(
-        [sys.executable, str(root / "scripts" / "bounds_report.py"),
-         "--g-max", "2000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline().startswith(b"torelli_lower")
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert "Traceback" not in err and "Error" not in err

@@ -1,15 +1,14 @@
-"""No module in the package or the scripts reads another package module's
-private names: a name that starts with one underscore belongs to its own
-module, and a second module that needs it gets it under a public name."""
+"""No module in the package reads another package module's private names:
+a name that starts with one underscore belongs to its own module, and a
+second module that needs it gets it under a public name."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "multitwist"
-SOURCES = sorted([*ROOT.glob(f"src/{PACKAGE}/*.py"),
-                  *ROOT.glob("scripts/*.py")])
-MODULES = {path.stem for path in ROOT.glob(f"src/{PACKAGE}/*.py")}
+SOURCES = sorted(ROOT.glob(f"src/{PACKAGE}/*.py"))
+MODULES = {path.stem for path in SOURCES}
 
 
 def _private(name: str) -> bool:

@@ -436,7 +436,7 @@ def test_search_from_mu_five_enumerates_nothing(monkeypatch):
         raise AssertionError("the search enumerated")
 
     monkeypatch.setattr(search, "_necklaces", refuse)
-    for mu in (5, 6, 7, 64, 2 ** 64 - 1):
+    for mu in (5, 6, 7, 64, 2 ** 64 - 1, 2 ** 64, int("9" * 4300)):
         for max_length in (2, 3, 17):
             report = min_dilatation_search(max_length, mu)
             assert report.all_minima == (Word("ab"),)

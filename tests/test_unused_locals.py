@@ -10,7 +10,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.glob("src/multitwist/*.py"),
-                  *ROOT.glob("scripts/*.py"),
                   *ROOT.glob("tests/*.py")])
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
