@@ -124,7 +124,7 @@ def test_det_one_exhaustive():
 
 
 def test_trace_invariances():
-    for mu in (2, 64):
+    for mu in (2, 16, 64):
         for length in range(1, 6):
             for s in cyclically_reduced_strings(length):
                 w = Word(s)

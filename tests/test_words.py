@@ -87,6 +87,14 @@ def test_inverse_cancels(s):
     assert Word.parse(w.inverse().letters + w.letters).is_identity()
 
 
+def test_inverse_cancels_seeded():
+    # the first 50 strings are verify-paper's property-suite sample
+    rng = random.Random(7)
+    for _ in range(500):
+        w = Word.parse("".join(rng.choice("abAB") for _ in range(30)))
+        assert Word.parse(w.letters + w.inverse().letters).is_identity()
+
+
 def test_swap_and_rotations():
     w = Word("abA")
     assert str(w.swap_generators()) == "baB"
