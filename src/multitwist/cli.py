@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
                    required=True,
-                   help=f"at most {MAX_SEARCH_LENGTH} (about 4.6 s at mu 3, "
+                   help=f"at most {MAX_SEARCH_LENGTH} (about 5 s at mu 3, "
                         f"start-up time from mu 5)")
     p.add_argument("--mu", type=_bounded_int(), required=True)
     precision_bits(p)

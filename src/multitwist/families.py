@@ -19,12 +19,13 @@ BRAID = "braid_sphere"
 
 
 def nnt(N) -> list[list[int]]:
-    """N * N^t, summed over the nonzero entries of each column of N:
-    O(sum of nnz_k^2) for the band matrices instead of O(m^3)."""
+    """N * N^t for N with any number of columns, summed over the nonzero
+    entries of each column: O(sum of nnz_k^2) for the band matrices
+    instead of O(m^3)."""
     n = len(N)
     prod = [[0] * n for _ in range(n)]
-    for k in range(n):
-        column = [(i, row[k]) for i, row in enumerate(N) if row[k]]
+    for col in zip(*N):
+        column = [(i, x) for i, x in enumerate(col) if x]
         for i, x in column:
             out = prod[i]
             for j, y in column:

@@ -259,15 +259,20 @@ def check_johnson_tau():
 def check_property_spot_suite():
     # condensed versions of the module property suites; the pytest
     # suite runs the full-depth variants
+    # every string of length 0-6 is parsed; the round trip depends only on
+    # the letters of the result, so each distinct result makes it once
+    reduced = {}
     cyclically_reduced = []
     for length in range(0, 7):
         for chars in itertools.product(words.ALPHABET, repeat=length):
             s = "".join(chars)
             w = Word.parse(s)
-            assert Word.parse(w.letters) == w
+            reduced[w.letters] = w
             # freely reduced, and the last letter does not cancel the first
             if 0 < length < 6 and w.letters == s and s[-1] != s[0].swapcase():
                 cyclically_reduced.append(w)
+    for letters, w in reduced.items():
+        assert Word.parse(letters) == w
     for k in range(1, 13):
         assert len(words.nested_commutator(k)) == 2 ** k
     rng = random.Random(7)
@@ -275,26 +280,28 @@ def check_property_spot_suite():
         s = "".join(rng.choice(words.ALPHABET) for _ in range(30))
         w = Word.parse(s)
         assert Word.parse(w.letters + w.inverse().letters).is_identity()
-    # Each word is evaluated once per mu, and the invariances are checked
-    # by lookup.  Every key is present: if no letter of c_1 ... c_n cancels
-    # its cyclic successor, then neither does one of its inverse
-    # C_n ... C_1 (C_(i+1) cancels C_i only if c_(i+1) cancels c_i), nor
-    # of its swap (a letter bijection that commutes with inversion), nor
-    # of a rotation (the same cyclic sequence).  All three keep the length,
-    # so they map the cyclically reduced words of each length 1-5 to
-    # themselves.  A missing key would raise KeyError, a failed check.
+    # Each word's inverse, swap and rotations are built once, each word is
+    # evaluated once per mu, and the invariances are checked by lookup.
+    # Every key is present: if no letter of c_1 ... c_n cancels its cyclic
+    # successor, then neither does one of its inverse C_n ... C_1
+    # (C_(i+1) cancels C_i only if c_(i+1) cancels c_i), nor of its swap
+    # (a letter bijection that commutes with inversion), nor of a rotation
+    # (the same cyclic sequence).  All three keep the length, so they map
+    # the cyclically reduced words of each length 1-5 to themselves.  A
+    # missing key would raise KeyError, a failed check.
+    images = [(w.letters, [w.inverse().letters, w.swap_generators().letters,
+                           *(r.letters for r in w.rotations())])
+              for w in cyclically_reduced]
     for mu in (2, 16, 64):
         traces = {}
         for w in cyclically_reduced:
             m = rep.evaluate(w, mu)
             assert m.det() == 1
             traces[w.letters] = m.trace()
-        for w in cyclically_reduced:
-            t = traces[w.letters]
-            assert traces[w.inverse().letters] == t
-            assert traces[w.swap_generators().letters] == t
-            for r in w.rotations():
-                assert traces[r.letters] == t
+        for letters, orbit in images:
+            t = traces[letters]
+            for image in orbit:
+                assert traces[image] == t
     g = 3
     h = [johnson.HomologyClass(g, tuple(rng.randint(-3, 3) for _ in range(6)))
          for _ in range(3)]

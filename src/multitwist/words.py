@@ -12,32 +12,32 @@ from dataclasses import dataclass
 ALPHABET = "abAB"
 _LETTERS = frozenset(ALPHABET)
 _SWAP = str.maketrans("abAB", "baBA")
-
-
-def _is_reduced(s: str) -> bool:
-    return not ("aA" in s or "Aa" in s or "bB" in s or "Bb" in s)
-
-
-def _check_letters(s: str) -> None:
-    if not _LETTERS.issuperset(s):
-        bad = next(c for c in s if c not in _LETTERS)
-        raise ValueError(f"invalid letter {bad!r}")
+_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
 def _reduce_chars(s: str) -> str:
+    """Free reduction by a stack, linear in len(s); s holds only a/b/A/B.
+    The top letter is kept in a local, above an empty string that stands
+    below the first letter, so a cancellation never finds the stack
+    empty."""
+    inverse = _INVERSE
     stack: list[str] = []
+    top = ""
     for c in s:
-        if stack and stack[-1] == c.swapcase():
-            stack.pop()
+        if top == inverse[c]:
+            top = stack.pop()
         else:
-            stack.append(c)
-    return "".join(stack)
+            stack.append(top)
+            top = c
+    return "".join(stack) + top
 
 
 def _trusted(s: str) -> "Word":
     """Word(s) for letters already known to be valid and freely reduced,
     built without __post_init__ checking them a second time.  It sets the
-    one field, letters; tests/test_words.py pins that Word has no other."""
+    one field, letters; tests/test_words.py pins that Word has no other.
+    Word.parse writes the same build out, so that its fast path makes no
+    call."""
     w = object.__new__(Word)
     object.__setattr__(w, "letters", s)
     return w
@@ -51,15 +51,22 @@ class Word:
 
     def __post_init__(self):
         s = self.letters
-        _check_letters(s)
-        if not _is_reduced(s):
+        if Word.parse(s).letters != s:
             raise ValueError(f"word {s!r} is not freely reduced")
 
     @staticmethod
     def parse(s: str) -> "Word":
-        """Parse the a/b/A/B encoding, freely reducing the input."""
-        _check_letters(s)
-        return _trusted(s if _is_reduced(s) else _reduce_chars(s))
+        """Parse the a/b/A/B encoding, freely reducing the input.  The one
+        place that checks letters and reduction: Word(s) is valid exactly
+        when parse(s) gives s back.  A valid, reduced s calls no helper."""
+        if not _LETTERS.issuperset(s):
+            bad = next(c for c in s if c not in _LETTERS)
+            raise ValueError(f"invalid letter {bad!r}")
+        if "aA" in s or "Aa" in s or "bB" in s or "Bb" in s:
+            s = _reduce_chars(s)
+        w = object.__new__(Word)
+        object.__setattr__(w, "letters", s)
+        return w
 
     def __str__(self):
         return self.letters

@@ -150,9 +150,9 @@ def test_mu_is_square_of_offdiagonal_entry():
 
 
 def _dense_nnt(N):
-    n = len(N)
-    return [[sum(N[i][k] * N[j][k] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    n, columns = len(N), len(N[0])
+    return [[sum(N[i][k] * N[j][k] for k in range(columns))
+             for j in range(n)] for i in range(n)]
 
 
 def test_nnt_matches_dense_triple_loop():
@@ -164,13 +164,26 @@ def test_nnt_matches_dense_triple_loop():
             for i in range(m):
                 N[i][i] += rng.randint(0, 9)
                 N[i][(i - 1) % m] += rng.randint(0, 9)
-        else:  # arbitrary sparsity
-            density = rng.random()
+        else:  # arbitrary sparsity and column count
+            density, columns = rng.random(), rng.randint(1, 9)
             N = [[rng.randint(1, 9) if rng.random() < density else 0
-                  for _ in range(m)] for _ in range(m)]
+                  for _ in range(columns)] for _ in range(m)]
         assert nnt(N) == _dense_nnt(N)
     for g in range(2, 40):
         assert nnt(torelli_family(g)) == _dense_nnt(torelli_family(g)), g
+
+
+@pytest.mark.parametrize("N", [
+    [[1, 0, 2], [0, 3, 4]],                  # 2 x 3
+    [[1, 2], [0, 3], [5, 0], [0, 0]],        # 4 x 2, with a zero row
+    [[2, 0, 1], [3, 0, 0], [0, 0, 4]],       # an all-zero column
+    [[0, 0], [0, 0]],
+    [[7]],
+    [[0]],
+])
+def test_nnt_reads_every_column(N):
+    # nnt walks the columns of N, so their count need not equal the rows'
+    assert nnt(N) == _dense_nnt(N)
 
 
 def test_pf_refuses_float_entries():

@@ -82,6 +82,28 @@ def test_property_suite_catches_one_broken_invariance(broken, monkeypatch):
         verify.check_property_spot_suite()
 
 
+@pytest.mark.parametrize("target", ["", "abA", "abAbaB"])
+def test_property_suite_round_trips_every_reduced_word(target, monkeypatch):
+    # the first parse of the reduced target is the suite's parse of that
+    # string and is right; every later one returns a longer word, which
+    # only the round trip of the target can see
+    parse = Word.parse
+    assert parse(target).letters == target
+    calls = []
+
+    def mutant(s):
+        if s == target:
+            calls.append(s)
+            if len(calls) > 1:
+                return parse("a" * (len(target) + 1))
+        return parse(s)
+
+    monkeypatch.setattr(Word, "parse", staticmethod(mutant))
+    with pytest.raises(AssertionError):
+        verify.check_property_spot_suite()
+    assert len(calls) > 1
+
+
 @pytest.mark.parametrize("mu", (64, 16))
 def test_pf_certificates_catch_one_wrong_size(mu, monkeypatch):
     pf_eigenvalue = families.pf_eigenvalue

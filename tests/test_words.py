@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,26 @@ def test_parse_matches_stack_reduction():
             assert str(info.value) == str(exc)
         else:
             assert Word.parse(text).letters == expected
+
+
+def test_parse_matches_stack_reduction_long():
+    # long strings, with runs of one letter that the stack must unwind
+    rng = random.Random(2035)
+    for _ in range(500):
+        text = "".join(rng.choice("abAB") * rng.randint(1, 40)
+                       for _ in range(rng.randint(1, 120)))
+        assert Word.parse(text).letters == _stack_reduce(text)
+
+
+def test_reduction_is_linear():
+    # a^k b^k B^k A^k cancels from its middle out, one pair at a time: a
+    # loop that replaced cancelling pairs until none were left would need
+    # k passes over the string, about 10^10 letter steps here
+    k = 50_000
+    text = "a" * k + "b" * k + "B" * k + "A" * k
+    start = time.perf_counter()
+    assert Word.parse(text).is_identity()
+    assert time.perf_counter() - start < 5.0
 
 
 def test_unchecked_builds_equal_the_checked_constructor():
