@@ -22,15 +22,13 @@ MAX_FAMILY_GENUS = 1024
 # the largest johnson-tau genus; dense classes then expand into up to
 # C(128, 3) = 341,376 triples
 MAX_JOHNSON_GENUS = 64
-# the largest --precision-bits; the certificate takes about 0.25 s there,
-# ln 2 included, printing it 15 ms, and dilatation --word ab --mu 64 0.34 s
-# as a subprocess; the cost grows faster than quadratically in the bit count
+# the largest --precision-bits; the cost grows faster than quadratically in
+# the bit count (the README gives the measured times)
 MAX_PRECISION_BITS = 65536
-# the largest size in bits of a trace that lcs-table or dilatation forms:
-# lcs-table --max-k 18 --mu 64 takes about 1.6 s, almost all of it in the
-# decimal digits of the trace; each further level, or doubling of the bits
-# of mu, costs 3-4 times as much; a dilatation word at the bound takes
-# 2.6-7 s (7 s at --mu 126 with 131,070 letters)
+# the largest size in bits of a trace that lcs-table or dilatation forms;
+# lcs-table spends almost all its time on the decimal digits of the trace,
+# and each further level, or doubling of the bits of mu, costs 3-4 times
+# as much (the README gives the measured times)
 MAX_TRACE_BITS = 2 ** 17 * 7
 # the largest search --max-len, bound by time alone at mu <= 4 (the README
 # gives the measured times): there each further letter about triples the
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True,
                    help="word in a/b/A/B (empty string for the identity); "
                         "letters * bit_length(mu + 1) at most "
-                        f"{MAX_TRACE_BITS} (about 7 s at mu 126)")
+                        f"{MAX_TRACE_BITS}")
     p.add_argument("--mu", type=_bounded_int(), required=True)
     output_format(p, "json", "text")
     precision_bits(p)
@@ -315,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
     p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
                    required=True,
-                   help=f"at most {MAX_SEARCH_LENGTH} (about 5 s at mu 3, "
-                        f"start-up time from mu 5)")
+                   help=f"at most {MAX_SEARCH_LENGTH} (start-up time from "
+                        "mu 5)")
     p.add_argument("--mu", type=_bounded_int(), required=True)
     precision_bits(p)
     p.set_defaults(func=_cmd_search)
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
     p.add_argument("--max-k", type=_bounded_int(), required=True,
                    help=f"2^(max_k - 1) * (bits of mu) at most "
-                        f"{MAX_TRACE_BITS} (about 1.6 s at --max-k 18 --mu 64)")
+                        f"{MAX_TRACE_BITS}")
     p.add_argument("--mu", type=_bounded_int(), required=True)
     output_format(p, "csv", "json")
     precision_bits(p)

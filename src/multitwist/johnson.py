@@ -7,8 +7,9 @@ sorted and distinct, each with a nonzero int c.  The 2g generators
 omega ^ e of the sublattice have pairwise disjoint supports with entries
 +1, so they are their own Hermite echelon form: the canonical
 representative of a coset zeroes one pivot coordinate per generator, and
-the quotient is free of rank C(2g, 3) - 2g.  Only `omega_wedge_basis`
-walks all C(2g, 3) triples.
+the quotient is free of rank C(2g, 3) - 2g.  Two cosets are equal iff
+their canonical representatives are.  Only `omega_wedge_basis` walks all
+C(2g, 3) triples.
 
 The closed formula for a bounding-pair map T_a T_b^{-1} with capped-off
 side R carrying a symplectic family (u_1, v_1), ..., (u_k, v_k) is
@@ -57,18 +58,6 @@ class HomologyClass:
             raise ValueError("coordinate length must be 2g")
 
     @classmethod
-    def basis_x(cls, i: int, g: int) -> "HomologyClass":
-        v = [0] * (2 * g)
-        v[2 * (i - 1)] = 1
-        return cls(g, tuple(v))
-
-    @classmethod
-    def basis_y(cls, i: int, g: int) -> "HomologyClass":
-        v = [0] * (2 * g)
-        v[2 * (i - 1) + 1] = 1
-        return cls(g, tuple(v))
-
-    @classmethod
     def parse(cls, text: str, g: int) -> "HomologyClass":
         """Named-coordinate syntax: sums of [coeff]x<i> / [coeff]y<i>.
 
@@ -99,18 +88,6 @@ class HomologyClass:
             v[2 * (i - 1) + (0 if kind == "x" else 1)] += c
             pos = m.end()
         return cls(g, tuple(v))
-
-    def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        if self.genus != other.genus:
-            raise GenusMismatch("genus mismatch")
-        return HomologyClass(self.genus, tuple(
-            a + b for a, b in zip(self.coordinates, other.coordinates)))
-
-    def __neg__(self) -> "HomologyClass":
-        return HomologyClass(self.genus, tuple(-a for a in self.coordinates))
-
-    def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        return self + (-other)
 
 
 def symplectic_pairing(u: HomologyClass, v: HomologyClass) -> int:
@@ -145,21 +122,6 @@ class Wedge3Coset:
                 raise ValueError("need sorted distinct ((i, j, k), c) terms "
                                  "with 0 <= i < j < k < 2g and int c != 0")
             previous = (i, j, k)
-
-    def __add__(self, other: "Wedge3Coset") -> "Wedge3Coset":
-        if self.genus != other.genus:
-            raise GenusMismatch("genus mismatch")
-        total = dict(self.representative)
-        for t, c in other.representative:
-            total[t] = total.get(t, 0) + c
-        return Wedge3Coset(self.genus, _sorted_terms(total))
-
-    def __neg__(self) -> "Wedge3Coset":
-        return Wedge3Coset(self.genus,
-                           tuple((t, -c) for t, c in self.representative))
-
-    def __sub__(self, other: "Wedge3Coset") -> "Wedge3Coset":
-        return self + (-other)
 
     def reduce(self) -> "Wedge3Coset":
         """Canonical representative modulo omega wedge H."""
@@ -260,8 +222,11 @@ def quotient_rank(g: int) -> int:
 
 
 def coset_equal(u: Wedge3Coset, v: Wedge3Coset) -> bool:
-    """True iff u - v lies in the omega ^ H sublattice."""
-    return (u - v).is_zero_coset()
+    """True iff u - v lies in the omega ^ H sublattice: _EchelonLattice
+    gives each coset exactly one representative zero at every pivot."""
+    if u.genus != v.genus:
+        raise GenusMismatch("genus mismatch")
+    return u.reduce() == v.reduce()
 
 
 def tau_bounding_pair(g: int, pairs, a: HomologyClass) -> Wedge3Coset:
@@ -287,10 +252,11 @@ def tau_bounding_pair(g: int, pairs, a: HomologyClass) -> Wedge3Coset:
                 raise NotSymplecticError(f"omega(u{i}, v{j}) wrong")
             if symplectic_pairing(ui, uj) != 0 or symplectic_pairing(vi, vj) != 0:
                 raise NotSymplecticError(f"pair ({i}, {j}) not isotropic")
-    total = Wedge3Coset(g, ())
+    total = {}
     for u, v in pairs:
-        total = total + wedge3(u, v, a)
-    return total
+        for t, c in wedge3(u, v, a).representative:
+            total[t] = total.get(t, 0) + c
+    return Wedge3Coset(g, _sorted_terms(total))
 
 
 def lantern_check(g: int) -> bool:
@@ -305,9 +271,9 @@ def lantern_check(g: int) -> bool:
     """
     if g < 3:
         raise ValueError("lantern fixture needs g >= 3")
-    d = HomologyClass.basis_x(1, g)
+    d = HomologyClass.parse("x1", g)
     tau_z_d = tau_bounding_pair(
-        g, [(HomologyClass.basis_x(2, g), HomologyClass.basis_y(2, g))], d)
+        g, [(HomologyClass.parse("x2", g), HomologyClass.parse("y2", g))], d)
     tau_d_w = tau_bounding_pair(
-        g, [(HomologyClass.basis_x(3, g), HomologyClass.basis_y(3, g))], d)
+        g, [(HomologyClass.parse("x3", g), HomologyClass.parse("y3", g))], d)
     return not coset_equal(tau_z_d, tau_d_w)

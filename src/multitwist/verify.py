@@ -233,24 +233,21 @@ def check_johnson_tau():
     # basis independence at g = 3: a symplectic change of basis of the
     # complement of a = x1 gives the same coset
     g = 3
-    a = johnson.HomologyClass.basis_x(1, g)
-    x2, y2 = (johnson.HomologyClass.basis_x(2, g),
-              johnson.HomologyClass.basis_y(2, g))
-    x3, y3 = (johnson.HomologyClass.basis_x(3, g),
-              johnson.HomologyClass.basis_y(3, g))
+    # the parser of the johnson-tau command
+    parse = johnson.HomologyClass.parse
+    a = parse("x1", g)
+    x2, y2, x3, y3 = (parse(text, g) for text in ("x2", "y2", "x3", "y3"))
     original = johnson.tau_bounding_pair(g, [(x2, y2), (x3, y3)], a)
     transformed = johnson.tau_bounding_pair(
-        g, [(x2 + x3, y2), (x3, y3 - y2)], a)
+        g, [(parse("x2+x3", g), y2), (x3, parse("y3-y2", g))], a)
     assert johnson.coset_equal(original, transformed)
     # a genuine genus-1 bounding pair is never in the kernel
     for gg in (3, 4):
         one_pair = johnson.tau_bounding_pair(
-            gg, [(johnson.HomologyClass.basis_x(2, gg),
-                  johnson.HomologyClass.basis_y(2, gg))],
-            johnson.HomologyClass.basis_x(1, gg))
+            gg, [(parse("x2", gg), parse("y2", gg))], parse("x1", gg))
         assert not one_pair.is_zero_coset(), gg
     # the two sides of one bounding pair agree only modulo omega ^ H
-    other_side = johnson.tau_bounding_pair(g, [(x3, y3)], -a)
+    other_side = johnson.tau_bounding_pair(g, [(x3, y3)], parse("-x1", g))
     one_side = johnson.tau_bounding_pair(g, [(x2, y2)], a)
     assert johnson.coset_equal(one_side, other_side)
     assert one_side.representative != other_side.representative
@@ -309,8 +306,8 @@ def check_property_spot_suite():
     for perm in itertools.permutations(range(3)):
         sign = 1 if perm in {(0, 1, 2), (1, 2, 0), (2, 0, 1)} else -1
         permuted = johnson.wedge3(h[perm[0]], h[perm[1]], h[perm[2]])
-        expected = base if sign == 1 else -base
-        assert permuted.representative == expected.representative
+        assert permuted.representative == tuple(
+            (t, sign * c) for t, c in base.representative)
 
 
 @dataclass
