@@ -7,18 +7,22 @@ formula's monotonicity and sign.  root takes every algebraic number of
 the package (each dilatation, 2 + sqrt(3), the Torelli cubic's root) to
 a grid 2^-bits by Newton's method and certifies it by an exact sign
 check in ints (Yap, "Fundamental Problems of Algorithmic Algebra",
-2000).  log, in integer fixed point, takes about bits^(1/3) / 3 square
-roots (Brent, J. ACM 23, 1976), then sums the atanh series by
-rectangular splitting (Smith, Math. Comp. 52, 1989; Brent and
-Zimmermann, "Modern Computer Arithmetic", 2010, 4.4.3), counting every
-rounding in ulps.
+2000).  log, in integer fixed point, reduces its argument by r square
+roots (Brent, J. ACM 23, 1976): up to 512 bits, about bits^(1/3) / 3 of
+them by isqrt at the working precision; above, bits.bit_length() + 1 of
+them by isqrt at no more than 512 bits, lifted to the working precision
+by Newton's method for the inverse root, which takes products only
+(Brent and Zimmermann, "Modern Computer Arithmetic", 2010, 4.2.3).  It
+then sums the atanh series by rectangular splitting (Smith, Math. Comp.
+52, 1989; Brent and Zimmermann 4.4.3), counting every rounding in ulps.
 
 Endpoints k / 2^j are built in lowest terms without a gcd, scaled to a
 common 2^e to test a relative width, and each interval is printed from
-one decimal conversion of its lower numerator, as that conversion costs
-time quadratic in its size (Brent and Zimmermann, 1.7).  sqrt_fraction,
-sqrt and cbrt are stubs that raise, kept as patch targets of the
-benchmark's tracer.
+one decimal conversion of its lower numerator.  Above 3072 bits an int
+is converted by halves joined with exact Decimal products, as one
+Decimal(n) costs time quadratic in its size (Brent and Zimmermann, 1.7).
+sqrt_fraction, sqrt and cbrt are stubs that raise, kept as patch
+targets of the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ def decimal_str(x) -> str:
     """
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(Decimal(x.numerator))
-        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
-    return str(Decimal(x))
+            return str(_decimal(x.numerator))
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    return str(_decimal(x))
 
 
 def float_str(x: Fraction) -> str:
@@ -130,8 +134,25 @@ _EXACT.traps[Inexact] = True
 @lru_cache(maxsize=32)
 def _decimal_pow2(e: int) -> Decimal:
     """2^e as a Decimal; requests at one precision share their e but for
-    the zeros that lowest terms strip (14-21 e a perfbench certify pass)."""
+    the zeros that lowest terms strip (14-21 e a perfbench certify pass),
+    and _decimal splits every int at the same few powers of two."""
     return _EXACT.power(2, e)
+
+
+def _decimal(n: int) -> Decimal:
+    """Decimal(n), exactly.  Above 3072 bits n is split at the largest
+    power of two h below its bit length, and the halves are joined by an
+    exact product with 2^h, so the cost is that of a few products of
+    Decimals (Brent and Zimmermann 1.7; CPython 3.12 _pylong), not the
+    quadratic one of Decimal(n)."""
+    if n < 0:
+        return _decimal(-n).copy_negate()
+    size = n.bit_length()
+    if size <= 3072:
+        return Decimal(n)
+    h = 1 << (size - 1).bit_length() - 1
+    return _EXACT.add(_EXACT.multiply(_decimal(n >> h), _decimal_pow2(h)),
+                      _decimal(n & ((1 << h) - 1)))
 
 
 def endpoint_strs(iv: Interval) -> list[str]:
@@ -149,7 +170,7 @@ def endpoint_strs(iv: Interval) -> list[str]:
         return [decimal_str(lo), decimal_str(hi)]
     e = max(q_lo, q_hi).bit_length() - 1
     a = dyadic_scaled(lo, e)
-    num_lo = Decimal(a)
+    num_lo = _decimal(a)
     den = _decimal_pow2(e)
     return [_lowest_terms_str(num_lo, den, e, q_lo.bit_length() - 1),
             _lowest_terms_str(_EXACT.add(num_lo, dyadic_scaled(hi, e) - a),
@@ -257,34 +278,112 @@ def _atanh_third_split(a: int, c: int) -> tuple[int, int, int]:
     return b1 * b2, 9 * q1 * q2, 9 * t1 * b2 * q2 + b1 * t2
 
 
-def _log_precision(bits: int, e: int) -> tuple[int, int, int]:
-    """Working precision w, a multiple of 64, square-root count and series
-    block size for the log of 2^e * y, 1 <= y < 2, to within 2^-bits."""
-    # A root costs about three and a half w x w products, and r roots
-    # leave about n = bits / (2r + 2) series terms; bits^(1/3) / 3 roots
-    # balances the two, and the cap keeps w <= bits + 256.  The series
-    # forms block full products for its powers, and n / block Horner
-    # products whose width falls linearly from w to 0, which cost about
-    # a third of a full one each; block about sqrt(n / 2) balances the
-    # two.  Timed log kernels: blocks 12-22 within 2% of each other at
-    # bits = 12296 (27, sqrt(n), 4% slower), 10-15 at 4104, 24-34 at 65544.
-    roots = next((r for r in range(1, 128) if 27 * r ** 3 > bits), 128)
+# Requests of at most this many bits take their square roots at the
+# working precision; above it _inverse_root takes them at no more than
+# this precision and lifts them
+_ROOT_BITS = 512
+
+
+def _log_precision(bits: int, e: int) -> tuple[int, int, int, int]:
+    """Working precision w, a multiple of 64, square-root count, series
+    block size, and the most precision at which the square roots are
+    taken (w, or _ROOT_BITS above that many bits), for the log of
+    2^e * y, 1 <= y < 2, to within 2^-bits."""
+    # r roots leave about n = bits / (2r + 2) series terms.  By isqrt a
+    # root costs about three and a half w x w products, and bits^(1/3) / 3
+    # roots balance the two.  Lifted, a doubling step costs r squarings
+    # and two products, so a root costs about 1.5 products at 12288 bits
+    # and more of them pay.  Timed log kernels at 4096, 12288 and 32768
+    # bits: bits.bit_length() + 0 to + 5 roots within 7% of each other,
+    # and + 1 faster than the isqrt rule by 22%, 29% and 34%.  From 513 to
+    # 640 bits both rules take 30-45 us, and the isqrt rule stays up to
+    # _ROOT_BITS bits.  The series forms block full products for its
+    # powers, and n / block Horner products whose width falls linearly
+    # from w to 0, which cost about a third of a full one each; block
+    # about sqrt(n / 2) balances the two.  Timed log kernels: the rule's
+    # block, 9, 14 and 30 at 4096, 12288 and 65536 bits, was the fastest
+    # of those from half to twice it.
+    lifted = bits > _ROOT_BITS
+    roots = (bits.bit_length() + 1 if lifted
+             else next(r for r in range(1, 4) if 27 * r ** 3 > bits))
     block = isqrt(bits // (4 * roots + 4)) + 1
-    # _log_fixed's error count is (2 block + 10) 2^roots + 2 |e|, the 2
-    # being _ln2's; each part is below 2^(guard - 1)
-    guard = max(roots + (2 * block + 10).bit_length(),
+    # _log_fixed's error count is (2 block + 10 + lifted) 2^roots + 2 |e|,
+    # the 2 being _ln2's; each part is below 2^(guard - 1)
+    guard = max(roots + (2 * block + 10 + lifted).bit_length(),
                 (2 * abs(e)).bit_length()) + 1
-    return -(-(bits + guard) // 64) * 64, roots, block
+    w = -(-(bits + guard) // 64) * 64
+    return w, roots, block, _ROOT_BITS if lifted else w
 
 
-def _log_fixed(p: int, q: int, e: int, w: int, roots: int,
-               block: int) -> tuple[int, int]:
+def _inverse_root(z: int, w: int, roots: int, start: int) -> int:
+    """An int x with x* 2^w + 1 - 2^-6 < x < x* 2^w + 3 + 2^-7, for
+    x* = y^(-1/N), N = 2^roots >= 2^11 and z = floor(y * 2^w),
+    1 <= y < 2, where start < w.
+
+    Newton's method for the inverse root, x <- x + x (1 - y x^N) / N,
+    needs products only (Brent and Zimmermann 4.2.3), and doubles the
+    precision at each step.  Going down from w, each precision p is
+    ceil((P + roots + 8) / 2) for the one above it, P, until one is at
+    most start; the lift runs back up that chain.  At its foot p,
+    x0 = floor(2^2p / v) for v taken by roots floored square roots of
+    floor(y * 2^p): as for the roots in _log_fixed, v <= 2^p / x* < v + 2,
+    so x0 is within 2 + 2^-5 of x* 2^p, as p >= 9.
+
+    A step from x within 2 + 2^-5 of x* 2^p to P, 2p >= P + roots + 8,
+    has u = x / 2^p.  With u^N < (1 + 2^-200) / y, which holds as p >=
+    256, every factor 1 + 2^-200 below is dropped.  Counting in ulps of
+    2^-P:
+    - The squarings floor, and leave pw low by less than u^N 2^P d,
+      d = sum_i 2^(roots - i) / (u^(2^i) 2^P) over i = 1..roots, as a
+      floor loses less than 1 and squaring doubles a relative error.
+    - a, floor of floor(y 2^P) pw / 2^P, is below y u^N 2^P by less than
+      u^N + y u^N 2^P d + 1 < N + roots + 1: the middle term is the sum
+      of 2^(roots - i) y^(2^i / N) <= 2^(roots - i) (1 + 2^i / N), as
+      y^c <= 1 + c (y - 1) for 0 <= c <= 1.
+    - The step x 2^(P - p) + floor(x (2^P - a) / 2^(p + roots)) then
+      lies above g(u) 2^P - 1 and below g(u) 2^P + u (N + roots + 1) / N,
+      which is below 1 + 2^-7 for roots >= 11; g(u) = u + u (1 - y u^N)
+      / N is the exact step.
+    - For u = x* (1 + c), x* - g(u) = x* ((1 + c)^(N + 1) - 1 -
+      (N + 1) c) / N, at least 0 and at most x* (N + 1) c^2 / 2, below
+      (N + 1) (2 + 2^-5)^2 2^(P - 2p) / (2 x*) < 2^-6.
+    So x ends within -1 - 2^-6 and 1 + 2^-7 of x* 2^P, inside the
+    2 + 2^-5 that the next step needs, and 2 is added at the end.
+    """
+    precisions = [w]
+    while precisions[-1] > start:
+        precisions.append((precisions[-1] + roots + 9) // 2)
+    p = precisions.pop()
+    v = z >> (w - p)
+    for _ in range(roots):
+        v = isqrt(v << p)
+    x = (1 << 2 * p) // v
+    for top in reversed(precisions):
+        pw = x << (top - p)
+        for _ in range(roots):
+            pw = pw * pw >> top
+        a = (z >> (w - top)) * pw >> top
+        x = (x << (top - p)) + (x * ((1 << top) - a) >> (p + roots))
+        p = top
+    return x + 2
+
+
+def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
+               start: int) -> tuple[int, int]:
     """(low, err) with low <= ln(p/q) * 2^w <= low + err, where
-    p/q = 2^e * y and 1 <= y < 2.
+    p/q = 2^e * y and 1 <= y < 2, and the square roots are taken at
+    start (at w, or lifted by _inverse_root from start < w).
 
-    Every step floors a nonnegative value, so no computed value exceeds
-    the exact one it stands for; the comments count by how much each can
-    fall short, in ulps of 2^-w.
+    ln(y) = 2^roots * 2 atanh(t) for t = (v - 1)/(v + 1) < 1/3 and
+    v = y^(1/2^roots); s stands for t * 2^w, and is low by less than
+    sigma = 2 ulps of 2^-w after roots square roots at w, or less than
+    sigma = 2.506 after the lift.  Every step after s floors a
+    nonnegative value, so no computed value exceeds the exact one it
+    stands for; the comments count by how much each can fall short.
+    total ends low by less than 9 sigma / 8 + block + 8/3, so 2 total by
+    less than 2 block + 9.84, or 2 block + 10.98 lifted: the error
+    count is (2 block + 10) 2^roots, or (2 block + 11) 2^roots lifted,
+    plus |e| times _ln2's 2.
     """
     one = 1 << w
     shift = w - e
@@ -294,15 +393,24 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int,
         z = p << shift if shift >= 0 else p >> -shift
     else:
         z = (p << shift) // q if shift >= 0 else p // (q << -shift)
-    # z = floor(y * 2^w).  Each square root floors, losing less than an
-    # ulp, and halves the error it inherits, as sqrt(a) - sqrt(b) <=
-    # (a - b)/2 for a > b >= 1; so at the end, for v = y^(1/2^roots),
-    # z <= v * 2^w < z + 2
-    for _ in range(roots):
-        z = isqrt(z << w)
-    # ln(u) = 2 atanh(t) for u = z / 2^w in [1, 2) and t = (u - 1)/(u + 1)
-    # < 1/3; s = floor(t * 2^w) is low by less than 1
-    s = ((z - one) << w) // (z + one)
+    # z = floor(y * 2^w)
+    if start < w:
+        # t = (1 - x*)/(1 + x*) for x* = 1/v, and x - x* 2^w lies in
+        # (1 - 2^-6, 3 + 2^-7); as dt/dx* = -2/(1 + x*)^2, below 1/2 +
+        # 2^-11 in size for x* > 2^(-2^-11), t(x / 2^w) is low by less
+        # than (3 + 2^-7)(1/2 + 2^-11) in ulps and never high, and the
+        # floor, or 0 in place of a negative s, loses less than 1 more
+        x = _inverse_root(z, w, roots, start)
+        s = max(((one - x) << w) // (one + x), 0)
+    else:
+        # Each square root floors, losing less than an ulp, and halves
+        # the error it inherits, as sqrt(a) - sqrt(b) <= (a - b)/2 for
+        # a > b >= 1; so at the end z <= v * 2^w < z + 2
+        for _ in range(roots):
+            z = isqrt(z << w)
+        # as dt/dv = 2/(v + 1)^2 <= 1/2, t at v = z / 2^w is low by less
+        # than 1, and the floor loses less than 1 more
+        s = ((z - one) << w) // (z + one)
     # atanh(t) = t * sum_k t^2k / (2k + 1), summed for the floored s by
     # rectangular splitting (Smith, Math. Comp. 52, 1989; Brent and
     # Zimmermann, Modern Computer Arithmetic, 4.4.3).  With the powers
@@ -345,9 +453,13 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int,
             map(floordiv, [x >> c for x in powers],
                 range(d, d + 2 * block, 2)))
         top = w - c
+    # With the tail, acc is low by less than 3 block + 5, which s / 2^w
+    # < 1/3 scales to below block + 5/3, and the floor loses less than 1
+    # more; the sum at the floored s, atanh(s / 2^w) 2^w, is below the
+    # one at t by less than 9 sigma / 8, as datanh/dt <= 9/8 for t <= 1/3
     total = s * acc >> w
     low = (2 * total) << roots
-    err = (2 * block + 10) << roots
+    err = (2 * block + 10 + (start < w)) << roots
     ln2, ln2_err = _ln2(w)
     return low + e * ln2 + min(e, 0) * ln2_err, err + abs(e) * ln2_err
 
@@ -367,8 +479,8 @@ def log(x: Interval, bits: int) -> Interval:
     e = p.bit_length() - q.bit_length()
     if (p << max(-e, 0)) < (q << max(e, 0)):
         e -= 1
-    w, roots, block = _log_precision(bits, e)
-    low, err = _log_fixed(p, q, e, w, roots, block)
+    w, roots, block, start = _log_precision(bits, e)
+    low, err = _log_fixed(p, q, e, w, roots, block, start)
     if err >= 1 << (w - bits):
         raise PrecisionError(f"log error count {err} exceeds 2^-{bits}")
     # ceil((x.hi - x.lo) / x.lo * 2^w)

@@ -3,6 +3,8 @@ is a test dependency only and shares no code with the integer fixed-point
 enclosures in multitwist.intervals.  Dyadic endpoints and their printing
 are checked against Fraction and decimal_str."""
 
+import hashlib
+import math
 import os
 import random
 import subprocess
@@ -81,14 +83,46 @@ def test_log_encloses_mpmath_within_width(bits):
     check()
 
 
-def test_log_root_count_is_a_third_of_the_cube_root():
-    # floor(bits^(1/3)) // 3 + 1 roots, capped at 128, for every bit
-    # count that log meets
+def test_log_root_count_and_start_precision():
+    # up to 512 bits, floor(bits^(1/3)) // 3 + 1 roots taken at the
+    # working precision; above, bits.bit_length() + 1 roots lifted from
+    # at most 512 bits; for every bit count that log meets
     c = 1
     for bits in range(1, 65536 + 300):
         while (c + 1) ** 3 <= bits:
             c += 1
-        assert intervals._log_precision(bits, 0)[1] == min(c // 3 + 1, 128)
+        w, roots, _, start = intervals._log_precision(bits, 0)
+        if bits <= 512:
+            assert (roots, start) == (c // 3 + 1, w), bits
+        else:
+            assert (roots, start) == (bits.bit_length() + 1, 512), bits
+
+
+def test_log_endpoints_up_to_512_bits_are_pinned():
+    # the endpoints that log gave before the lift, from a digest of them
+    h = hashlib.sha256()
+    for x in SWEEP_X:
+        for bits in range(1, 513):
+            iv = intervals.log(x, bits)
+            h.update(f"{iv.lo} {iv.hi}\n".encode())
+    assert h.hexdigest() == ("6a19703c16d086c748bdef2d03c21e6a"
+                             "cf7f6e62fe4543b0afa1f7fd261cadde")
+
+
+def test_log_error_count_is_the_proved_one():
+    # _log_fixed's docstring: 2 total is low by less than 2 (9 sigma / 8
+    # + block + 8/3), for sigma = 2 after square roots at w and
+    # (3 + 2^-7)(1/2 + 2^-11) + 1 after the lift; the count is the
+    # least int at or above that, times 2^roots
+    for bits in (1, 100, 512, 513, 4096, 65536):
+        w, roots, block, start = intervals._log_precision(bits, 0)
+        sigma = (Fraction(2) if start == w else
+                 (3 + Fraction(1, 2 ** 7)) * (Fraction(1, 2)
+                                              + Fraction(1, 2 ** 11)) + 1)
+        count = math.ceil(2 * (Fraction(9, 8) * sigma + block
+                               + Fraction(8, 3)))
+        _, err = intervals._log_fixed(3, 2, 0, w, roots, block, start)
+        assert err == count << roots, bits
 
 
 SWEEP_BITS = range(1, 301)
@@ -104,7 +138,7 @@ SWEEP_X = (Interval.point(Fraction(3, 2)),
 
 
 def test_log_sweep_covers_switches_of_the_precision_rule():
-    rules = {intervals._log_precision(bits, 0)[1:] for bits in SWEEP_BITS}
+    rules = {intervals._log_precision(bits, 0)[1:3] for bits in SWEEP_BITS}
     assert len({roots for roots, _ in rules}) >= 3
     assert len({block for _, block in rules}) >= 5
 
@@ -114,6 +148,14 @@ def test_log_sweep_bits_1_to_300(x):
     """Every bit count up to 300, so every switch point of the root count,
     the block size and the working precision."""
     for bits in SWEEP_BITS:
+        _check_log(x, bits)
+
+
+@pytest.mark.parametrize("x", SWEEP_X)
+def test_log_sweep_across_the_lift(x):
+    """Every bit count from 448 to 704, across the switch at 512 bits from
+    square roots at the working precision to the lifted ones."""
+    for bits in range(512 - 64, 512 + 193):
         _check_log(x, bits)
 
 
@@ -144,8 +186,8 @@ def _log_fixed_encloses(x: Fraction, bits: int):
     if x < Fraction(2) ** e:
         e -= 1
     assert 1 <= x / Fraction(2) ** e < 2
-    w, roots, block = intervals._log_precision(bits, e)
-    low, err = intervals._log_fixed(p, q, e, w, roots, block)
+    w, roots, block, start = intervals._log_precision(bits, e)
+    low, err = intervals._log_fixed(p, q, e, w, roots, block, start)
     with mpmath.workprec(2 * w + 64):
         scaled = _fraction(mpmath.log(mpmath.mpf(p) / q) * mpmath.mpf(2) ** w)
     # mpmath's value is within 2^-w of ln(x) * 2^w
@@ -172,6 +214,47 @@ def test_log_fixed_contract_bits_1_to_300():
 def test_log_fixed_contract_high_precision(bits, xs):
     for x in xs:
         _log_fixed_encloses(x, bits)
+
+
+def test_log_fixed_contract_at_random_bits_above_512():
+    rng = random.Random(512)
+    for bits in sorted(rng.sample(range(512, 16385), 6)):
+        w = intervals._log_precision(bits, 0)[0]
+        # 1, one ulp of 2^-w either side of [1, 2), a random y over a
+        # denominator that is not a power of two, and a large and a
+        # small exponent
+        for x in (Fraction(1), 1 + Fraction(1, 2 ** w),
+                  2 - Fraction(1, 2 ** w),
+                  Fraction((3 ** 41 << bits) + rng.getrandbits(bits),
+                           3 ** 41 << bits),
+                  Fraction(rng.getrandbits(bits) | 1, 3 ** 41),
+                  Fraction(5 * 2 ** 4000, 3), Fraction(7, 2 ** 1000)):
+            _log_fixed_encloses(x, bits)
+
+
+@pytest.mark.parametrize("bits, samples", [(513, 1000), (600, 1000),
+                                           (900, 1000), (4096, 30),
+                                           (12288, 8)])
+def test_inverse_root_within_the_proved_window(bits, samples):
+    """_inverse_root's x lies in (x* 2^w + 1 - 2^-6, x* 2^w + 3 + 2^-7)
+    for x* = y^(-1/2^roots): y = 1, the ends of [1, 2) and random y.  Up
+    to about 1000 bits the lift is one Newton step from the square roots,
+    and the window's lower end is met only for the schedule's guard bits,
+    so there the samples are many."""
+    w, roots, _, start = intervals._log_precision(bits, 0)
+    rng = random.Random(bits)
+    one = 1 << w
+    zs = [one, one + 1, 2 * one - 1, 3 << (w - 1)]
+    zs += [one + rng.getrandbits(w) for _ in range(samples)]
+    for z in zs:
+        x = intervals._inverse_root(z, w, roots, start)
+        with mpmath.workprec(w + 64):
+            ref = _fraction(mpmath.power(mpmath.mpf(z) / one,
+                                         mpmath.mpf(-1) / 2 ** roots) * one)
+        # mpmath's value is within 2^-32 of x* 2^w
+        slack = Fraction(1, 2 ** 32)
+        assert (1 - Fraction(1, 2 ** 6) - slack < x - ref
+                < 3 + Fraction(1, 2 ** 7) + slack), (z, float(x - ref))
 
 
 @pytest.mark.parametrize("k", (0, 1, -1, 7, -12, 3 << 20, -(5 << 40), 1 << 64))
@@ -282,6 +365,31 @@ def test_endpoint_strs_past_the_str_digit_limit():
         iv = Interval(_signed_dyadic(lo, 65600), _signed_dyadic(hi, 65600))
         assert intervals.endpoint_strs(iv) == [
             intervals.decimal_str(iv.lo), intervals.decimal_str(iv.hi)]
+
+
+def test_decimal_str_matches_str_from_1_to_800000_bits():
+    """Random ints on both sides of the 3072-bit split and of its halves,
+    up to 800,000 bits, and 10^k, 10^k - 1 and 10^k + 1, positive and
+    negative, against str() with the digit limit lifted."""
+    rng = random.Random(800000)
+    cases = {0: "0"}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for bits in (1, 2, 63, 64, 3071, 3072, 3073, 4095, 4096, 4097, 6145,
+                     12296, 65600, 300001, 800000):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            cases[n] = str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # 10^924 and 10^925 straddle 3072 bits, 10^240824 has 800,000 bits
+    for k in (1, 19, 924, 925, 1233, 1234, 4300, 19748, 240824):
+        cases[10 ** k] = "1" + "0" * k
+        cases[10 ** k - 1] = "9" * k
+        cases[10 ** k + 1] = "1" + "0" * (k - 1) + "1"
+    for n, text in cases.items():
+        assert intervals.decimal_str(n) == text, n.bit_length()
+        assert intervals.decimal_str(-n) == ("-" + text if n else text)
 
 
 @pytest.mark.parametrize("lo, hi", [
