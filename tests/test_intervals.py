@@ -1,7 +1,8 @@
 """Certified log, checked against mpmath as an independent oracle: mpmath
 is a test dependency only and shares no code with the integer fixed-point
 enclosures in multitwist.intervals.  Dyadic endpoints and their printing
-are checked against Fraction and decimal_str."""
+are checked against Fraction and decimal_str, and decimal_str against
+str()."""
 
 import hashlib
 import math
@@ -382,7 +383,8 @@ def test_decimal_str_matches_str_from_1_to_800000_bits():
             cases[n] = str(n)
     finally:
         sys.set_int_max_str_digits(limit)
-    # 10^924 and 10^925 straddle 3072 bits, 10^240824 has 800,000 bits
+    # 10^924 and 10^925 straddle 3072 bits, 10^1233 and 10^1234 4096 bits,
+    # and 10^240824 has 800,001 bits
     for k in (1, 19, 924, 925, 1233, 1234, 4300, 19748, 240824):
         cases[10 ** k] = "1" + "0" * k
         cases[10 ** k - 1] = "9" * k
