@@ -265,13 +265,22 @@ def _cmd_verify_paper(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of every command, with the arguments of only the commands
+    that argv names.  argparse selects a subparser by one element of argv,
+    matched exactly, and reads no other subparser beyond its name and
+    help, so a command that argv does not name needs no arguments."""
     parser = argparse.ArgumentParser(
         prog="multitwist",
         description="Exact dilatations, Perron-Frobenius certificates, "
                     "closed-form bounds, and the Johnson homomorphism on "
                     "bounding pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help):
+        """The subparser of name, or None when argv does not name it."""
+        p = sub.add_parser(name, help=help)
+        return p if name in argv else None
 
     def output_format(p, *choices):
         p.add_argument("--format", choices=choices, default=choices[0])
@@ -282,77 +291,79 @@ def build_parser() -> argparse.ArgumentParser:
                        default=60, help="certified bits of the intervals, "
                                         f"at most {MAX_PRECISION_BITS} (default 60)")
 
-    p = sub.add_parser("dilatation", help="certified dilatation of a word")
-    p.add_argument("--word", required=True,
-                   help="word in a/b/A/B (empty string for the identity); "
-                        "letters * bit_length(mu + 1) at most "
-                        f"{MAX_TRACE_BITS}")
-    p.add_argument("--mu", type=_bounded_int(), required=True)
-    output_format(p, "json", "text")
-    precision_bits(p)
-    p.set_defaults(func=_cmd_dilatation, check=_check_dilatation_size,
-                   usage_error=p.error)
+    if p := command("dilatation", "certified dilatation of a word"):
+        p.add_argument("--word", required=True,
+                       help="word in a/b/A/B (empty string for the "
+                            "identity); letters * bit_length(mu + 1) at "
+                            f"most {MAX_TRACE_BITS}")
+        p.add_argument("--mu", type=_bounded_int(), required=True)
+        output_format(p, "json", "text")
+        precision_bits(p)
+        p.set_defaults(func=_cmd_dilatation, check=_check_dilatation_size,
+                       usage_error=p.error)
 
-    p = sub.add_parser("family", help="built-in intersection family and PF data")
-    p.add_argument("--genus", type=_bounded_int(high=MAX_FAMILY_GENUS),
-                   required=True, help=f"at most {MAX_FAMILY_GENUS}")
-    p.add_argument("--kind", choices=["torelli", "braid"], required=True)
-    output_format(p, "json", "csv")
-    p.set_defaults(func=_cmd_family)
+    if p := command("family", "built-in intersection family and PF data"):
+        p.add_argument("--genus", type=_bounded_int(high=MAX_FAMILY_GENUS),
+                       required=True, help=f"at most {MAX_FAMILY_GENUS}")
+        p.add_argument("--kind", choices=["torelli", "braid"], required=True)
+        output_format(p, "json", "csv")
+        p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("bounds", help="closed-form lower bounds by subgroup")
-    p.add_argument("--group", choices=["torelli", "johnson", "congruence",
-                                       "brunnian"], required=True)
-    p.add_argument("--r", type=_bounded_int(), default=None,
-                   help="congruence level, with --group congruence only")
-    p.add_argument("--p", type=_bounded_int(), default=None,
-                   help="number of punctures, with --group brunnian only")
-    p.set_defaults(func=_cmd_bounds, check=_check_bounds_parameters,
-                   usage_error=p.error)
+    if p := command("bounds", "closed-form lower bounds by subgroup"):
+        p.add_argument("--group", choices=["torelli", "johnson", "congruence",
+                                           "brunnian"], required=True)
+        p.add_argument("--r", type=_bounded_int(), default=None,
+                       help="congruence level, with --group congruence only")
+        p.add_argument("--p", type=_bounded_int(), default=None,
+                       help="number of punctures, with --group brunnian only")
+        p.set_defaults(func=_cmd_bounds, check=_check_bounds_parameters,
+                       usage_error=p.error)
 
-    p = sub.add_parser("search", help="minimal |trace| over conjugacy classes")
-    p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
-                   required=True,
-                   help=f"at most {MAX_SEARCH_LENGTH} (start-up time from "
-                        "mu 5)")
-    p.add_argument("--mu", type=_bounded_int(), required=True)
-    precision_bits(p)
-    p.set_defaults(func=_cmd_search)
+    if p := command("search", "minimal |trace| over conjugacy classes"):
+        p.add_argument("--max-len", type=_bounded_int(high=MAX_SEARCH_LENGTH),
+                       required=True,
+                       help=f"at most {MAX_SEARCH_LENGTH} (start-up time from "
+                            "mu 5)")
+        p.add_argument("--mu", type=_bounded_int(), required=True)
+        precision_bits(p)
+        p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("lcs-table", help="nested-commutator dilatation table")
-    p.add_argument("--max-k", type=_bounded_int(), required=True,
-                   help=f"2^(max_k - 1) * (bits of mu) at most "
-                        f"{MAX_TRACE_BITS}")
-    p.add_argument("--mu", type=_bounded_int(), required=True)
-    output_format(p, "csv", "json")
-    precision_bits(p)
-    p.set_defaults(func=_cmd_lcs_table, check=_check_lcs_size,
-                   usage_error=p.error)
+    if p := command("lcs-table", "nested-commutator dilatation table"):
+        p.add_argument("--max-k", type=_bounded_int(), required=True,
+                       help=f"2^(max_k - 1) * (bits of mu) at most "
+                            f"{MAX_TRACE_BITS}")
+        p.add_argument("--mu", type=_bounded_int(), required=True)
+        output_format(p, "csv", "json")
+        precision_bits(p)
+        p.set_defaults(func=_cmd_lcs_table, check=_check_lcs_size,
+                       usage_error=p.error)
 
-    p = sub.add_parser("johnson-tau",
-                       help="Johnson image of a bounding-pair map")
-    p.add_argument("--genus", type=_bounded_int(high=MAX_JOHNSON_GENUS),
-                   required=True, help=f"at most {MAX_JOHNSON_GENUS}")
-    p.add_argument("--pairs", type=_symplectic_pairs, default="",
-                   help='symplectic pairs, e.g. "x2,y2;x3,y3"')
-    p.add_argument("--a", required=True, help='class of the pair, e.g. "x1"')
-    p.set_defaults(func=_cmd_johnson_tau)
+    if p := command("johnson-tau", "Johnson image of a bounding-pair map"):
+        p.add_argument("--genus", type=_bounded_int(high=MAX_JOHNSON_GENUS),
+                       required=True, help=f"at most {MAX_JOHNSON_GENUS}")
+        p.add_argument("--pairs", type=_symplectic_pairs, default="",
+                       help='symplectic pairs, e.g. "x2,y2;x3,y3"')
+        p.add_argument("--a", required=True,
+                       help='class of the pair, e.g. "x1"')
+        p.set_defaults(func=_cmd_johnson_tau)
 
-    p = sub.add_parser("tau-cc", help="curve-complex translation-length bound")
-    p.add_argument("--genus", type=_bounded_int(), required=True)
-    p.add_argument("--log-lambda", type=_rational,
-                   help="exact p, p/q or plain decimal, e.g. 6931/10000")
-    p.set_defaults(func=_cmd_tau_cc)
+    if p := command("tau-cc", "curve-complex translation-length bound"):
+        p.add_argument("--genus", type=_bounded_int(), required=True)
+        p.add_argument("--log-lambda", type=_rational,
+                       help="exact p, p/q or plain decimal, e.g. 6931/10000")
+        p.set_defaults(func=_cmd_tau_cc)
 
-    p = sub.add_parser("verify-paper", help="reproduce every headline constant")
-    output_format(p, "text", "json")
-    p.set_defaults(func=_cmd_verify_paper)
+    if p := command("verify-paper", "reproduce every headline constant"):
+        output_format(p, "text", "json")
+        p.set_defaults(func=_cmd_verify_paper)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         # checks that join several flags, as usage errors of the subparser

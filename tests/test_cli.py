@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import multitwist
 from multitwist import bounds, johnson, rep, search, verify, words
-from multitwist.cli import run
+from multitwist.cli import build_parser, run
 from multitwist.intervals import Interval, PrecisionError
 from multitwist.words import Word
 
@@ -188,6 +189,24 @@ def test_usage_errors(capsys):
     assert run(["dilatation", "--word", "ab", "--mu", "64",
                 "--nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_parser_builds_only_the_named_command():
+    parser = build_parser(["dilatation", "--word", "ab", "--mu", "2"])
+    [sub] = [action for action in parser._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    assert len(sub.choices) == 8
+    assert {name for name, p in sub.choices.items()
+            if [type(a) for a in p._actions] != [argparse._HelpAction]} == {
+        "dilatation"}
+
+
+def test_run_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["multitwist", "bounds", "--group",
+                                      "torelli"])
+    assert run() == 0
+    assert json.loads(capsys.readouterr().out)["binding_case"] == (
+        "case2_cubic")
 
 
 def test_computation_error_exit_code(capsys):
