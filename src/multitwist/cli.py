@@ -7,6 +7,8 @@ tau-cc, verify-paper.  Exit codes: 0 success, 1 computation error,
 Import rule: module level imports only what every command needs (argparse,
 json, os, re, sys).  Each command imports its own modules when it runs, so
 start-up and usage errors load no module of the package beyond this one.
+Each command also builds only its own arguments: the parser lists every
+command, but fills in only the subparsers that argv names.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ MAX_JOHNSON_GENUS = 64
 # the bit count (the README gives the measured times)
 MAX_PRECISION_BITS = 65536
 # the largest size in bits of a trace that lcs-table or dilatation forms;
-# lcs-table spends almost all its time on the decimal digits of the trace,
-# and each further level, or doubling of the bits of mu, costs 3-4 times
-# as much (the README gives the measured times)
+# each further lcs-table level, or doubling of the bits of mu, costs about
+# twice as much: 6 / 11 / 22 / 41 ms in-process at --max-k 15-18, mu 64
+# (best of 5 on a shared 2-core box; the README gives subprocess times)
 MAX_TRACE_BITS = 2 ** 17 * 7
 # the largest search --max-len, bound by time alone at mu <= 4 (the README
 # gives the measured times): there each further letter about triples the

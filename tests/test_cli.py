@@ -201,14 +201,6 @@ def test_parser_builds_only_the_named_command():
         "dilatation"}
 
 
-def test_run_reads_sys_argv(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["multitwist", "bounds", "--group",
-                                      "torelli"])
-    assert run() == 0
-    assert json.loads(capsys.readouterr().out)["binding_case"] == (
-        "case2_cubic")
-
-
 def test_computation_error_exit_code(capsys):
     assert run(["dilatation", "--word", "ab", "--mu", "0"]) == 1
     assert run(["family", "--genus", "1", "--kind", "torelli"]) == 1
