@@ -8,7 +8,8 @@ Import rule: module level imports only what every command needs (argparse,
 json, os, re, sys).  Each command imports its own modules when it runs, so
 start-up and usage errors load no module of the package beyond this one.
 Each command also builds only its own arguments: the parser lists every
-command, but fills in only the subparsers that argv names.
+command, but fills in only the subparsers that argv names, and gives the
+others not even -h.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ MAX_PRECISION_BITS = 65536
 # twice as much: 6 / 11 / 22 / 41 ms in-process at --max-k 15-18, mu 64
 # (best of 5 on a shared 2-core box; the README gives subprocess times)
 MAX_TRACE_BITS = 2 ** 17 * 7
+# the largest letters * trace bits of a dilatation --word: evaluation works
+# each letter into entries of up to the trace's size, so its time grows with
+# the product; 131,070 letters at mu 126, about the longest argument a Linux
+# command line passes, take about 7 s (the README gives measured times)
+MAX_WORD_COST = 131_070 ** 2 * 7
 # the largest search --max-len, bound by time alone at mu <= 4 (the README
 # gives the measured times): there each further letter about triples the
 # time, while the streamed search keeps the RSS flat; from mu 5 the search
@@ -189,14 +195,19 @@ def _cmd_search(args) -> int:
 
 
 def _check_dilatation_size(args) -> None:
-    """Refuse a --word whose trace may pass MAX_TRACE_BITS bits: each
-    a^+-1 at most doubles an entry of the image, and each b^+-1 multiplies
-    it by at most mu + 1.  A mu below 1 is left to the computation."""
-    bits = len(args.word) * (args.mu + 1).bit_length()
+    """Refuse a --word whose trace may pass MAX_TRACE_BITS bits, or whose
+    letters times those bits pass MAX_WORD_COST: each a^+-1 at most doubles
+    an entry of the image, and each b^+-1 multiplies it by at most mu + 1.
+    A mu below 1 is left to the computation."""
+    letters = len(args.word)
+    bits = letters * (args.mu + 1).bit_length()
     if args.mu >= 1 and bits > MAX_TRACE_BITS:
-        args.usage_error(f"a {len(args.word)}-letter --word may need a "
-                         f"{bits}-bit trace; at most {MAX_TRACE_BITS} are "
-                         "allowed")
+        args.usage_error(f"a {letters}-letter --word may need a {bits}-bit "
+                         f"trace; at most {MAX_TRACE_BITS} are allowed")
+    if args.mu >= 1 and letters * bits > MAX_WORD_COST:
+        args.usage_error(f"a {letters}-letter --word may need a {bits}-bit "
+                         f"trace; letters * bits is {letters * bits}, at most "
+                         f"{MAX_WORD_COST} are allowed")
 
 
 def _check_lcs_size(args) -> None:
@@ -280,8 +291,9 @@ def build_parser(argv) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help):
-        """The subparser of name, or None when argv does not name it."""
-        p = sub.add_parser(name, help=help)
+        """The subparser of name, or None, with no -h, when argv does not
+        name it."""
+        p = sub.add_parser(name, help=help, add_help=name in argv)
         return p if name in argv else None
 
     def output_format(p, *choices):
@@ -297,7 +309,8 @@ def build_parser(argv) -> argparse.ArgumentParser:
         p.add_argument("--word", required=True,
                        help="word in a/b/A/B (empty string for the "
                             "identity); letters * bit_length(mu + 1) at "
-                            f"most {MAX_TRACE_BITS}")
+                            f"most {MAX_TRACE_BITS}, and letters^2 * "
+                            f"bit_length(mu + 1) at most {MAX_WORD_COST}")
         p.add_argument("--mu", type=_bounded_int(), required=True)
         output_format(p, "json", "text")
         precision_bits(p)

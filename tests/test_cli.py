@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import mpmath
 import pytest
 
 import multitwist
-from multitwist import bounds, johnson, rep, search, verify, words
+from multitwist import bounds, cli, johnson, rep, search, verify, words
 from multitwist.cli import build_parser, run
 from multitwist.intervals import Interval, PrecisionError
 from multitwist.words import Word
@@ -196,9 +197,9 @@ def test_parser_builds_only_the_named_command():
     [sub] = [action for action in parser._actions
              if isinstance(action, argparse._SubParsersAction)]
     assert len(sub.choices) == 8
-    assert {name for name, p in sub.choices.items()
-            if [type(a) for a in p._actions] != [argparse._HelpAction]} == {
+    assert {name for name, p in sub.choices.items() if p._actions} == {
         "dilatation"}
+    assert type(sub.choices["dilatation"]._actions[0]) is argparse._HelpAction
 
 
 def test_computation_error_exit_code(capsys):
@@ -439,13 +440,74 @@ def test_dilatation_trace_size_cap(capsys, monkeypatch):
         assert (f"a {len(word)}-letter --word may need a {bits}-bit trace; "
                 f"at most 917504 are allowed") in captured.err
     assert built == []
-    # (ab)^65536 at mu 64 is exactly 131072 * 7 = 917504 bits
-    assert run(["dilatation", "--word", "ab" * 65536, "--mu", "64"]) == 0
-    assert built == [(Word("ab" * 65536), 64, 60)]
+    # (ab)^1792 at mu 2^255 is exactly 3584 * 256 = 917504 bits
+    assert run(["dilatation", "--word", "ab" * 1792,
+                "--mu", str(2 ** 255)]) == 0
+    assert built == [(Word("ab" * 1792), 2 ** 255, 60)]
     assert json.loads(capsys.readouterr().out)["class"] == "identity"
     assert run(["dilatation", "--help"]) == 0
     assert "bit_length(mu + 1) at most 917504" in " ".join(
         capsys.readouterr().out.split())
+
+
+def test_dilatation_cost_cap_refuses_before_evaluating(capsys, monkeypatch):
+    # (aB)^229376 at mu 2 has exactly the 917504 trace bits allowed, but
+    # 458752 letters, and once took 17 s to evaluate
+    monkeypatch.setattr(rep, "dilatation",
+                        lambda *args: pytest.fail("evaluated"))
+    start = time.perf_counter()
+    code = run(["dilatation", "--word", "aB" * 229376, "--mu", "2"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert ("a 458752-letter --word may need a 917504-bit trace; letters * "
+            f"bits is {458752 * 917504}, at most 120255414300 are "
+            "allowed") in captured.err
+    assert run(["dilatation", "--help"]) == 0
+    assert "letters^2 * bit_length(mu + 1) at most 120255414300" in " ".join(
+        capsys.readouterr().out.split())
+
+
+class _Refused(Exception):
+    pass
+
+
+def _size_refusal(letters, mu):
+    """The usage error of _check_dilatation_size for a word of so many
+    letters at mu, or None when it passes."""
+    def refuse(message):
+        raise _Refused(message)
+
+    try:
+        cli._check_dilatation_size(argparse.Namespace(
+            word="a" * letters, mu=mu, usage_error=refuse))
+    except _Refused as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("letters, mu", [
+    # the slowest request a shell passes sets the bound
+    (131070, 126),
+    # where the cost binds far below the trace bits: 2 and 3 bits of mu + 1
+    (245209, 2), (200212, 4)])
+def test_dilatation_cost_cap_edge(letters, mu):
+    assert _size_refusal(letters, mu) is None
+    bits = (letters + 1) * (mu + 1).bit_length()
+    assert bits <= cli.MAX_TRACE_BITS
+    assert _size_refusal(letters + 1, mu) == (
+        f"a {letters + 1}-letter --word may need a {bits}-bit trace; letters"
+        f" * bits is {(letters + 1) * bits}, at most 120255414300 are "
+        "allowed")
+
+
+def test_dilatation_trace_bits_message_is_kept():
+    # past both bounds, the trace bits' message
+    assert _size_refusal(131073, 64) == (
+        "a 131073-letter --word may need a 917511-bit trace; at most 917504 "
+        "are allowed")
 
 
 def test_search_length_cap(capsys):

@@ -3,15 +3,20 @@ every subcommand, digit strings inflated past str()'s 4300-digit limit
 among them, must end in exit code 0, 1 or 2 with no escaping exception,
 print something on exit 0 and nothing on exit 2.  Every value the
 mutations draw is cheap to compute with, so the whole fuzz runs in well
-under two seconds."""
+under two seconds.  The same argvs, with the golden corpus, also check
+that the parser build_parser(argv) fills in parses as the full one."""
 
+import contextlib
+import io
 import random
 import re
 
 import pytest
 
 from multitwist import verify
-from multitwist.cli import run
+from multitwist.cli import build_parser, run
+
+from test_cli_golden import ARGVS, COMMANDS
 
 VALID = [
     ["dilatation", "--word", "abAB", "--mu", "3"],
@@ -116,3 +121,39 @@ def test_fuzzed_argv_exit_codes(capsys, monkeypatch, paper_results):
         codes.append(code)
     # the mutations reach every exit code
     assert set(codes) == {0, 1, 2}
+
+
+def _usage_phase(parser, argv):
+    """What parser's usage phase gives, as cli.run meets it (parse_args,
+    then the check that joins flags): exit code, stdout, stderr, and the
+    parsed values, with each callable read as its name and the prog of the
+    parser it is bound to."""
+    def value(v):
+        if not callable(v):
+            return v
+        return v.__qualname__, getattr(getattr(v, "__self__", None), "prog",
+                                       None)
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = values = None
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            args = parser.parse_args(argv)
+            if hasattr(args, "check"):
+                args.check(args)
+            values = {k: value(v) for k, v in vars(args).items()}
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue(), values
+
+
+def test_partial_build_parses_as_the_full_one(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = set()
+    for argv in ARGVS + _cases():
+        partial = _usage_phase(build_parser(argv), argv)
+        assert partial == _usage_phase(build_parser(COMMANDS), argv), argv
+        outcomes.add(partial[0])
+    # help (0), usage errors (2) and parsed requests (None) all occur
+    assert outcomes == {0, 2, None}
