@@ -36,7 +36,7 @@ MAX_TRACE_BITS = 2 ** 17 * 7
 # the largest letters * trace bits of a dilatation --word: evaluation works
 # each letter into entries of up to the trace's size, so its time grows with
 # the product; 131,070 letters at mu 126, about the longest argument a Linux
-# command line passes, take about 7 s (the README gives measured times)
+# command line passes, take about 3 s (the README gives measured times)
 MAX_WORD_COST = 131_070 ** 2 * 7
 # the largest search --max-len, bound by time alone at mu <= 4 (the README
 # gives the measured times): there each further letter about triples the

@@ -452,7 +452,7 @@ def test_dilatation_trace_size_cap(capsys, monkeypatch):
 
 def test_dilatation_cost_cap_refuses_before_evaluating(capsys, monkeypatch):
     # (aB)^229376 at mu 2 has exactly the 917504 trace bits allowed, but
-    # 458752 letters, and once took 17 s to evaluate
+    # 458752 letters, which take 9-17 s to evaluate
     monkeypatch.setattr(rep, "dilatation",
                         lambda *args: pytest.fail("evaluated"))
     start = time.perf_counter()
