@@ -7,14 +7,17 @@ formula's monotonicity and sign.  root takes every algebraic number of
 the package (each dilatation, 2 + sqrt(3), the Torelli cubic's root) to
 a grid 2^-bits by Newton's method and certifies it by an exact sign
 check in ints (Yap, "Fundamental Problems of Algorithmic Algebra",
-2000).  log, in integer fixed point, reduces its argument by r square
-roots (Brent, J. ACM 23, 1976): up to 512 bits, about bits^(1/3) / 3 of
-them by isqrt at the working precision; above, bits.bit_length() + 1 of
-them by isqrt at no more than 512 bits, lifted to the working precision
-by Newton's method for the inverse root, which takes products only
-(Brent and Zimmermann, "Modern Computer Arithmetic", 2010, 4.2.3).  It
-then sums the atanh series by rectangular splitting (Smith, Math. Comp.
-52, 1989; Brent and Zimmermann 4.4.3), counting every rounding in ulps.
+2000), the upper value from the lower one's Horner pass.  log, in
+integer fixed point, reduces its argument by r square roots (Brent,
+J. ACM 23, 1976): up to 512 bits, about bits^(1/3) / 3 of them by isqrt
+at the working precision; above, bits.bit_length() + 1 of them by isqrt
+at no more than 512 bits, lifted to the working precision by Newton's
+method for the inverse root, which takes products only (Brent and
+Zimmermann, "Modern Computer Arithmetic", 2010, 4.2.3), each level's
+first squaring at half the width.  It then sums the atanh series by
+rectangular splitting (Smith, Math. Comp. 52, 1989; Brent and Zimmermann
+4.4.3), counting every rounding in ulps; above 512 bits with one
+division per block of terms and the even powers by squaring.
 
 Endpoints k / 2^j are built in lowest terms without a gcd, scaled to a
 common 2^e to test a relative width, and each interval is printed from
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 from operator import floordiv
 
 
@@ -227,6 +230,24 @@ def _newton(coeffs: list[int], lo: int, bits: int) -> int:
     return k - (2 * _horner(coeffs, k, bits) + d) // (2 * d)
 
 
+def _horner_pair(coeffs: list[int], k: int, e: int) -> tuple[int, int]:
+    """(_horner(coeffs, k, e), _horner(coeffs, k + 1, e)) from one Horner
+    pass at k.
+
+    Horner's partial sums at x = k / 2^e are the coefficients of the
+    quotient q of f by x' - x, and f(x') = f(x) + (x' - x) q(x').  Scaled,
+    the i-th partial sum in ints is 2^(i e) times the i-th coefficient of
+    q, so at x' = (k + 1) / 2^e the scaled 2^((n - 1) e) q(x') is Horner's
+    rule at k + 1 on those sums with no shifts, and it is what 2^(n e)
+    f(x') adds to 2^(n e) f(x)."""
+    sums = []
+    acc = 0
+    for i, c in enumerate(coeffs):
+        acc = acc * k + (c << e * i)
+        sums.append(acc)
+    return acc, acc + _horner(sums[:-1], k + 1, 0)
+
+
 def root(coeffs: list[int], lo: int, bits: int) -> Interval:
     """[k, k + 1] / 2^bits, or the point k / 2^bits, around the root in
     (lo, lo + 1) of f, with int coefficients leading first, which must
@@ -234,13 +255,12 @@ def root(coeffs: list[int], lo: int, bits: int) -> Interval:
     caller proves.  k is _newton's estimate with two guard bits, floored,
     less at most one step; the certificate is the exact sign check
     f(k / 2^bits) <= 0 < f((k + 1) / 2^bits), one Horner pass in ints
-    per endpoint, and a k that fails it raises ValueError."""
+    and its quotient by x - k / 2^bits, and a k that fails it raises
+    ValueError."""
     k = _newton(coeffs, lo, bits + 2) >> 2
-    low = _horner(coeffs, k, bits)
+    low, high = _horner_pair(coeffs, k, bits)
     if low > 0:
         k, low, high = k - 1, _horner(coeffs, k - 1, bits), low
-    else:
-        high = _horner(coeffs, k + 1, bits)
     if not low <= 0 < high:
         raise ValueError(f"no sign change at {k} / 2^{bits}: f is not "
                          f"increasing and convex on ({lo}, {lo + 1})")
@@ -359,8 +379,10 @@ def _inverse_root(z: int, w: int, roots: int, start: int) -> int:
         v = isqrt(v << p)
     x = (1 << 2 * p) // v
     for top in reversed(precisions):
-        pw = x << (top - p)
-        for _ in range(roots):
+        # the first squaring, of x << (top - p) shifted right by top, is
+        # x * x shifted right by 2p - top > 0, at half the width
+        pw = x * x >> (2 * p - top)
+        for _ in range(roots - 1):
             pw = pw * pw >> top
         a = (z >> (w - top)) * pw >> top
         x = (x << (top - p)) + (x * ((1 << top) - a) >> (p + roots))
@@ -383,7 +405,11 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     total ends low by less than 9 sigma / 8 + block + 8/3, so 2 total by
     less than 2 block + 9.84, or 2 block + 10.98 lifted: the error
     count is (2 block + 10) 2^roots, or (2 block + 11) 2^roots lifted,
-    plus |e| times _ln2's 2.
+    plus |e| times _ln2's 2.  Lifted, the series squares its even powers
+    and floors each block's inner sum once, over the product of the
+    block's divisors; the comments show that both stay inside the same
+    counts, and one floor of a sum is never below the sum of its terms'
+    floors.
     """
     one = 1 << w
     shift = w - e
@@ -415,21 +441,27 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     # rectangular splitting (Smith, Math. Comp. 52, 1989; Brent and
     # Zimmermann, Modern Computer Arithmetic, 4.4.3).  With the powers
     # 1, s2, ..., s2^(block - 1) of s2 = s^2 / 2^w, block b is an inner
-    # sum of one small division per term, and the blocks are joined by
-    # Horner's rule in s2^block.  s < 2^(w - gap), so n terms with
-    # 2 n gap >= w leave a tail of at most (s / 2^w)^2n (9/8) / 3 < 2^-w,
-    # below 1.
+    # sum of one small division per term, or lifted one division for the
+    # whole block, and the blocks are joined by Horner's rule in
+    # s2^block.  s < 2^(w - gap), so n terms with 2 n gap >= w leave a
+    # tail of at most (s / 2^w)^2n (9/8) / 3 < 2^-w, below 1.
+    lifted = start < w
     gap = w - s.bit_length()
     s2 = s * s >> w
     n = -(-w // (2 * gap))
     block = min(block, n)
     powers = [one, s2]
-    for _ in range(block - 1):
-        powers.append(powers[-1] * s2 >> w)
+    for j in range(2, block + 1):
+        half = powers[j // 2]
+        powers.append((half * half if lifted and j % 2 == 0
+                       else powers[-1] * s2) >> w)
     # Every power is low by less than 2, by induction: s2 loses less
     # than 1 in its floor, and a later power less than 1 in its floor,
-    # 2 s2 / 2^w < 2/9 from the power before it, and that power over
-    # 2^w, at most 1/9, from s2.
+    # plus, from s2 times the power before it, 2 s2 / 2^w < 2/9 for that
+    # power's error and that power over 2^w, at most 1/9, for s2's; or,
+    # lifted, an even power squares the half power h, whose exact value H
+    # is at most 2^w / 9, and loses less than 1 in its floor and (H - h)
+    # (H + h) / 2^w < 2 (2 H / 2^w) <= 4/9 from h's error.
     step = powers.pop()
     # Block b ends up scaled by (s / 2^w)^(2 block b) < 2^-(2 gap block b),
     # so it is summed in ulps of 2^-(w - c) for the cut c = cut * b, from
@@ -440,18 +472,26 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     acc, top = 0, w
     for b in reversed(range(-(-n // block))):
         c = cut * b
-        d = 2 * b * block + 1
-        # Each term of the inner sum is low by less than 2: the floor,
-        # plus a power low by less than 2 over a divisor of at least 3
-        # (the first power is exact).  acc <= (9/8) 2^top, and
-        # multiplying it by the step, low by less than 2, then flooring
-        # loses less than 9/4 + 1.  The error acc carries is multiplied by
-        # (s / 2^w)^2block 2^cut < 4^-block, as the ulp grows by 2^cut.
-        # So acc ends low by less than (2 block + 13/4) / (1 - 4^-block)
-        # < 3 block + 4.
-        acc = (acc * (step >> c) >> top) + sum(
-            map(floordiv, [x >> c for x in powers],
-                range(d, d + 2 * block, 2)))
+        divisors = range(2 * b * block + 1, 2 * (b + 1) * block, 2)
+        shifted = [x >> c for x in powers]
+        # The inner sum is low by less than 2 block: the powers after the
+        # first, which is exact, are low by less than 2 over divisors of
+        # at least 3, 5, ..., so at most 2 (block - 1) / 3 in all, and
+        # each term's floor loses less than 1 more; lifted, one floor of
+        # the exact sum over the product of the divisors loses less than
+        # 1 in all, and costs one division, not block of them.  acc <=
+        # (9/8) 2^top, and multiplying it by the step, low by less than
+        # 2, then flooring loses less than 9/4 + 1.  The error acc carries
+        # is multiplied by (s / 2^w)^2block 2^cut < 4^-block, as the ulp
+        # grows by 2^cut.  So acc ends low by less than (2 block + 13/4) /
+        # (1 - 4^-block) < 3 block + 4.
+        if lifted:
+            whole = prod(divisors)
+            inner = sum(x * (whole // d)
+                        for x, d in zip(shifted, divisors)) // whole
+        else:
+            inner = sum(map(floordiv, shifted, divisors))
+        acc = (acc * (step >> c) >> top) + inner
         top = w - c
     # With the tail, acc is low by less than 3 block + 5, which s / 2^w
     # < 1/3 scales to below block + 5/3, and the floor loses less than 1
@@ -483,7 +523,13 @@ def log(x: Interval, bits: int) -> Interval:
     low, err = _log_fixed(p, q, e, w, roots, block, start)
     if err >= 1 << (w - bits):
         raise PrecisionError(f"log error count {err} exceeds 2^-{bits}")
-    # ceil((x.hi - x.lo) / x.lo * 2^w)
-    gap = x.hi.numerator * q - p * x.hi.denominator
-    spread = -(-(gap << w) // (x.hi.denominator * p))
+    # ceil((x.hi - x.lo) / x.lo * 2^w), from the endpoints over a common
+    # denominator: for dyadic ones the larger 2^j, reached by shifts
+    q_hi = x.hi.denominator
+    if q & (q - 1) or q_hi & (q_hi - 1):
+        a, b = p * q_hi, x.hi.numerator * q
+    else:
+        j = max(q, q_hi).bit_length() - 1
+        a, b = dyadic_scaled(x.lo, j), dyadic_scaled(x.hi, j)
+    spread = -(-((b - a) << w) // a)
     return Interval(dyadic(low, w), dyadic(low + err + spread, w))

@@ -258,6 +258,105 @@ def test_inverse_root_within_the_proved_window(bits, samples):
                 < 3 + Fraction(1, 2 ** 7) + slack), (z, float(x - ref))
 
 
+def _inverse_root_full_width(z: int, w: int, roots: int, start: int) -> int:
+    """_inverse_root with each level's first squaring taken at the full
+    width, of x << (top - p) shifted right by top."""
+    precisions = [w]
+    while precisions[-1] > start:
+        precisions.append((precisions[-1] + roots + 9) // 2)
+    p = precisions.pop()
+    v = z >> (w - p)
+    for _ in range(roots):
+        v = math.isqrt(v << p)
+    x = (1 << 2 * p) // v
+    for top in reversed(precisions):
+        pw = x << (top - p)
+        for _ in range(roots):
+            pw = pw * pw >> top
+        a = (z >> (w - top)) * pw >> top
+        x = (x << (top - p)) + (x * ((1 << top) - a) >> (p + roots))
+        p = top
+    return x + 2
+
+
+def _per_term_log_fixed(p: int, q: int, e: int, w: int, roots: int,
+                        block: int, start: int) -> tuple[int, int]:
+    """_log_fixed's (low, err) above 512 bits with the atanh series summed
+    term by term: one floor division per term, over powers of s2 formed by
+    successive products."""
+    one = 1 << w
+    z = math.floor(Fraction(p, q) * Fraction(2) ** (w - e))
+    x = intervals._inverse_root(z, w, roots, start)
+    s = max(((one - x) << w) // (one + x), 0)
+    gap = w - s.bit_length()
+    s2 = s * s >> w
+    n = -(-w // (2 * gap))
+    block = min(block, n)
+    powers = [one]
+    for _ in range(block):
+        powers.append(powers[-1] * s2 >> w)
+    step = powers.pop()
+    cut = (2 * gap - 2) * block
+    acc, top = 0, w
+    for b in reversed(range(-(-n // block))):
+        c = cut * b
+        d = 2 * b * block + 1
+        acc = (acc * (step >> c) >> top) + sum(
+            (x >> c) // (d + 2 * j) for j, x in enumerate(powers))
+        top = w - c
+    ln2, ln2_err = intervals._ln2(w)
+    return (((2 * (s * acc >> w)) << roots) + e * ln2 + min(e, 0) * ln2_err,
+            ((2 * block + 11) << roots) + abs(e) * ln2_err)
+
+
+def test_log_fixed_above_512_bits_against_the_per_term_series():
+    """One floor per block of the series and squared even powers: low is
+    never below the per-term series' low, err is the proved count, and
+    mpmath's ln(x) 2^w lies inside.  20 random y at bits in 513-16384,
+    and the inputs of test_log_fixed_contract_at_random_bits_above_512."""
+    rng = random.Random(40)
+    cases = []
+    for bits in sorted(rng.sample(range(513, 16385), 20)):
+        q = 3 ** 41 << bits
+        cases.append((q + rng.randrange(q), q, bits))
+    for bits in sorted(random.Random(512).sample(range(512, 16385), 6)):
+        if bits > 512:
+            w = intervals._log_precision(bits, 0)[0]
+            for x in (Fraction(1), 1 + Fraction(1, 2 ** w),
+                      2 - Fraction(1, 2 ** w), Fraction(5 * 2 ** 4000, 3),
+                      Fraction(7, 2 ** 1000)):
+                cases.append((x.numerator, x.denominator, bits))
+    for p, q, bits in cases:
+        e = p.bit_length() - q.bit_length()
+        if Fraction(p, q) < Fraction(2) ** e:
+            e -= 1
+        w, roots, block, start = intervals._log_precision(bits, e)
+        assert start < w
+        low, err = intervals._log_fixed(p, q, e, w, roots, block, start)
+        per_term_low, per_term_err = _per_term_log_fixed(p, q, e, w, roots,
+                                                         block, start)
+        assert low >= per_term_low and err == per_term_err, (p, q, bits)
+        _log_fixed_encloses(Fraction(p, q), bits)
+
+
+@pytest.mark.parametrize("bits", (513, 900, 4096, 12288, 16384))
+def test_inverse_root_first_squaring_at_half_width(bits):
+    """Each lift level's first squaring, x * x shifted right by 2p - top,
+    equals the square of x << (top - p) shifted right by top: the same x
+    as the lift with the full-width squaring, for random z and random x."""
+    w, roots, _, start = intervals._log_precision(bits, 0)
+    rng = random.Random(bits)
+    one = 1 << w
+    for z in (one, 2 * one - 1, *(one + rng.getrandbits(w) for _ in range(20))):
+        assert intervals._inverse_root(z, w, roots, start) == (
+            _inverse_root_full_width(z, w, roots, start)), z
+    for _ in range(200):
+        top = rng.randint(2, w)
+        p = rng.randint(top // 2 + 1, top)
+        x = rng.getrandbits(p + 1)
+        assert x * x >> (2 * p - top) == (x << (top - p)) ** 2 >> top
+
+
 @pytest.mark.parametrize("k", (0, 1, -1, 7, -12, 3 << 20, -(5 << 40), 1 << 64))
 @pytest.mark.parametrize("e", (0, 1, 5, 30))
 def test_dyadic_equals_fraction(k, e):

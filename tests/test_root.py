@@ -74,6 +74,21 @@ def test_torelli_cubic_certificate():
         _certified_k([1, 2, 1, -6], 1, bits)
 
 
+def test_upper_sign_value_is_horner_at_k_plus_one():
+    """root's upper value, f(k / 2^e) plus the quotient of f by
+    x - k / 2^e at (k + 1) / 2^e, is Horner's rule at k + 1 exactly."""
+    rng = random.Random(40)
+    for _ in range(3000):
+        coeffs = [rng.randint(-10 ** 6, 10 ** 6)
+                  for _ in range(rng.randint(2, 5))]
+        k, e = rng.randint(-10 ** 6, 10 ** 6), rng.randint(0, 40)
+        assert intervals._horner_pair(coeffs, k, e) == (
+            intervals._horner(coeffs, k, e),
+            intervals._horner(coeffs, k + 1, e)), (coeffs, k, e)
+        assert intervals._horner(coeffs, k + 1, e) == _scaled_value(
+            coeffs, k + 1, e)
+
+
 @pytest.mark.parametrize("bits", (1, 2, 3, 60, 1024))
 def test_dyadic_root_is_a_point(bits):
     # (2x - 3)(2x + 1) = 4x^2 - 4x - 3 increases and is convex on (1, 2)
