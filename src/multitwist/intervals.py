@@ -420,7 +420,8 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     else:
         z = (p << shift) // q if shift >= 0 else p // (q << -shift)
     # z = floor(y * 2^w)
-    if start < w:
+    lifted = start < w
+    if lifted:
         # t = (1 - x*)/(1 + x*) for x* = 1/v, and x - x* 2^w lies in
         # (1 - 2^-6, 3 + 2^-7); as dt/dx* = -2/(1 + x*)^2, below 1/2 +
         # 2^-11 in size for x* > 2^(-2^-11), t(x / 2^w) is low by less
@@ -445,7 +446,6 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     # whole block, and the blocks are joined by Horner's rule in
     # s2^block.  s < 2^(w - gap), so n terms with 2 n gap >= w leave a
     # tail of at most (s / 2^w)^2n (9/8) / 3 < 2^-w, below 1.
-    lifted = start < w
     gap = w - s.bit_length()
     s2 = s * s >> w
     n = -(-w // (2 * gap))
@@ -499,7 +499,7 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     # one at t by less than 9 sigma / 8, as datanh/dt <= 9/8 for t <= 1/3
     total = s * acc >> w
     low = (2 * total) << roots
-    err = (2 * block + 10 + (start < w)) << roots
+    err = (2 * block + 10 + lifted) << roots
     ln2, ln2_err = _ln2(w)
     return low + e * ln2 + min(e, 0) * ln2_err, err + abs(e) * ln2_err
 
