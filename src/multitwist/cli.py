@@ -30,16 +30,12 @@ MAX_JOHNSON_GENUS = 64
 # takes 0.8 / 2.5 / 8.4 / 32 / 117 ms at 4096-65536 bits (best of 4 rounds on
 # a shared 2-core box; the README gives subprocess times)
 MAX_PRECISION_BITS = 65536
-# the largest size in bits of a trace that lcs-table or dilatation forms;
-# each further lcs-table level, or doubling of the bits of mu, costs about
-# twice as much: 6 / 11 / 22 / 41 ms in-process at --max-k 15-18, mu 64
-# (best of 5 on a shared 2-core box; the README gives subprocess times)
+# the largest size in bits of a trace that lcs-table or dilatation forms,
+# and the one size rule of each: each further lcs-table level, or doubling
+# of the bits of mu, costs about twice as much (6 / 11 / 22 / 41 ms in-process
+# at --max-k 15-18, mu 64), and a dilatation --word at the bound takes
+# 0.3-0.7 s as a subprocess (shared 2-core box; the README gives the times)
 MAX_TRACE_BITS = 2 ** 17 * 7
-# the largest letters * trace bits of a dilatation --word: evaluation works
-# each letter into entries of up to the trace's size, so its time grows with
-# the product; 131,070 letters at mu 126, about the longest argument a Linux
-# command line passes, take about 3 s (the README gives measured times)
-MAX_WORD_COST = 131_070 ** 2 * 7
 # the largest search --max-len, bound by time alone at mu <= 4 (the README
 # gives the measured times): there each further letter about triples the
 # time, while the streamed search keeps the RSS flat; from mu 5 the search
@@ -197,19 +193,14 @@ def _cmd_search(args) -> int:
 
 
 def _check_dilatation_size(args) -> None:
-    """Refuse a --word whose trace may pass MAX_TRACE_BITS bits, or whose
-    letters times those bits pass MAX_WORD_COST: each a^+-1 at most doubles
-    an entry of the image, and each b^+-1 multiplies it by at most mu + 1.
-    A mu below 1 is left to the computation."""
+    """Refuse a --word whose trace may pass MAX_TRACE_BITS bits: each a^+-1
+    at most doubles an entry of the image, and each b^+-1 multiplies it by
+    at most mu + 1.  A mu below 1 is left to the computation."""
     letters = len(args.word)
     bits = letters * (args.mu + 1).bit_length()
     if args.mu >= 1 and bits > MAX_TRACE_BITS:
         args.usage_error(f"a {letters}-letter --word may need a {bits}-bit "
                          f"trace; at most {MAX_TRACE_BITS} are allowed")
-    if args.mu >= 1 and letters * bits > MAX_WORD_COST:
-        args.usage_error(f"a {letters}-letter --word may need a {bits}-bit "
-                         f"trace; letters * bits is {letters * bits}, at most "
-                         f"{MAX_WORD_COST} are allowed")
 
 
 def _check_lcs_size(args) -> None:
@@ -311,8 +302,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         p.add_argument("--word", required=True,
                        help="word in a/b/A/B (empty string for the "
                             "identity); letters * bit_length(mu + 1) at "
-                            f"most {MAX_TRACE_BITS}, and letters^2 * "
-                            f"bit_length(mu + 1) at most {MAX_WORD_COST}")
+                            f"most {MAX_TRACE_BITS}")
         p.add_argument("--mu", type=_bounded_int(), required=True)
         output_format(p, "json", "text")
         precision_bits(p)

@@ -61,7 +61,7 @@ def float_str(x: Fraction) -> str:
     try:
         return repr(float(x))
     except OverflowError:
-        return f"{Decimal(x.numerator) / x.denominator:.16e}"
+        return f"{_decimal(x.numerator) / _decimal(x.denominator):.16e}"
 
 
 @dataclass(frozen=True)

@@ -42,15 +42,25 @@ class IntMatrix(NamedTuple):
 
 
 def evaluate(w: Word, mu: int) -> IntMatrix:
-    """Conjugate image of a word, multiplying letter images left to right.
-
-    Right multiplication by a letter image is a column operation: a^+-1
-    adds +-(column 1) to column 2, b^+-1 adds -+mu*(column 2) to column 1.
-    """
+    """Conjugate image of a word."""
     if mu < 1:
         raise ValueError("mu must be >= 1")
+    return _image(w.letters, mu)
+
+
+def _image(letters: str, mu: int) -> IntMatrix:
+    """Up to 64 letters, a column operation per letter: a^+-1 adds
+    +-(column 1) to column 2, b^+-1 adds -+mu*(column 2) to column 1.  A
+    longer word is the product of its halves' images: entries of the
+    trace's size then meet in a few big products, not once per letter."""
+    if len(letters) > 64:
+        half = len(letters) // 2
+        a, b, c, d = _image(letters[:half], mu)
+        e, f, g, h = _image(letters[half:], mu)
+        return IntMatrix(a * e + b * g, a * f + b * h,
+                         c * e + d * g, c * f + d * h)
     a, b, c, d = 1, 0, 0, 1
-    for letter in w.letters:
+    for letter in letters:
         if letter == "a":
             b += a
             d += c

@@ -450,24 +450,52 @@ def test_dilatation_trace_size_cap(capsys, monkeypatch):
         capsys.readouterr().out.split())
 
 
-def test_dilatation_cost_cap_refuses_before_evaluating(capsys, monkeypatch):
-    # (aB)^229376 at mu 2 has exactly the 917504 trace bits allowed, but
-    # 458752 letters, which take 9-17 s to evaluate
-    monkeypatch.setattr(rep, "dilatation",
-                        lambda *args: pytest.fail("evaluated"))
-    start = time.perf_counter()
-    code = run(["dilatation", "--word", "aB" * 229376, "--mu", "2"])
-    assert time.perf_counter() - start < 1
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "usage:" in captured.err
-    assert ("a 458752-letter --word may need a 917504-bit trace; letters * "
-            f"bits is {458752 * 917504}, at most 120255414300 are "
-            "allowed") in captured.err
-    assert run(["dilatation", "--help"]) == 0
-    assert "letters^2 * bit_length(mu + 1) at most 120255414300" in " ".join(
-        capsys.readouterr().out.split())
+def _power_trace(t1: int, n: int) -> int:
+    """tr M^n for M in SL2 of trace t1, by the recurrence t_n = t1 * t_(n-1)
+    - t_(n-2) from t_0 = 2 (Cayley-Hamilton), taken by doubling: M^m has
+    trace t_m and M^(2m) trace t_m^2 - 2, and t_(2m+1) = t_m t_(m+1) - t1."""
+    lo, hi = 2, t1  # t_m, t_(m+1), m running over the prefixes of n
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            lo, hi = lo * hi - t1, hi * hi - 2
+        else:
+            lo, hi = lo * lo - 2, lo * hi - t1
+    return lo
+
+
+def test_power_trace_follows_the_recurrence():
+    for t1 in (-62, 4, 2 - 2 ** 255):
+        t = [2, t1]
+        for _ in range(300):
+            t.append(t1 * t[-1] - t[-2])
+        assert [_power_trace(t1, n) for n in range(302)] == t
+
+
+def test_dilatation_words_at_the_trace_cap(capsys):
+    # words of up to 458,752 letters, each at the 917504 trace bits allowed;
+    # aB has trace mu + 2 and ab trace 2 - mu
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for pair, n, mu in (("aB", 229376, 2), ("ab", 65536, 64),
+                            ("ab", 1792, 2 ** 255)):
+            trace = _power_trace(mu + 2 if pair == "aB" else 2 - mu, n)
+            assert len(pair) * n * (mu + 1).bit_length() == 917504
+            for fmt in ("json", "text"):
+                start = time.perf_counter()
+                code = run(["dilatation", "--word", pair * n, "--mu", str(mu),
+                            "--format", fmt])
+                seconds = time.perf_counter() - start
+                out = capsys.readouterr().out
+                assert code == 0, (pair, n, fmt)
+                assert seconds < 2, (pair, n, fmt, seconds)
+                if fmt == "json":
+                    assert int(json.loads(out)["trace"]["a"]) == trace
+                else:
+                    assert int(out.split("|trace| = ")[1].split(",")[0]) == (
+                        abs(trace))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class _Refused(Exception):
@@ -488,23 +516,8 @@ def _size_refusal(letters, mu):
     return None
 
 
-@pytest.mark.parametrize("letters, mu", [
-    # the slowest request a shell passes sets the bound
-    (131070, 126),
-    # where the cost binds far below the trace bits: 2 and 3 bits of mu + 1
-    (245209, 2), (200212, 4)])
-def test_dilatation_cost_cap_edge(letters, mu):
-    assert _size_refusal(letters, mu) is None
-    bits = (letters + 1) * (mu + 1).bit_length()
-    assert bits <= cli.MAX_TRACE_BITS
-    assert _size_refusal(letters + 1, mu) == (
-        f"a {letters + 1}-letter --word may need a {bits}-bit trace; letters"
-        f" * bits is {(letters + 1) * bits}, at most 120255414300 are "
-        "allowed")
-
-
 def test_dilatation_trace_bits_message_is_kept():
-    # past both bounds, the trace bits' message
+    # one bit past the bound at mu 64, the trace bits' message
     assert _size_refusal(131073, 64) == (
         "a 131073-letter --word may need a 917511-bit trace; at most 917504 "
         "are allowed")

@@ -13,6 +13,7 @@ prints the changed keys to stderr, and logs the change in CHANGES.md:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -27,11 +28,13 @@ import pytest
 from multitwist import cli
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench/workloads.py"
 
 COMMANDS = ["dilatation", "family", "bounds", "search", "lcs-table",
             "johnson-tau", "tau-cc", "verify-paper"]
 
-# the malformed requests of perfbench's cli workload, copied
+# the malformed requests of perfbench's cli workload, copied; a test
+# keeps the copy equal to perfbench's
 MALFORMED = [
     [],
     ["frobnicate"],
@@ -89,6 +92,17 @@ def _golden() -> dict:
 
 def test_corpus_is_recorded():
     assert _golden()["argvs"].keys() == set(map(shlex.join, ARGVS))
+
+
+def test_malformed_requests_match_the_benchmark():
+    # MALFORMED in perfbench/workloads.py is a tuple of (argv, exit code,
+    # known defect) literals, read here without importing perfbench
+    tree = ast.parse(WORKLOADS.read_text())
+    [value] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets]
+               == ["MALFORMED"]]
+    assert [list(argv) for argv, _, _ in ast.literal_eval(value)] == MALFORMED
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=shlex.join)

@@ -10,6 +10,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -491,6 +493,32 @@ def test_decimal_str_matches_str_from_1_to_800000_bits():
     for n, text in cases.items():
         assert intervals.decimal_str(n) == text, n.bit_length()
         assert intervals.decimal_str(-n) == ("-" + text if n else text)
+
+
+def test_float_str_past_the_float_range():
+    """17 significant digits of endpoints past the float range, against
+    Decimal(n) / d, on both sides of _decimal's 3072-bit split; a
+    917,573-bit numerator, which Decimal(n) takes about 1.4 s to convert,
+    converts in a small fraction of a second."""
+    rng = random.Random(1025)
+    for bits in (1026, 1100, 3071, 3072, 3073, 4097, 6000):
+        for den_bits in sorted({1, min(64, bits - 1025), bits - 1025}):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            d = rng.getrandbits(den_bits) | 1 << (den_bits - 1)
+            for x in (Fraction(n, d), Fraction(-n, d)):
+                with pytest.raises(OverflowError):
+                    float(x)
+                assert intervals.float_str(x) == (
+                    f"{Decimal(x.numerator) / x.denominator:.16e}")
+    n, d = rng.getrandbits(917573) | 1 << 917572, 2 ** 68
+    start = time.perf_counter()
+    text = intervals.float_str(Fraction(n, d))
+    assert time.perf_counter() - start < 0.5
+    # the 17 digits are n / d rounded at 10^(276196 - 16)
+    digits, exponent = text.replace(".", "").split("e+")
+    assert exponent == "276196" and len(digits) == 17
+    unit = d * 10 ** (276196 - 16)
+    assert 2 * abs(int(digits) * unit - n) <= unit
 
 
 @pytest.mark.parametrize("lo, hi", [

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from multitwist import rep
 from multitwist.words import Word
 
-from free_words import cyclically_reduced_strings
+from free_words import cyclically_reduced_strings, letter_product
 
 
 def _int_matrix_oracle(word: str, root: int) -> np.ndarray:
@@ -66,6 +67,32 @@ def test_evaluate_against_integer_oracle():
         m = rep.evaluate(reduced, 64)
         oracle = _int_matrix_oracle(reduced.letters, 8)
         assert m == _conjugate_of_oracle(oracle, 8)
+
+
+def _random_reduced(rng: random.Random, n: int) -> str:
+    letters = []
+    while len(letters) < n:
+        c = rng.choice("abAB")
+        if not letters or letters[-1] != c.swapcase():
+            letters.append(c)
+    return "".join(letters)
+
+
+def test_evaluate_by_halves_against_letter_product():
+    # words above 64 letters are evaluated as products of their halves
+    rng = random.Random(41)
+    for mu in (1, 2, 3, 4, 64, 2 ** 100):
+        for n in (0, 1, 63, 64, 65, 127, 128, 129, rng.randrange(130, 1000),
+                  rng.randrange(1000, 5001)):
+            word = _random_reduced(rng, n)
+            assert rep.evaluate(Word(word), mu) == letter_product(word, mu)
+    # (ab)^3 at mu 1 is -I, of trace -2: the identity in PSL2
+    m = rep.evaluate(Word("ab" * 3), 1)
+    assert m == (-1, 0, 0, -1)
+    assert rep.classify(m) == rep.IDENTITY_CLASS
+    m = rep.evaluate(Word("ab" * 300), 1)
+    assert m == (1, 0, 0, 1)
+    assert rep.classify(m) == rep.IDENTITY_CLASS
 
 
 def test_abAB_trace():

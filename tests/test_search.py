@@ -1,7 +1,11 @@
+import decimal
 import itertools
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +14,7 @@ from multitwist.search import (enumerate_classes, lcs_csv, lcs_table,
                                min_dilatation_search, orbit_representative)
 from multitwist.words import Word
 
-from free_words import cyclically_reduced_strings
+from free_words import cyclically_reduced_strings, letter_product
 
 
 def test_enumerate_length_one():
@@ -318,6 +322,73 @@ def test_lcs_csv():
     assert lines[1].startswith("1,ab,2,-62,")
     assert lines[2].startswith("2,abAB,4,4098,")
     assert len(lines) == 4
+
+
+def _fraction(v: mpmath.mpf) -> Fraction:
+    man, exp = v.man_exp
+    return (-1 if v < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def _log_enclosure(mu: int, prec: int) -> tuple[Fraction, Fraction]:
+    """log mu between two Fractions, by mpmath's interval log at prec
+    bits."""
+    saved = mpmath.iv.prec
+    mpmath.iv.prec = prec
+    try:
+        x = mpmath.iv.log(mu)
+        with mpmath.workprec(prec):
+            return _fraction(mpmath.mpf(x.a)), _fraction(mpmath.mpf(x.b))
+    finally:
+        mpmath.iv.prec = saved
+
+
+@pytest.mark.parametrize("mu", [5, 7, 64, 127])
+def test_lcs_table_against_closed_form_oracles(mu):
+    # for k >= 2 and M = mu^(2^(k-1)), M < t - 1 < lambda < t = M + 2, so
+    # 2^(k-1) log mu < log lambda < 2^(k-1) log mu + 2/M, and log lambda
+    # is within about 3/M^2 of the upper end: the enclosure of log mu
+    # takes twice the bits of M and a margin
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact])
+    rows = lcs_table(12, mu)
+    assert rows[0].to_json_dict()["trace"]["a"] == str(2 - mu)
+    for row in rows[1:]:
+        n = 2 ** (row.depth - 1)
+        digits = exact.add(exact.power(decimal.Decimal(mu), n), 2)
+        assert row.to_json_dict()["trace"]["a"] == str(digits), row.depth
+        big = mu ** n
+        lo, hi = _log_enclosure(mu, 2 * big.bit_length() + 64)
+        iv = row.log_dilatation
+        assert iv.hi >= n * hi and iv.lo <= n * lo + Fraction(2, big), (
+            row.depth)
+
+
+def _inverse(word: str) -> str:
+    return word[::-1].swapcase()
+
+
+def test_congruence_filtration_of_commutators():
+    # T_A = I + s E12 and T_B = I - s E21 (s = sqrt(mu)) lie in
+    # G_1 = SL2 & (I + s M2(Z[s])), and [G_i, G_j] lies in G_(i+j); so a
+    # left-normed K-fold commutator lies in G_K, where det = 1 gives
+    # tr - 2 = -mu^K det X for an integral X: mu^K divides tr - 2
+    rng = random.Random(14)
+    sharp = 0
+    for mu in (2, 3, 5, 6, 7, 16, 64):
+        for size in range(1, 6):
+            for _ in range(40):
+                words = ["".join(rng.choice("abAB")
+                                 for _ in range(rng.randint(1, 4)))
+                         for _ in range(size)]
+                u = words[0]
+                for v in words[1:]:
+                    u = u + v + _inverse(u) + _inverse(v)
+                a, _, _, d = letter_product(u, mu)
+                t = a + d
+                assert (t - 2) % mu ** size == 0, (mu, words)
+                sharp += (t - 2) % mu ** (size + 1) != 0
+    # 430 of the 1400 elements are not in G_(K+1): the test is not vacuous
+    assert sharp == 430
 
 
 def test_word_key_order():
