@@ -20,11 +20,10 @@ operation and the search holds only its stack of at most
 
 enumerate_classes keeps the candidates that no rotation of their inverse,
 swap or swapped inverse undercuts.  At mu <= 4, min_dilatation_search
-starts from |tr aB| = mu + 2 and runs that orbit test only on candidates
-whose |trace| ties the least so far: one below it is always the least
-word of its orbit.  It counts the classes it covers by Burnside's lemma
-(_class_count).  orbit_representative is the definitional canonical form
-that the tests check all of this against, on words they build themselves.
+keeps those at the lemma's least |trace| (below).  It counts the classes
+it covers by Burnside's lemma (_class_count).  orbit_representative is
+the definitional canonical form that the tests check all of this
+against, on words they build themselves.
 
 The least |trace| is known in advance.  Lemma: every trace is 2 mod mu,
 so a hyperbolic class has |trace| >= F(mu), where F(mu) = 3, 4, 4, 6 at
@@ -314,38 +313,19 @@ class SearchReport:
 
 def _least_keys(max_length: int, mu: int) -> list[str]:
     """Keys of the least words of the orbits of least |trace| > 2, up to
-    max_length >= 2, in increasing order, by enumeration.
+    max_length >= 2, in increasing order: the candidates of _necklaces at
+    that |trace| that _least_in_orbit keeps, as in enumerate_classes.
 
-    The candidates of _necklaces come with their traces, and only those
-    that may be minima are tested against their orbits.  Every word of
-    an orbit has the same |trace|: a rotation is a conjugation, a matrix
-    of det 1 and its inverse have the same trace, and the swap is
-    conjugation by [[0, 1], [-1, 0]] in the original representation.
-    The least word of each orbit is a candidate (enumerate_classes), and
-    the candidates come in increasing key order.  So let x be a candidate
-    with |t| > 2, and best the least of mu + 2 = |tr aB| (aB maps to
-    [[1 + mu, 1], [mu, 1]]) and the |trace| > 2 of the candidates before
-    it.  If x is not the least word of its orbit, that word came earlier
-    with the same |t|, and best <= |t|.  Hence a candidate with |t| below
-    best is the least word of its orbit and starts the list of minima
-    afresh, and one with |t| = best joins the list only when
-    _least_in_orbit keeps it, as at a minimum of mu + 2 itself (mu = 1, 2
-    and 4, and mu = 3 at max_length 2).  aB, key 03, is a candidate for
-    every max_length >= 2 and the least word of its orbit, so the list is
-    never empty, and as the candidates come in increasing key order, it
-    is sorted.
+    That |trace| is the least > 2 of |tr ab| = |2 - mu|, |tr aB| = mu + 2
+    and, from max_length 3, |tr aab| = |2 - 2 mu|.  From length 3 one of
+    them attains the lemma's floor F(mu); at length 2 the only other
+    candidates are a and aa, of trace 2.
     """
-    best_abs = mu + 2
+    traces = (abs(2 - mu), mu + 2, abs(2 - 2 * mu) if max_length > 2 else 0)
+    least = min(t for t in traces if t > 2)
     minima: list[str] = []
     for key, lead, t in _necklaces(max_length, mu):
-        if t < 0:
-            t = -t
-        # |trace| <= 2 is the identity, elliptic or parabolic
-        if t <= 2 or t > best_abs:
-            continue
-        if t < best_abs:
-            best_abs, minima = t, [key]
-        elif _least_in_orbit(key, lead):
+        if abs(t) == least and _least_in_orbit(key, lead):
             minima.append(key)
     return minima
 

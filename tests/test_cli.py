@@ -498,31 +498,6 @@ def test_dilatation_words_at_the_trace_cap(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-class _Refused(Exception):
-    pass
-
-
-def _size_refusal(letters, mu):
-    """The usage error of _check_dilatation_size for a word of so many
-    letters at mu, or None when it passes."""
-    def refuse(message):
-        raise _Refused(message)
-
-    try:
-        cli._check_dilatation_size(argparse.Namespace(
-            word="a" * letters, mu=mu, usage_error=refuse))
-    except _Refused as exc:
-        return str(exc)
-    return None
-
-
-def test_dilatation_trace_bits_message_is_kept():
-    # one bit past the bound at mu 64, the trace bits' message
-    assert _size_refusal(131073, 64) == (
-        "a 131073-letter --word may need a 917511-bit trace; at most 917504 "
-        "are allowed")
-
-
 def test_search_length_cap(capsys):
     for n in ("18", "100"):
         code = run(["search", "--max-len", n, "--mu", "64"])

@@ -62,6 +62,10 @@ ARGVS = [
     ["search", "--max-len", "4", "--mu", "1"],
     ["search", "--max-len", "1", "--mu", "64"],
     ["search", "--max-len", "18", "--mu", "64"],
+    ["search", "--max-len", "2", "--mu", "3"],
+    ["search", "--max-len", "8", "--mu", "3"],
+    ["search", "--max-len", "8", "--mu", "4"],
+    ["search", "--max-len", "10", "--mu", "1"],
     ["lcs-table", "--max-k", "5", "--mu", "64"],
     ["lcs-table", "--max-k", "4", "--mu", "5", "--format", "json"],
     ["lcs-table", "--max-k", "3", "--mu", "4"],

@@ -146,9 +146,9 @@ def test_small_mu_minimum():
 
 
 def test_minimum_is_at_most_trace_of_aB():
-    # aB maps to [[1 + mu, 1], [mu, 1]], so the search starts from mu + 2;
-    # it is the minimum at mu = 1, 2 and 4, and at mu = 3 only at length 2,
-    # where aab (trace 4) is not yet a candidate
+    # aB maps to [[1 + mu, 1], [mu, 1]], so no minimum exceeds mu + 2; it is
+    # the lemma's least |trace| at mu = 1, 2 and 4, and the least at mu = 3
+    # only at length 2, where aab (trace 4) is not yet a candidate
     at_bound = set()
     for mu in range(1, 71):
         for max_length in range(2, 5):
@@ -525,10 +525,30 @@ def test_search_at_mu_four_enumerates():
     assert [str(w) for w in report.all_minima] == ["aab", "aB"]
 
 
+def _least_necklace_trace(max_length, mu):
+    """The least |trace| > 2 over every candidate of _necklaces, with no
+    floor assumed."""
+    return min(abs(t) for _, _, t in search._necklaces(max_length, mu)
+               if abs(t) > 2)
+
+
 def test_enumeration_agrees_with_the_syllable_lemma():
     for mu in (5, 6, 7, 64):
         for max_length in range(2, 13):
             assert search._least_keys(max_length, mu) == ["01"], \
+                (mu, max_length)
+            assert _least_necklace_trace(max_length, mu) == mu - 2, \
+                (mu, max_length)
+
+
+def test_enumeration_agrees_with_the_congruence_lemma():
+    # the floor that _least_keys assumes below mu = 5, found by enumeration:
+    # F(mu) from length 3, and |tr aB| = 5 at mu = 3, length 2
+    for mu in range(1, 5):
+        for max_length in range(2, 13):
+            expected = 5 if (mu, max_length) == (3, 2) else \
+                _least_hyperbolic_trace(mu)
+            assert _least_necklace_trace(max_length, mu) == expected, \
                 (mu, max_length)
 
 
