@@ -3,8 +3,9 @@
 Every evaluator returns a certified interval, never a bare float, and
 writes its endpoints from the monotonicity and sign of its formula; the
 underlying inequalities are strict, so enclosures are the honest output.
-The two algebraic constants, the Torelli cubic's root and 2 + sqrt(3),
-come from intervals.root, whose bracket their docstrings prove.  Where a
+Of the two algebraic constants, the Torelli cubic's root comes from
+intervals.root, whose bracket its docstring proves, and 2 + sqrt(3) from
+intervals.unit_root's closed form.  Where a
 bound is the least of two cases, the binding case is proved in its
 docstring, and only that case is computed.
 """
@@ -175,9 +176,8 @@ def tau_cc_upper(g: int, log_lambda: Interval) -> BoundResult:
 
 
 def _log_hk() -> Interval:
-    """log of 2 + sqrt(3), the root of f(x) = x^2 - 4x + 1 in (3, 4):
-    f(3) = -2 < 0 < 1 = f(4), and there f' = 2x - 4 > 0 and f'' = 2 > 0."""
-    return intervals.log(intervals.root([1, -4, 1], 3, 2 * _BITS), _BITS)
+    """log of 2 + sqrt(3), the root of x^2 - 4x + 1 in (3, 4)."""
+    return intervals.log(intervals.unit_root(4, 2 * _BITS), _BITS)
 
 
 def tau_cc_infs_upper(g: int) -> BoundResult:

@@ -25,10 +25,10 @@ MAX_FAMILY_GENUS = 1024
 # the largest johnson-tau genus; dense classes then expand into up to
 # C(128, 3) = 341,376 triples
 MAX_JOHNSON_GENUS = 64
-# the largest --precision-bits; the cost grows 3.1-3.8 times per doubling of
+# the largest --precision-bits; the cost grows 3.3-3.9 times per doubling of
 # the bit count, a little under quadratically: a warm dilatation of trace 62
-# takes 0.8 / 2.5 / 8.4 / 32 / 117 ms at 4096-65536 bits (best of 4 rounds on
-# a shared 2-core box; the README gives subprocess times)
+# takes 0.75 / 2.5 / 9.2 / 34 / 132 ms at 4096-65536 bits (best of 4 rounds
+# on a shared 2-core box; the README gives subprocess times)
 MAX_PRECISION_BITS = 65536
 # the largest size in bits of a trace that lcs-table or dilatation forms,
 # and the one size rule of each: each further lcs-table level, or doubling

@@ -3,29 +3,30 @@ polynomials, and certified log.
 
 An Interval is a validated pair of Fraction endpoints with no arithmetic
 of its own: each caller writes the endpoints of its formula from the
-formula's monotonicity and sign.  root takes every algebraic number of
-the package (each dilatation, 2 + sqrt(3), the Torelli cubic's root) to
-a grid 2^-bits by Newton's method and certifies it by an exact sign
-check in ints (Yap, "Fundamental Problems of Algorithmic Algebra",
-2000), the upper value from the lower one's Horner pass.  log, in
-integer fixed point, reduces its argument by r square roots (Brent,
-J. ACM 23, 1976): up to 512 bits, about bits^(1/3) / 3 of them by isqrt
-at the working precision; above, bits.bit_length() + 1 of them by isqrt
-at no more than 512 bits, lifted to the working precision by Newton's
-method for the inverse root, which takes products only (Brent and
-Zimmermann, "Modern Computer Arithmetic", 2010, 4.2.3), each level's
-first squaring at half the width.  It then sums the atanh series by
-rectangular splitting (Smith, Math. Comp. 52, 1989; Brent and Zimmermann
-4.4.3), counting every rounding in ulps; above 512 bits with one
-division per block of terms and the even powers by squaring.
+formula's monotonicity and sign.  unit_root takes the larger root of
+x^2 - t x + 1 (each dilatation, and 2 + sqrt(3)) to a grid 2^-bits in
+closed form, by one exact isqrt or none.  root takes any other root of
+an int polynomial (the Torelli cubic's) there by Newton's method and
+certifies it by an exact sign check in ints (Yap, "Fundamental Problems
+of Algorithmic Algebra", 2000).  log, in integer fixed point, reduces
+its argument by r square roots (Brent, J. ACM 23, 1976): up to 512
+bits, about bits^(1/3) / 3 of them by isqrt at the working precision;
+above, bits.bit_length() + 1 of them by isqrt at no more than 512 bits,
+lifted to the working precision by Newton's method for the inverse
+root, which takes products only (Brent and Zimmermann, "Modern Computer
+Arithmetic", 2010, 4.2.3), each level's first squaring at half the
+width.  It then sums the atanh series by rectangular splitting (Smith,
+Math. Comp. 52, 1989; Brent and Zimmermann 4.4.3), counting every
+rounding in ulps; above 512 bits with one division per block of terms
+and the even powers by squaring.
 
 Endpoints k / 2^j are built in lowest terms without a gcd, scaled to a
-common 2^e to test a relative width, and each interval is printed from
-one decimal conversion of its lower numerator.  Above 3072 bits an int
-is converted by halves joined with exact Decimal products, as one
-Decimal(n) costs time quadratic in its size (Brent and Zimmermann, 1.7).
-sqrt_fraction, sqrt and cbrt are stubs that raise, kept as patch
-targets of the benchmark's tracer.
+common 2^e by shifts to check their order and a relative width, and
+each interval is printed from one decimal conversion of its lower
+numerator.  Above 3072 bits an int is converted by halves joined with
+exact Decimal products, as one Decimal(n) costs time quadratic in its
+size (Brent and Zimmermann, 1.7).  sqrt_fraction, sqrt and cbrt are
+stubs that raise, kept as patch targets of the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ class Interval:
                 raise TypeError(f"interval endpoint {x!r} is not an int "
                                 f"or a Fraction")
             object.__setattr__(self, name, Fraction(x))
-        if self.lo > self.hi:
+        # dyadic endpoints compare by shifts, not Fraction's products
+        scaled = _scaled_pair(self.lo, self.hi)
+        if scaled[0] > scaled[1] if scaled else self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
@@ -114,17 +117,21 @@ def dyadic(k: int, e: int) -> Fraction:
     return x
 
 
-def dyadic_scaled(x: Fraction, e: int) -> int:
-    """x * 2^e for a Fraction x whose denominator is a power of two that
-    divides 2^e."""
-    return x.numerator << (e + 1 - x.denominator.bit_length())
+def _scaled_pair(x: Fraction, y: Fraction):
+    """(x 2^e, y 2^e, e) in ints, 2^e the larger denominator of x and y,
+    by shifts; None unless both denominators are powers of two."""
+    q, r = x.denominator, y.denominator
+    if q & (q - 1) or r & (r - 1):
+        return None
+    e = max(q, r).bit_length() - 1
+    return (x.numerator << e + 1 - q.bit_length(),
+            y.numerator << e + 1 - r.bit_length(), e)
 
 
 def relative_width_within(iv: Interval, bits: int) -> bool:
     """width / max(1, |lo|, |hi|) <= 2^-bits, by shifts and int
     comparisons, for an interval with power-of-two denominators."""
-    e = max(iv.lo.denominator, iv.hi.denominator).bit_length() - 1
-    lo, hi = dyadic_scaled(iv.lo, e), dyadic_scaled(iv.hi, e)
+    lo, hi, e = _scaled_pair(iv.lo, iv.hi)
     # width / max(1, |lo|, |hi|), all over 2^e; |lo|, |hi| <= max(-lo, hi)
     return (hi - lo) << bits <= max(1 << e, -lo, hi)
 
@@ -167,17 +174,14 @@ def endpoint_strs(iv: Interval) -> list[str]:
     numerator and denominator are those divided by 2^(e - j).  An
     interval with another denominator is printed endpoint by endpoint.
     """
-    lo, hi = iv.lo, iv.hi
-    q_lo, q_hi = lo.denominator, hi.denominator
-    if q_lo & (q_lo - 1) or q_hi & (q_hi - 1):
-        return [decimal_str(lo), decimal_str(hi)]
-    e = max(q_lo, q_hi).bit_length() - 1
-    a = dyadic_scaled(lo, e)
-    num_lo = _decimal(a)
-    den = _decimal_pow2(e)
-    return [_lowest_terms_str(num_lo, den, e, q_lo.bit_length() - 1),
-            _lowest_terms_str(_EXACT.add(num_lo, dyadic_scaled(hi, e) - a),
-                              den, e, q_hi.bit_length() - 1)]
+    scaled = _scaled_pair(iv.lo, iv.hi)
+    if scaled is None:
+        return [decimal_str(iv.lo), decimal_str(iv.hi)]
+    a, b, e = scaled
+    num_lo, den = _decimal(a), _decimal_pow2(e)
+    j_lo, j_hi = (x.denominator.bit_length() - 1 for x in (iv.lo, iv.hi))
+    return [_lowest_terms_str(num_lo, den, e, j_lo),
+            _lowest_terms_str(_EXACT.add(num_lo, b - a), den, e, j_hi)]
 
 
 def _lowest_terms_str(num: Decimal, den: Decimal, e: int, j: int) -> str:
@@ -218,9 +222,8 @@ def _newton(coeffs: list[int], lo: int, bits: int) -> int:
     A step x - f(x) / f'(x) from an error e leaves c e^2, c = f''(y) /
     (2 f'(x)) for a y between x and the root: c >= 0 where f increases
     and is convex, so the step lands at or right of the root.  Where also
-    c < 1, as near each caller's root (at most 0.55, the Torelli
-    cubic's), an error below 2^-p leaves less than 2^-(bits + 1), plus
-    2^-(bits + 1) from rounding to nearest.
+    c < 1, as near the Torelli cubic's root (at most 0.55), an error below
+    2^-p leaves less than 2^-(bits + 1), plus 2^-(bits + 1) from rounding.
     """
     p = bits // 2 + 1
     k = (lo + 1) << bits if bits <= 2 else _newton(coeffs, lo, p) << bits - p
@@ -230,41 +233,44 @@ def _newton(coeffs: list[int], lo: int, bits: int) -> int:
     return k - (2 * _horner(coeffs, k, bits) + d) // (2 * d)
 
 
-def _horner_pair(coeffs: list[int], k: int, e: int) -> tuple[int, int]:
-    """(_horner(coeffs, k, e), _horner(coeffs, k + 1, e)) from one Horner
-    pass at k.
-
-    Horner's partial sums at x = k / 2^e are the coefficients of the
-    quotient q of f by x' - x, and f(x') = f(x) + (x' - x) q(x').  Scaled,
-    the i-th partial sum in ints is 2^(i e) times the i-th coefficient of
-    q, so at x' = (k + 1) / 2^e the scaled 2^((n - 1) e) q(x') is Horner's
-    rule at k + 1 on those sums with no shifts, and it is what 2^(n e)
-    f(x') adds to 2^(n e) f(x)."""
-    sums = []
-    acc = 0
-    for i, c in enumerate(coeffs):
-        acc = acc * k + (c << e * i)
-        sums.append(acc)
-    return acc, acc + _horner(sums[:-1], k + 1, 0)
-
-
 def root(coeffs: list[int], lo: int, bits: int) -> Interval:
     """[k, k + 1] / 2^bits, or the point k / 2^bits, around the root in
     (lo, lo + 1) of f, with int coefficients leading first, which must
     increase and be convex there with f(lo) < 0 < f(lo + 1), as each
     caller proves.  k is _newton's estimate with two guard bits, floored,
     less at most one step; the certificate is the exact sign check
-    f(k / 2^bits) <= 0 < f((k + 1) / 2^bits), one Horner pass in ints
-    and its quotient by x - k / 2^bits, and a k that fails it raises
-    ValueError."""
+    f(k / 2^bits) <= 0 < f((k + 1) / 2^bits), a Horner pass in ints at
+    each, and a k that fails it raises ValueError."""
     k = _newton(coeffs, lo, bits + 2) >> 2
-    low, high = _horner_pair(coeffs, k, bits)
+    low, high = _horner(coeffs, k, bits), _horner(coeffs, k + 1, bits)
     if low > 0:
         k, low, high = k - 1, _horner(coeffs, k - 1, bits), low
     if not low <= 0 < high:
         raise ValueError(f"no sign change at {k} / 2^{bits}: f is not "
                          f"increasing and convex on ({lo}, {lo + 1})")
     return Interval(dyadic(k, bits), dyadic(k + (low < 0), bits))
+
+
+def unit_root(t: int, e: int) -> Interval:
+    """[k, k + 1] / 2^e, k = floor(lambda 2^e), for lambda the root of
+    x^2 - t x + 1 in (t - 1, t) and an int t >= 3; t <= 2 raises ValueError.
+
+    lambda = (t + sqrt(t^2 - 4)) / 2, and t^2 - 4 = s^2 would make t - s
+    and t + s, of one parity, multiply to 4, so t = 2.  So lambda 2^e is
+    irrational, k < lambda 2^e < k + 1, and m = isqrt((t^2 - 4) 4^e) is
+    below that square root by f, 0 < f < 1: k = floor((N + f) / 2) for the
+    int N = t 2^e + m, which is N >> 1, as N + f stays below the next even
+    int above N.  For t >= 2^(e + 1), lambda > t - 1 >= 2^e, so lambda 2^e
+    = t 2^e - 2^e / lambda lies in (t 2^e - 1, t 2^e), and k = t 2^e - 1
+    takes no isqrt of twice the size of t.
+    """
+    if t <= 2:
+        raise ValueError(f"x^2 - {t} x + 1 has no root above 1")
+    if t.bit_length() > e + 1:
+        k = (t << e) - 1
+    else:
+        k = ((t << e) + isqrt((t * t - 4) << 2 * e)) >> 1
+    return Interval(dyadic(k, e), dyadic(k + 1, e))
 
 
 @lru_cache(maxsize=16)
@@ -525,11 +531,7 @@ def log(x: Interval, bits: int) -> Interval:
         raise PrecisionError(f"log error count {err} exceeds 2^-{bits}")
     # ceil((x.hi - x.lo) / x.lo * 2^w), from the endpoints over a common
     # denominator: for dyadic ones the larger 2^j, reached by shifts
-    q_hi = x.hi.denominator
-    if q & (q - 1) or q_hi & (q_hi - 1):
-        a, b = p * q_hi, x.hi.numerator * q
-    else:
-        j = max(q, q_hi).bit_length() - 1
-        a, b = dyadic_scaled(x.lo, j), dyadic_scaled(x.hi, j)
+    scaled = _scaled_pair(x.lo, x.hi)
+    a, b = scaled[:2] if scaled else (p * x.hi.denominator, x.hi.numerator * q)
     spread = -(-((b - a) << w) // a)
     return Interval(dyadic(low, w), dyadic(low + err + spread, w))

@@ -8,7 +8,7 @@ Words are evaluated in the conjugate representation by
 D = diag(1, sqrt(mu)), T_A -> [[1, 1], [0, 1]] and
 T_B -> [[1, 0], [-mu, 1]], which keeps traces and the identity, so each
 word is evaluated, classified and certified in plain ints, the
-dilatation by intervals.root's exact sign check.
+dilatation in closed form by intervals.unit_root's exact isqrt.
 """
 
 from __future__ import annotations
@@ -121,16 +121,14 @@ class DilatationReport:
 
 
 def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, Interval]:
-    """lambda, the root of f(x) = x^2 - |t| x + 1 in (|t| - 1, |t|), and
-    log(lambda), both to relative width 2^-precision_bits, for |t| > 2:
-    f(|t| - 1) = 2 - |t| < 0 < 1 = f(|t|), and there f' = 2x - |t| > 0
-    and f'' = 2 > 0.  On root's grid 2^-(bits + 2), with
-    bits = precision_bits + 8, lambda has width at most 2^-(bits + 2) and
-    log(lambda) at most 2^-bits + width(lambda) / lambda: one pass meets
-    both widths."""
+    """lambda, the root of x^2 - |t| x + 1 in (|t| - 1, |t|), and
+    log(lambda), both to relative width 2^-precision_bits, for |t| > 2.
+    On unit_root's grid 2^-(bits + 2), with bits = precision_bits + 8,
+    lambda has width 2^-(bits + 2) and log(lambda) at most 2^-bits +
+    width(lambda) / lambda: one pass meets both widths."""
     t = abs(trace)
     bits = precision_bits + 8
-    lam = intervals.root([1, -t, 1], t - 1, bits + 2)
+    lam = intervals.unit_root(t, bits + 2)
     log_lam = intervals.log(lam, bits)
     if not (intervals.relative_width_within(lam, precision_bits)
             and intervals.relative_width_within(log_lam, precision_bits)):

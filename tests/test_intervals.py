@@ -367,6 +367,33 @@ def test_dyadic_equals_fraction(k, e):
     assert (x.numerator, x.denominator) == (ref.numerator, ref.denominator)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (intervals.dyadic(5, 12288), intervals.dyadic(3, 12288)),
+    (Fraction(3, 4), Fraction(1, 2)), (Fraction(-1, 2), Fraction(-3, 4)),
+    (2, 1), (1, Fraction(-7, 1 << 100)),
+    (Fraction(1, 2), Fraction(1, 3)), (Fraction(2, 3), Fraction(5, 8)),
+    (3, Fraction(8, 3))])
+def test_empty_interval_is_refused(lo, hi):
+    # dyadic pairs, then pairs with a denominator that is not a power of 2
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(lo, hi)
+
+
+def test_interval_order_check_matches_fractions():
+    # random dyadic endpoints, two that are not dyadic among them; equal
+    # endpoints pass
+    rng = random.Random(43)
+    values = [Fraction(rng.randint(-2 ** 80, 2 ** 80), 2 ** rng.randint(0, 90))
+              for _ in range(300)] + [Fraction(1, 3), Fraction(-5, 6)]
+    for lo, hi in zip(values, values[1:] + values[:1]):
+        if lo > hi:
+            with pytest.raises(ValueError):
+                Interval(lo, hi)
+        else:
+            assert Interval(lo, hi).hi == hi
+        assert Interval.point(lo) == Interval(lo, lo)
+
+
 def _assert_lowest_dyadic(iv: Interval):
     for x in (iv.lo, iv.hi):
         d = x.denominator

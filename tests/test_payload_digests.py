@@ -95,6 +95,9 @@ ARGVS = [
     ["bounds", "--group", "congruence", "--r", "1000"],
     ["verify-paper"],
     ["verify-paper", "--format", "json"],
+    ["dilatation", "--word", "aB" * 24, "--mu", "64"],
+    ["dilatation", "--word", "ab", "--mu", "2361183241434822606849"],
+    ["dilatation", "--word", "ab", "--mu", "2361183241434822606850"],
 ]
 
 

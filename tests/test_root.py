@@ -1,10 +1,12 @@
-"""intervals.root against its certificate, written out here in plain ints.
+"""intervals.root and intervals.unit_root against their certificate,
+written out here in plain ints.
 
 For f with int coefficients c_0, ..., c_n, leading first, the int
 2^(n bits) f(m / 2^bits) is the sum of c_i m^(n - i) 2^(i bits), and an
 increasing f has its root in [k, k + 1] / 2^bits when that sum is <= 0
 at m = k and > 0 at m = k + 1.  Each dilatation and 2 + sqrt(3) is also
-checked against the math.isqrt enclosure of its square root.
+checked against the math.isqrt enclosure of its square root, and
+unit_root's closed form against root.
 """
 
 import random
@@ -74,19 +76,52 @@ def test_torelli_cubic_certificate():
         _certified_k([1, 2, 1, -6], 1, bits)
 
 
-def test_upper_sign_value_is_horner_at_k_plus_one():
-    """root's upper value, f(k / 2^e) plus the quotient of f by
-    x - k / 2^e at (k + 1) / 2^e, is Horner's rule at k + 1 exactly."""
-    rng = random.Random(40)
-    for _ in range(3000):
-        coeffs = [rng.randint(-10 ** 6, 10 ** 6)
-                  for _ in range(rng.randint(2, 5))]
-        k, e = rng.randint(-10 ** 6, 10 ** 6), rng.randint(0, 40)
-        assert intervals._horner_pair(coeffs, k, e) == (
-            intervals._horner(coeffs, k, e),
-            intervals._horner(coeffs, k + 1, e)), (coeffs, k, e)
-        assert intervals._horner(coeffs, k + 1, e) == _scaled_value(
-            coeffs, k + 1, e)
+def _unit_root_cases():
+    """(t, e) pairs: random t of up to 3000 bits, and t at the edges of
+    unit_root's branch, 2^e, 2^(e + 1) - 1, 2^(e + 1) and 2^(e + 1) + 1."""
+    rng = random.Random(43)
+    for e in (1, 2, 3, 60, 74, 512, 4096):
+        for t in (2 ** e, 2 ** (e + 1) - 1, 2 ** (e + 1), 2 ** (e + 1) + 1,
+                  *(rng.randrange(3, 2 ** rng.randrange(2, 3001))
+                    for _ in range(8))):
+            if t >= 3:
+                yield t, e
+
+
+UNIT_ROOT_CASES = list(_unit_root_cases())
+
+
+@pytest.mark.parametrize("t, e", UNIT_ROOT_CASES, ids=[
+    f"{t.bit_length()}bit-e{e}" for t, e in UNIT_ROOT_CASES])
+def test_unit_root_is_the_certified_bracket(t, e):
+    iv = intervals.unit_root(t, e)
+    k = iv.lo * 2 ** e
+    assert k.denominator == 1 and iv.hi * 2 ** e == k + 1, (t, e)
+    k = k.numerator
+    # x^2 - t x + 1 increases from t / 2 on, and lambda > t - 1 > t / 2
+    assert k >= (t - 1) << e
+    assert _scaled_value([1, -t, 1], k, e) < 0 < _scaled_value(
+        [1, -t, 1], k + 1, e), (t, e)
+    assert iv == intervals.root([1, -t, 1], t - 1, e), (t, e)
+
+
+def test_unit_root_past_the_branch_takes_no_isqrt(monkeypatch):
+    # from t = 2^(e + 1) on, k = t 2^e - 1 without the isqrt of a number
+    # twice t's size, which takes about a second at lcs-table's deepest
+    # trace; the trace of w(19) at mu 7 is 7^(2^18) + 2
+    def refuse(_n):
+        raise AssertionError("isqrt past the branch")
+    monkeypatch.setattr(intervals, "isqrt", refuse)
+    for t, e in [*((t, e) for t, e in UNIT_ROOT_CASES
+                   if t.bit_length() > e + 1), (7 ** 2 ** 18 + 2, 70)]:
+        assert intervals.unit_root(t, e) == Interval(
+            Fraction((t << e) - 1, 2 ** e), Fraction(t, 1)), (t, e)
+
+
+@pytest.mark.parametrize("t", (2, 1, 0, -3))
+def test_unit_root_refuses_t_at_most_two(t):
+    with pytest.raises(ValueError):
+        intervals.unit_root(t, 60)
 
 
 @pytest.mark.parametrize("bits", (1, 2, 3, 60, 1024))
