@@ -117,7 +117,7 @@ def dyadic(k: int, e: int) -> Fraction:
     return x
 
 
-def _scaled_pair(x: Fraction, y: Fraction):
+def _scaled_pair(x: Fraction, y: Fraction) -> tuple[int, int, int] | None:
     """(x 2^e, y 2^e, e) in ints, 2^e the larger denominator of x and y,
     by shifts; None unless both denominators are powers of two."""
     q, r = x.denominator, y.denominator
