@@ -112,6 +112,18 @@ def test_log_endpoints_up_to_512_bits_are_pinned():
                              "cf7f6e62fe4543b0afa1f7fd261cadde")
 
 
+def test_log_endpoints_above_512_bits_are_pinned():
+    # the lifted endpoints, every 31st bit count up to 2048 and two of
+    # the benchmark's widths, from a digest of them
+    h = hashlib.sha256()
+    for x in SWEEP_X:
+        for bits in (*range(513, 2049, 31), 4096, 12288):
+            iv = intervals.log(x, bits)
+            h.update(f"{iv.lo} {iv.hi}\n".encode())
+    assert h.hexdigest() == ("7f06f3058fcbdc97afe955860adab4e2"
+                             "7bf95f9fe4577e5491baf3eda62cf824")
+
+
 def test_log_error_count_is_the_proved_one():
     # _log_fixed's docstring: 2 total is low by less than 2 (9 sigma / 8
     # + block + 8/3), for sigma = 2 after square roots at w and

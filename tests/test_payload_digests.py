@@ -98,6 +98,12 @@ ARGVS = [
     ["dilatation", "--word", "aB" * 24, "--mu", "64"],
     ["dilatation", "--word", "ab", "--mu", "2361183241434822606849"],
     ["dilatation", "--word", "ab", "--mu", "2361183241434822606850"],
+    ["dilatation", "--word", "aB", "--mu", "3", "--precision-bits", "504"],
+    ["dilatation", "--word", "aB", "--mu", "3", "--precision-bits", "505"],
+    ["dilatation", "--word", "aabAB" * 40, "--mu", "7", "--precision-bits",
+     "1024"],
+    ["lcs-table", "--max-k", "6", "--mu", "16", "--format", "json",
+     "--precision-bits", "4096"],
 ]
 
 
