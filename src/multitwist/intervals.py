@@ -16,9 +16,9 @@ lifted to the working precision by Newton's method for the inverse
 root, which takes products only (Brent and Zimmermann, "Modern Computer
 Arithmetic", 2010, 4.2.3), each level's first squaring at half the
 width.  It then sums the atanh series by rectangular splitting (Smith,
-Math. Comp. 52, 1989; Brent and Zimmermann 4.4.3), counting every
-rounding in ulps; above 512 bits with one division per block of terms
-and the even powers by squaring.
+Math. Comp. 52, 1989; Brent and Zimmermann 4.4.3), with one small
+division per term and the even powers by squaring, counting every
+rounding in ulps.
 
 Endpoints k / 2^j are built in lowest terms without a gcd, scaled to a
 common 2^e by shifts to check their order and a relative width, and
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt
 from operator import floordiv
 
 
@@ -327,8 +327,8 @@ def _log_precision(bits: int, e: int) -> tuple[int, int, int, int]:
     # powers, and n / block Horner products whose width falls linearly
     # from w to 0, which cost about a third of a full one each; block
     # about sqrt(n / 2) balances the two.  Timed log kernels: the rule's
-    # block, 9, 14 and 30 at 4096, 12288 and 65536 bits, was the fastest
-    # of those from half to twice it.
+    # block, 9, 14 and 30 at 4096, 12288 and 65536 bits, beat half of it
+    # by 0.5-2.7% (tied at 65536 bits) and twice it by 8-23%.
     lifted = bits > _ROOT_BITS
     roots = (bits.bit_length() + 1 if lifted
              else next(r for r in range(1, 4) if 27 * r ** 3 > bits))
@@ -411,11 +411,7 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     total ends low by less than 9 sigma / 8 + block + 8/3, so 2 total by
     less than 2 block + 9.84, or 2 block + 10.98 lifted: the error
     count is (2 block + 10) 2^roots, or (2 block + 11) 2^roots lifted,
-    plus |e| times _ln2's 2.  Lifted, the series squares its even powers
-    and floors each block's inner sum once, over the product of the
-    block's divisors; the comments show that both stay inside the same
-    counts, and one floor of a sum is never below the sum of its terms'
-    floors.
+    plus |e| times _ln2's 2.
     """
     one = 1 << w
     shift = w - e
@@ -448,10 +444,10 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     # rectangular splitting (Smith, Math. Comp. 52, 1989; Brent and
     # Zimmermann, Modern Computer Arithmetic, 4.4.3).  With the powers
     # 1, s2, ..., s2^(block - 1) of s2 = s^2 / 2^w, block b is an inner
-    # sum of one small division per term, or lifted one division for the
-    # whole block, and the blocks are joined by Horner's rule in
-    # s2^block.  s < 2^(w - gap), so n terms with 2 n gap >= w leave a
-    # tail of at most (s / 2^w)^2n (9/8) / 3 < 2^-w, below 1.
+    # sum of one small division per term, and the blocks are joined by
+    # Horner's rule in s2^block.  s < 2^(w - gap), so n terms with
+    # 2 n gap >= w leave a tail of at most (s / 2^w)^2n (9/8) / 3 < 2^-w,
+    # below 1.
     gap = w - s.bit_length()
     s2 = s * s >> w
     n = -(-w // (2 * gap))
@@ -459,15 +455,15 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     powers = [one, s2]
     for j in range(2, block + 1):
         half = powers[j // 2]
-        powers.append((half * half if lifted and j % 2 == 0
-                       else powers[-1] * s2) >> w)
-    # Every power is low by less than 2, by induction: s2 loses less
-    # than 1 in its floor, and a later power less than 1 in its floor,
-    # plus, from s2 times the power before it, 2 s2 / 2^w < 2/9 for that
-    # power's error and that power over 2^w, at most 1/9, for s2's; or,
-    # lifted, an even power squares the half power h, whose exact value H
-    # is at most 2^w / 9, and loses less than 1 in its floor and (H - h)
-    # (H + h) / 2^w < 2 (2 H / 2^w) <= 4/9 from h's error.
+        powers.append((half * half if j % 2 == 0 else powers[-1] * s2) >> w)
+    # Every power is low by less than 2, by induction: s2 loses less than
+    # 1 in its floor, and each later power less than 1 in its floor plus
+    # what it inherits.  An odd power, s2 times the power before it,
+    # inherits 2 s2 / 2^w < 2/9 from that power's error and that power
+    # over 2^w, at most 1/9, from s2's.  An even power squares the half
+    # power h, whose exact value H is at most 2^w / 9 as s / 2^w < 1/3,
+    # and inherits (H - h) (H + h) / 2^w < 2 (2 H / 2^w) <= 4/9 from h's
+    # error.
     step = powers.pop()
     # Block b ends up scaled by (s / 2^w)^(2 block b) < 2^-(2 gap block b),
     # so it is summed in ulps of 2^-(w - c) for the cut c = cut * b, from
@@ -483,21 +479,14 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
         # The inner sum is low by less than 2 block: the powers after the
         # first, which is exact, are low by less than 2 over divisors of
         # at least 3, 5, ..., so at most 2 (block - 1) / 3 in all, and
-        # each term's floor loses less than 1 more; lifted, one floor of
-        # the exact sum over the product of the divisors loses less than
-        # 1 in all, and costs one division, not block of them.  acc <=
-        # (9/8) 2^top, and multiplying it by the step, low by less than
-        # 2, then flooring loses less than 9/4 + 1.  The error acc carries
-        # is multiplied by (s / 2^w)^2block 2^cut < 4^-block, as the ulp
+        # each term's floor loses less than 1 more.  acc <= (9/8) 2^top,
+        # and multiplying it by the step, low by less than 2, then
+        # flooring loses less than 9/4 + 1.  The error acc carries is
+        # multiplied by (s / 2^w)^2block 2^cut < 4^-block, as the ulp
         # grows by 2^cut.  So acc ends low by less than (2 block + 13/4) /
         # (1 - 4^-block) < 3 block + 4.
-        if lifted:
-            whole = prod(divisors)
-            inner = sum(x * (whole // d)
-                        for x, d in zip(shifted, divisors)) // whole
-        else:
-            inner = sum(map(floordiv, shifted, divisors))
-        acc = (acc * (step >> c) >> top) + inner
+        acc = ((acc * (step >> c) >> top)
+               + sum(map(floordiv, shifted, divisors)))
         top = w - c
     # With the tail, acc is low by less than 3 block + 5, which s / 2^w
     # < 1/3 scales to below block + 5/3, and the floor loses less than 1

@@ -295,9 +295,9 @@ def _inverse_root_full_width(z: int, w: int, roots: int, start: int) -> int:
 
 def _per_term_log_fixed(p: int, q: int, e: int, w: int, roots: int,
                         block: int, start: int) -> tuple[int, int]:
-    """_log_fixed's (low, err) above 512 bits with the atanh series summed
-    term by term: one floor division per term, over powers of s2 formed by
-    successive products."""
+    """_log_fixed's (low, err) above 512 bits with every power of s2
+    formed by a product with s2, none by squaring, and one floor division
+    per term."""
     one = 1 << w
     z = math.floor(Fraction(p, q) * Fraction(2) ** (w - e))
     x = intervals._inverse_root(z, w, roots, start)
@@ -324,10 +324,10 @@ def _per_term_log_fixed(p: int, q: int, e: int, w: int, roots: int,
 
 
 def test_log_fixed_above_512_bits_against_the_per_term_series():
-    """One floor per block of the series and squared even powers: low is
-    never below the per-term series' low, err is the proved count, and
-    mpmath's ln(x) 2^w lies inside.  20 random y at bits in 513-16384,
-    and the inputs of test_log_fixed_contract_at_random_bits_above_512."""
+    """Squared even powers give the same low as powers built by products,
+    err is the proved count, and mpmath's ln(x) 2^w lies inside.  20
+    random y at bits in 513-16384, and the inputs of
+    test_log_fixed_contract_at_random_bits_above_512."""
     rng = random.Random(40)
     cases = []
     for bits in sorted(rng.sample(range(513, 16385), 20)):
@@ -349,7 +349,7 @@ def test_log_fixed_above_512_bits_against_the_per_term_series():
         low, err = intervals._log_fixed(p, q, e, w, roots, block, start)
         per_term_low, per_term_err = _per_term_log_fixed(p, q, e, w, roots,
                                                          block, start)
-        assert low >= per_term_low and err == per_term_err, (p, q, bits)
+        assert low == per_term_low and err == per_term_err, (p, q, bits)
         _log_fixed_encloses(Fraction(p, q), bits)
 
 
