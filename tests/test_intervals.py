@@ -293,8 +293,8 @@ def _inverse_root_full_width(z: int, w: int, roots: int, start: int) -> int:
     return x + 2
 
 
-def _per_term_log_fixed(p: int, q: int, e: int, w: int, roots: int,
-                        block: int, start: int) -> tuple[int, int]:
+def _product_powers_log_fixed(p: int, q: int, e: int, w: int, roots: int,
+                              block: int, start: int) -> tuple[int, int]:
     """_log_fixed's (low, err) above 512 bits with every power of s2
     formed by a product with s2, none by squaring, and one floor division
     per term."""
@@ -347,9 +347,10 @@ def test_log_fixed_above_512_bits_against_the_per_term_series():
         w, roots, block, start = intervals._log_precision(bits, e)
         assert start < w
         low, err = intervals._log_fixed(p, q, e, w, roots, block, start)
-        per_term_low, per_term_err = _per_term_log_fixed(p, q, e, w, roots,
-                                                         block, start)
-        assert low == per_term_low and err == per_term_err, (p, q, bits)
+        oracle_low, oracle_err = _product_powers_log_fixed(p, q, e, w,
+                                                           roots, block,
+                                                           start)
+        assert low == oracle_low and err == oracle_err, (p, q, bits)
         _log_fixed_encloses(Fraction(p, q), bits)
 
 
