@@ -22,9 +22,9 @@ LOWER_LOG_DILATATION = "lower_bound_on_log_dilatation"
 UPPER_LOG_DILATATION = "upper_bound_on_log_dilatation"
 UPPER_TAU_C = "upper_bound_on_tau_C"
 
-# relative width 10^-12 required of every BoundResult; 2^-48 ~ 3.6e-15
+# logs to within 2^-64; a BoundResult's relative width must be at most
+# 2^-40 ~ 9.1e-13, and the widest, the Torelli bound's, is about 2^-66
 _BITS = 64
-_REL_WIDTH_INVERSE = 10 ** 12
 
 
 class HypothesisViolation(ValueError):
@@ -39,12 +39,7 @@ class BoundResult:
     binding_case: str = ""
 
     def __post_init__(self):
-        # width / max(1, |lo|, |hi|) > 10^-12 in ints, over the common
-        # denominator q of the endpoints; |lo|, |hi| <= max(-lo, hi)
-        lo, hi = self.value.lo, self.value.hi
-        q = lo.denominator * hi.denominator
-        a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-        if (b - a) * _REL_WIDTH_INVERSE > max(q, -a, b):
+        if not intervals.relative_width_within(self.value, 40):
             raise ValueError("bound interval too wide")
 
     def to_json_dict(self) -> dict:

@@ -20,13 +20,13 @@ Math. Comp. 52, 1989; Brent and Zimmermann 4.4.3), with one small
 division per term and the even powers by squaring, counting every
 rounding in ulps.
 
-Endpoints k / 2^j are built in lowest terms without a gcd, scaled to a
-common 2^e by shifts to check their order and a relative width, and
-each interval is printed from one decimal conversion of its lower
-numerator.  Above 3072 bits an int is converted by halves joined with
-exact Decimal products, as one Decimal(n) costs time quadratic in its
-size (Brent and Zimmermann, 1.7).  sqrt_fraction, sqrt and cbrt are
-stubs that raise, kept as patch targets of the benchmark's tracer.
+Endpoints k / 2^j are built in lowest terms without a gcd.  A pair goes
+over a common denominator to check its order and relative width: the
+larger 2^j by shifts, or the product for the bounds' rationals.  A
+dyadic pair prints from one Decimal conversion of its lower numerator;
+above 3072 bits an int converts by halves joined by exact products, as
+Decimal(n) takes quadratic time.  sqrt_fraction, sqrt and cbrt are stubs
+that raise, kept as patch targets of the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class Interval:
                                 f"or a Fraction")
             object.__setattr__(self, name, Fraction(x))
         # dyadic endpoints compare by shifts, not Fraction's products
-        scaled = _scaled_pair(self.lo, self.hi)
-        if scaled[0] > scaled[1] if scaled else self.lo > self.hi:
+        lo, hi, _ = _scaled_pair(self.lo, self.hi)
+        if lo > hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
@@ -117,23 +117,23 @@ def dyadic(k: int, e: int) -> Fraction:
     return x
 
 
-def _scaled_pair(x: Fraction, y: Fraction) -> tuple[int, int, int] | None:
-    """(x 2^e, y 2^e, e) in ints, 2^e the larger denominator of x and y,
-    by shifts; None unless both denominators are powers of two."""
+def _scaled_pair(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(x d, y d, d) in ints for a common denominator d of x and y: the
+    larger, by shifts, if both are powers of two, else their product."""
     q, r = x.denominator, y.denominator
     if q & (q - 1) or r & (r - 1):
-        return None
-    e = max(q, r).bit_length() - 1
-    return (x.numerator << e + 1 - q.bit_length(),
-            y.numerator << e + 1 - r.bit_length(), e)
+        return x.numerator * r, y.numerator * q, q * r
+    d = max(q, r)
+    return (x.numerator << d.bit_length() - q.bit_length(),
+            y.numerator << d.bit_length() - r.bit_length(), d)
 
 
 def relative_width_within(iv: Interval, bits: int) -> bool:
-    """width / max(1, |lo|, |hi|) <= 2^-bits, by shifts and int
-    comparisons, for an interval with power-of-two denominators."""
-    lo, hi, e = _scaled_pair(iv.lo, iv.hi)
-    # width / max(1, |lo|, |hi|), all over 2^e; |lo|, |hi| <= max(-lo, hi)
-    return (hi - lo) << bits <= max(1 << e, -lo, hi)
+    """width / max(1, |lo|, |hi|) <= 2^-bits in ints over _scaled_pair's
+    denominator: by shifts for dyadic endpoints, products for others."""
+    lo, hi, d = _scaled_pair(iv.lo, iv.hi)
+    # width / max(1, |lo|, |hi|), all over d; |lo|, |hi| <= max(-lo, hi)
+    return (hi - lo) << bits <= max(d, -lo, hi)
 
 
 # exact Decimal arithmetic on ints of any size; an inexact result raises
@@ -168,18 +168,18 @@ def _decimal(n: int) -> Decimal:
 def endpoint_strs(iv: Interval) -> list[str]:
     """[decimal_str(iv.lo), decimal_str(iv.hi)], converting one int.
 
-    For endpoints k / 2^j, the lower numerator over the common 2^e is
-    converted to Decimal, the upper one is that plus the gap, and the
-    denominator is one power of two; each endpoint's lowest-terms
-    numerator and denominator are those divided by 2^(e - j).  An
-    interval with another denominator is printed endpoint by endpoint.
+    For endpoints k / 2^j, over _scaled_pair's common 2^e, the lower
+    numerator is converted to Decimal, the upper one is that plus the gap,
+    and each endpoint's lowest-terms numerator and denominator are those
+    divided by 2^(e - j).  Over a product of other denominators, an
+    interval is printed endpoint by endpoint.
     """
-    scaled = _scaled_pair(iv.lo, iv.hi)
-    if scaled is None:
+    a, b, d = _scaled_pair(iv.lo, iv.hi)
+    if d & (d - 1):
         return [decimal_str(iv.lo), decimal_str(iv.hi)]
-    a, b, e = scaled
+    e, j_lo, j_hi = (n.bit_length() - 1
+                     for n in (d, iv.lo.denominator, iv.hi.denominator))
     num_lo, den = _decimal(a), _decimal_pow2(e)
-    j_lo, j_hi = (x.denominator.bit_length() - 1 for x in (iv.lo, iv.hi))
     return [_lowest_terms_str(num_lo, den, e, j_lo),
             _lowest_terms_str(_EXACT.add(num_lo, b - a), den, e, j_hi)]
 
@@ -518,9 +518,7 @@ def log(x: Interval, bits: int) -> Interval:
     low, err = _log_fixed(p, q, e, w, roots, block, start)
     if err >= 1 << (w - bits):
         raise PrecisionError(f"log error count {err} exceeds 2^-{bits}")
-    # ceil((x.hi - x.lo) / x.lo * 2^w), from the endpoints over a common
-    # denominator: for dyadic ones the larger 2^j, reached by shifts
-    scaled = _scaled_pair(x.lo, x.hi)
-    a, b = scaled[:2] if scaled else (p * x.hi.denominator, x.hi.numerator * q)
+    # ceil((x.hi - x.lo) / x.lo * 2^w) over _scaled_pair's denominator
+    a, b, _ = _scaled_pair(x.lo, x.hi)
     spread = -(-((b - a) << w) // a)
     return Interval(dyadic(low, w), dyadic(low + err + spread, w))

@@ -278,10 +278,13 @@ def test_int_bisection_matches_fraction_bisection():
         assert (iv.lo, iv.hi) == (lo, hi), bits
 
 
+# the relative width allowed to a BoundResult
+_BOUND_WIDTH = Fraction(1, 2 ** 40)
+
+
 def _too_wide(lo: Fraction, hi: Fraction) -> bool:
     """The relative-width rule of BoundResult, in Fractions."""
-    return (hi - lo) / max(Fraction(1), abs(lo), abs(hi)) > Fraction(
-        1, 10 ** 12)
+    return (hi - lo) / max(Fraction(1), abs(lo), abs(hi)) > _BOUND_WIDTH
 
 
 def _bound_refused(lo: Fraction, hi: Fraction) -> bool:
@@ -295,7 +298,7 @@ def _bound_refused(lo: Fraction, hi: Fraction) -> bool:
 
 def test_bound_width_test_matches_fractions():
     rng = random.Random(12)
-    rel = Fraction(1, 10 ** 12)
+    rel = _BOUND_WIDTH
     cases = []
     for _ in range(300):
         den = rng.choice((1, 3, 2 ** 64, 10 ** 15 + 7,
@@ -322,7 +325,8 @@ def test_bound_width_test_matches_fractions():
             assert _bound_refused(lo, hi) == _too_wide(lo, hi), (lo, hi)
             verdicts.add(_too_wide(lo, hi))
     assert verdicts == {True, False}
-    # exactly at the limit a bound is accepted
-    assert not _bound_refused(Fraction(-3, 10 ** 13), Fraction(7, 10 ** 13))
-    assert _bound_refused(Fraction(-3, 10 ** 13),
-                          Fraction(7, 10 ** 13) + Fraction(1, 10 ** 40))
+    # exactly at the limit a bound is accepted, over a denominator that
+    # is not a power of two
+    lo, hi = Fraction(-1, 3 * 2 ** 40), Fraction(2, 3 * 2 ** 40)
+    assert not _bound_refused(lo, hi)
+    assert _bound_refused(lo, hi + Fraction(1, 10 ** 40))

@@ -471,6 +471,52 @@ def test_relative_width_test_matches_fractions(lo):
             within = _relative_width(iv) <= Fraction(1, 2 ** bits)
             assert (intervals.relative_width_within(iv, bits)
                     == within), (iv, bits)
+    # rational endpoints over 7 2^60 and 3 2^(bits + 100): at 2^-bits
+    # with a scale of 1, of hi or of -lo, and one ulp on either side
+    base = Fraction(lo, 7 << 60)
+    for bits in (1, 40, 64, 300):
+        rel, ulp = Fraction(1, 2 ** bits), Fraction(1, 3 * 2 ** (bits + 100))
+        edges = [(base / 1000, base / 1000 + rel)]
+        if base >= 1:
+            edges.append((base, base / (1 - rel)))
+        elif base <= -1:
+            edges.append((base, base * (1 - rel)))
+        for a, b in edges:
+            for hi, within in ((b, True), (b - ulp, True), (b + ulp, False)):
+                iv = Interval(a, hi)
+                assert (_relative_width(iv) <= rel) == within, (iv, bits)
+                assert (intervals.relative_width_within(iv, bits)
+                        == within), (iv, bits)
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n == 1 << (n.bit_length() - 1)
+
+
+def test_scaled_pair_is_exact():
+    """(x d, y d, d) for d the larger denominator of two dyadic endpoints
+    and the product of any others: random pairs over 1, 2^k, 3 2^k and
+    odd or arbitrary denominators, negative, zero and equal."""
+    rng = random.Random(500)
+
+    def pick() -> Fraction:
+        den = rng.choice((1, 2, 1 << rng.randint(1, 300),
+                          3 << rng.randint(0, 70), rng.randint(1, 10 ** 6) | 1,
+                          rng.randint(1, 1 << 100)))
+        num = rng.choice((0, 1, -1, rng.randint(-1 << 200, 1 << 200)))
+        return Fraction(num, den)
+
+    kinds = set()
+    for _ in range(500):
+        x = pick()
+        y = rng.choice((x, -x, Fraction(0), pick(), pick()))
+        a, b, d = intervals._scaled_pair(x, y)
+        assert Fraction(a, d) == x and Fraction(b, d) == y, (x, y)
+        q, r = x.denominator, y.denominator
+        dyadic = _is_power_of_two(q) and _is_power_of_two(r)
+        assert d == (max(q, r) if dyadic else q * r), (x, y)
+        kinds.add((dyadic, x == y, min(x, y) < 0 < max(x, y)))
+    assert len(kinds) == 6
 
 
 def _signed_dyadic(k: int, e: int) -> Fraction:
