@@ -98,9 +98,9 @@ def _emit(payload):
 def _cmd_dilatation(args) -> int:
     from . import rep
     from .intervals import decimal_str, float_str
-    from .words import Word
+    from .words import parse_word
 
-    w = Word.parse(args.word)
+    w = parse_word(args.word)
     report = rep.dilatation(w, args.mu, args.precision_bits)
     if args.format == "json":
         _emit(report.to_json_dict())

@@ -495,6 +495,8 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     total = s * acc >> w
     low = (2 * total) << roots
     err = (2 * block + 10 + lifted) << roots
+    if e == 0:  # e ln 2 and |e| times its error are 0
+        return low, err
     ln2, ln2_err = _ln2(w)
     return low + e * ln2 + min(e, 0) * ln2_err, err + abs(e) * ln2_err
 

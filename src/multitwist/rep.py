@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional
 
 from . import intervals
 from .intervals import Interval, PrecisionError, decimal_str, endpoint_strs
-from .words import Word
 
 IDENTITY_CLASS = "identity"
 ELLIPTIC = "elliptic"
@@ -41,11 +40,12 @@ class IntMatrix(NamedTuple):
         return self.a + self.d
 
 
-def evaluate(w: Word, mu: int) -> IntMatrix:
-    """Conjugate image of a word."""
+def evaluate(w: str, mu: int) -> IntMatrix:
+    """Conjugate image of a word, reduced or not; a letter outside abAB
+    raises ValueError."""
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    return _image(w.letters, mu)
+    return _image(w, mu)
 
 
 def _image(letters: str, mu: int) -> IntMatrix:
@@ -70,9 +70,11 @@ def _image(letters: str, mu: int) -> IntMatrix:
         elif letter == "b":
             a -= mu * b
             c -= mu * d
-        else:
+        elif letter == "B":
             a += mu * b
             c += mu * d
+        else:
+            raise ValueError(f"invalid letter {letter!r}")
     return IntMatrix(a, b, c, d)
 
 
@@ -95,7 +97,7 @@ def trace_json(trace: int, mu: int) -> dict:
 
 @dataclass(frozen=True)
 class DilatationReport:
-    word: Word
+    word: str
     mu: int
     trace: int
     isometry_class: str
@@ -105,7 +107,7 @@ class DilatationReport:
     def to_json_dict(self) -> dict:
         trace = trace_json(self.trace, self.mu)
         d = {
-            "word": str(self.word),
+            "word": self.word,
             "mu": self.mu,
             "trace": trace,
             "class": self.isometry_class,
@@ -137,7 +139,7 @@ def hyperbolic_dilatation(trace: int, precision_bits: int) -> tuple[Interval, In
     return lam, log_lam
 
 
-def dilatation(w: Word, mu: int, precision_bits: int = 60) -> DilatationReport:
+def dilatation(w: str, mu: int, precision_bits: int = 60) -> DilatationReport:
     """Full report for a word; non-hyperbolic images carry no dilatation."""
     m = evaluate(w, mu)
     cls = classify(m)

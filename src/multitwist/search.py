@@ -79,13 +79,13 @@ from typing import Iterator
 
 from . import rep, words
 from .intervals import Interval, decimal_str, endpoint_strs, float_str
-from .words import Word
 
 
 # letter order a < b < A < B for canonical representatives; the keys
 # 0 1 2 3 compare in that order
 _LEX_KEY = str.maketrans("abAB", "0123")
 _FROM_KEY = str.maketrans("0123", "abAB")
+_SWAP = str.maketrans("abAB", "baBA")
 # keys that may follow each key in a freely reduced word, in decreasing
 # order, the order in which _necklaces pushes them, and in increasing
 # order, the order in which it tests leaves
@@ -102,16 +102,15 @@ def _word_key(s: str) -> str:
     return s.translate(_LEX_KEY)
 
 
-def orbit_representative(w: Word) -> Word:
-    """Least word (letter order a < b < A < B) in the orbit of w under
-    cyclic rotation, inversion, and the generator swap (definitional, no
-    canonical-form shortcuts)."""
-    candidates = set()
-    for base in (w, w.inverse()):
-        for variant in (base, base.swap_generators()):
-            for rot in variant.rotations():
-                candidates.add(rot.letters)
-    return Word(min(candidates, key=_word_key))
+def orbit_representative(w: str) -> str:
+    """Least word (letter order a < b < A < B) in the orbit of a
+    cyclically reduced w under cyclic rotation, inversion, and the
+    generator swap (definitional, no canonical-form shortcuts)."""
+    inverse = w[::-1].swapcase()
+    return min((v[i:] + v[:i]
+                for v in (w, inverse, w.translate(_SWAP),
+                          inverse.translate(_SWAP))
+                for i in range(max(len(w), 1))), key=_word_key)
 
 
 def _least_in_orbit(key: str, lead: int) -> bool:
@@ -219,7 +218,7 @@ def _necklaces(max_length: int, mu: int) -> Iterator[tuple[str, int, int]]:
                               a + mu * b, b, c + mu * d, d))
 
 
-def enumerate_classes(max_length: int) -> Iterator[Word]:
+def enumerate_classes(max_length: int) -> Iterator[str]:
     """One representative per symmetry orbit of cyclically reduced words
     of length <= max_length: the least word of the orbit in the letter
     order a < b < A < B.  The words come in that order, a word before its
@@ -231,7 +230,7 @@ def enumerate_classes(max_length: int) -> Iterator[Word]:
     # the traces are not needed, and mu = 1 keeps their ints smallest
     for key, lead, _ in _necklaces(max_length, 1):
         if _least_in_orbit(key, lead):
-            yield Word(key.translate(_FROM_KEY))
+            yield key.translate(_FROM_KEY)
 
 
 def _class_count(max_length: int) -> int:
@@ -297,7 +296,7 @@ class SearchReport:
     max_length: int
     classes_examined: int
     minimum: rep.DilatationReport
-    all_minima: tuple[Word, ...]
+    all_minima: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -305,7 +304,7 @@ class SearchReport:
             "max_length": self.max_length,
             "classes_examined": self.classes_examined,
             "minimum": self.minimum.to_json_dict(),
-            "all_minima": [str(w) for w in self.all_minima],
+            "all_minima": list(self.all_minima),
             "note": (f"minimality certified only among conjugacy classes of "
                      f"word length <= {self.max_length}"),
         }
@@ -346,7 +345,7 @@ def min_dilatation_search(max_length: int, mu: int,
         raise ValueError("mu must be >= 1")
 
     minima = ["01"] if mu >= 5 else _least_keys(max_length, mu)
-    all_minima = tuple(Word(key.translate(_FROM_KEY)) for key in minima)
+    all_minima = tuple(key.translate(_FROM_KEY) for key in minima)
     report = rep.dilatation(all_minima[0], mu, precision_bits)
     return SearchReport(mu, max_length, _class_count(max_length), report,
                         all_minima)
@@ -355,7 +354,7 @@ def min_dilatation_search(max_length: int, mu: int,
 @dataclass(frozen=True)
 class LcsRow:
     depth: int
-    word: Word
+    word: str
     mu: int
     trace: int
     log_dilatation: Interval
@@ -363,7 +362,7 @@ class LcsRow:
     def to_json_dict(self) -> dict:
         return {
             "k": self.depth,
-            "word": str(self.word),
+            "word": self.word,
             "length": len(self.word),
             "trace": rep.trace_json(self.trace, self.mu),
             "log_lambda": endpoint_strs(self.log_dilatation),

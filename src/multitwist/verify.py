@@ -15,7 +15,6 @@ from math import isqrt
 
 from . import bounds, families, johnson, rep, search, words
 from .intervals import Interval
-from .words import Word
 
 
 def _within(iv: Interval, lo: str, hi: str) -> bool:
@@ -23,13 +22,13 @@ def _within(iv: Interval, lo: str, hi: str) -> bool:
 
 
 def check_trace_identity():
-    m = rep.evaluate(Word("ab"), 64)
+    m = rep.evaluate("ab", 64)
     assert m.trace() == -62, f"trace {m.trace()}"
     assert m.det() == 1
 
 
 def check_torelli_upper():
-    r = rep.dilatation(Word("ab"), 64, precision_bits=60)
+    r = rep.dilatation("ab", 64, precision_bits=60)
     iv = r.log_dilatation_interval
     assert iv.width <= Fraction(1, 10 ** 9)
     assert _within(iv, "4.1268", "4.1269"), iv.as_floats()
@@ -43,7 +42,7 @@ def check_torelli_upper():
 
 
 def check_braid_upper():
-    r = rep.dilatation(Word("ab"), 16, precision_bits=60)
+    r = rep.dilatation("ab", 16, precision_bits=60)
     assert r.trace == -14
     iv = r.log_dilatation_interval
     assert iv.width <= Fraction(1, 10 ** 9)
@@ -186,22 +185,23 @@ def brute_force_min_abs_trace(max_length: int, mu: int):
 def check_minimality():
     report = search.min_dilatation_search(8, 64)
     assert len(report.all_minima) == 1
-    assert str(report.all_minima[0]) == "ab"
+    assert report.all_minima[0] == "ab"
     assert abs(report.minimum.trace) == 62
     oracle_min, oracle_words = brute_force_min_abs_trace(8, 64)
     assert oracle_min == 62
-    dedup = {str(search.orbit_representative(Word(s))) for s in oracle_words}
+    dedup = {search.orbit_representative(s) for s in oracle_words}
     assert dedup == {"ab"}
 
 
 def check_lcs_table():
     # rep.evaluate shares no code with the closed-form traces of lcs_table,
-    # nor Word.parse of the literal commutator with its closed-form words
+    # nor parse_word's reduction of the literal commutator with its
+    # closed-form words
     table = search.lcs_table(8, 64)
-    assert str(table[0].word) == "ab"
+    assert table[0].word == "ab"
     for prev, row in zip(table, table[1:]):
-        u = prev.word.letters
-        assert row.word == Word.parse(u + "b" + u[::-1].swapcase() + "B")
+        u = prev.word
+        assert row.word == words.parse_word(u + "b" + u[::-1].swapcase() + "B")
     for row in table:
         assert len(row.word) == 2 ** row.depth
         assert row.trace == rep.evaluate(row.word, 64).trace(), row.depth
@@ -257,26 +257,26 @@ def check_property_spot_suite():
     # condensed versions of the module property suites; the pytest
     # suite runs the full-depth variants
     # every string of length 0-6 is parsed; the round trip depends only on
-    # the letters of the result, so each distinct result makes it once
-    reduced = {}
+    # the result, so each distinct result makes it once
+    reduced = set()
     cyclically_reduced = []
     for length in range(0, 7):
         for chars in itertools.product(words.ALPHABET, repeat=length):
             s = "".join(chars)
-            w = Word.parse(s)
-            reduced[w.letters] = w
+            w = words.parse_word(s)
+            reduced.add(w)
             # freely reduced, and the last letter does not cancel the first
-            if 0 < length < 6 and w.letters == s and s[-1] != s[0].swapcase():
+            if 0 < length < 6 and w == s and s[-1] != s[0].swapcase():
                 cyclically_reduced.append(w)
-    for letters, w in reduced.items():
-        assert Word.parse(letters) == w
+    for w in reduced:
+        assert words.parse_word(w) == w
     for k in range(1, 13):
         assert len(words.nested_commutator(k)) == 2 ** k
     rng = random.Random(7)
     for _ in range(50):
         s = "".join(rng.choice(words.ALPHABET) for _ in range(30))
-        w = Word.parse(s)
-        assert Word.parse(w.letters + w.inverse().letters).is_identity()
+        w = words.parse_word(s)
+        assert words.parse_word(w + w[::-1].swapcase()) == ""
     # Each word's inverse, swap and rotations are built once, each word is
     # evaluated once per mu, and the invariances are checked by lookup.
     # Every key is present: if no letter of c_1 ... c_n cancels its cyclic
@@ -286,17 +286,18 @@ def check_property_spot_suite():
     # (the same cyclic sequence).  All three keep the length, so they map
     # the cyclically reduced words of each length 1-5 to themselves.  A
     # missing key would raise KeyError, a failed check.
-    images = [(w.letters, [w.inverse().letters, w.swap_generators().letters,
-                           *(r.letters for r in w.rotations())])
+    swap = str.maketrans("abAB", "baBA")
+    images = [(w, [w[::-1].swapcase(), w.translate(swap),
+                   *(w[i:] + w[:i] for i in range(len(w)))])
               for w in cyclically_reduced]
     for mu in (2, 16, 64):
         traces = {}
         for w in cyclically_reduced:
             m = rep.evaluate(w, mu)
             assert m.det() == 1
-            traces[w.letters] = m.trace()
-        for letters, orbit in images:
-            t = traces[letters]
+            traces[w] = m.trace()
+        for w, orbit in images:
+            t = traces[w]
             for image in orbit:
                 assert traces[image] == t
     g = 3

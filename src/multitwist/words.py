@@ -1,17 +1,14 @@
-"""Reduced words in the rank-2 free group on the two multitwist generators.
+"""Words in the rank-2 free group on the two multitwist generators.
 
-Encoding: 'a' and 'b' are the generators, 'A' and 'B' their inverses;
-a word string reads left to right as a group product.  The empty word
-is the identity.
+A word is a plain str: 'a' and 'b' are the generators, 'A' and 'B' their
+inverses, read left to right as a group product; '' is the identity.  The
+inverse of s is s[::-1].swapcase(), and its rotations are slices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 ALPHABET = "abAB"
 _LETTERS = frozenset(ALPHABET)
-_SWAP = str.maketrans("abAB", "baBA")
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
@@ -32,69 +29,26 @@ def _reduce_chars(s: str) -> str:
     return "".join(stack) + top
 
 
-def _trusted(s: str) -> "Word":
-    """Word(s) for letters already known to be valid and freely reduced,
-    built without __post_init__ checking them a second time.  It sets the
-    one field, letters; tests/test_words.py pins that Word has no other.
-    Word.parse writes the same build out, so that its fast path makes no
-    call."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "letters", s)
-    return w
+def parse_word(s: str) -> str:
+    """Check the a/b/A/B letters of s and reduce it freely.  A reduced s
+    comes back as it is, with no helper called."""
+    if not _LETTERS.issuperset(s):
+        bad = next(c for c in s if c not in _LETTERS)
+        raise ValueError(f"invalid letter {bad!r}")
+    if "aA" in s or "Aa" in s or "bB" in s or "Bb" in s:
+        return _reduce_chars(s)
+    return s
 
 
-@dataclass(frozen=True)
 class Word:
-    """A freely reduced word; Word.parse builds one from any letter string."""
-
-    letters: str = ""
+    """A stub kept only as the patch target of the benchmark tracer's
+    words.Word.constructed count; it goes when that metric does."""
 
     def __post_init__(self):
-        s = self.letters
-        if Word.parse(s).letters != s:
-            raise ValueError(f"word {s!r} is not freely reduced")
-
-    @staticmethod
-    def parse(s: str) -> "Word":
-        """Parse the a/b/A/B encoding, freely reducing the input.  The one
-        place that checks letters and reduction: Word(s) is valid exactly
-        when parse(s) gives s back.  A valid, reduced s calls no helper."""
-        if not _LETTERS.issuperset(s):
-            bad = next(c for c in s if c not in _LETTERS)
-            raise ValueError(f"invalid letter {bad!r}")
-        if "aA" in s or "Aa" in s or "bB" in s or "Bb" in s:
-            s = _reduce_chars(s)
-        w = object.__new__(Word)
-        object.__setattr__(w, "letters", s)
-        return w
-
-    def __str__(self):
-        return self.letters
-
-    def __len__(self):
-        return len(self.letters)
-
-    def inverse(self) -> "Word":
-        return _trusted(self.letters[::-1].swapcase())
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def swap_generators(self) -> "Word":
-        """Exchange a<->b and A<->B."""
-        return _trusted(self.letters.translate(_SWAP))
-
-    def rotations(self) -> list["Word"]:
-        """All cyclic rotations; only meaningful for cyclically reduced
-        words: of any other word of two or more letters, one rotation is
-        not freely reduced, and Word raises on it."""
-        s = self.letters
-        # every rotation of a cyclically reduced word is freely reduced
-        build = Word if s[:1] == s[-1:].swapcase() else _trusted
-        return [build(s[i:] + s[:i]) for i in range(max(len(s), 1))]
+        raise NotImplementedError("words are plain strings")
 
 
-def nested_commutator(k: int) -> Word:
+def nested_commutator(k: int) -> str:
     """w(1) = ab, w(k) = [w(k-1), b]; lies in gamma_k, the k-th term of the
     lower central series, with gamma_1 = F and gamma_(k+1) = [gamma_k, F].
 
@@ -108,9 +62,9 @@ def nested_commutator(k: int) -> Word:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        return Word("ab")
+        return "ab"
     w = "abAB"
     for _ in range(k - 2):
         u = w[:-1]
         w = u + "b" + u[::-1].swapcase() + "B"
-    return Word(w)
+    return w

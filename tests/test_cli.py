@@ -14,7 +14,6 @@ import multitwist
 from multitwist import bounds, cli, johnson, rep, search, verify, words
 from multitwist.cli import build_parser, run
 from multitwist.intervals import Interval, PrecisionError
-from multitwist.words import Word
 
 
 def _run_json(capsys, argv):
@@ -43,7 +42,7 @@ def test_dilatation_word_round_trip(capsys):
     code, payload = _run_json(capsys, ["dilatation", "--word", "abAbaBAB",
                                        "--mu", "64"])
     assert code == 0
-    assert Word.parse(payload["word"]) == Word("abAbaBAB")
+    assert words.parse_word(payload["word"]) == "abAbaBAB"
 
 
 def test_family_json(capsys):
@@ -424,7 +423,7 @@ def test_dilatation_trace_size_cap(capsys, monkeypatch):
     # below mu 1 the size is not checked, and rep refuses the request
     assert run(["dilatation", "--word", "ab" * 500_000, "--mu", "0"]) == 1
     assert capsys.readouterr().err == "error: mu must be >= 1\n"
-    identity = rep.dilatation(Word(""), 64)
+    identity = rep.dilatation("", 64)
     built = []
     monkeypatch.setattr(rep, "dilatation",
                         lambda *args: built.append(args) or identity)
@@ -443,7 +442,7 @@ def test_dilatation_trace_size_cap(capsys, monkeypatch):
     # (ab)^1792 at mu 2^255 is exactly 3584 * 256 = 917504 bits
     assert run(["dilatation", "--word", "ab" * 1792,
                 "--mu", str(2 ** 255)]) == 0
-    assert built == [(Word("ab" * 1792), 2 ** 255, 60)]
+    assert built == [("ab" * 1792, 2 ** 255, 60)]
     assert json.loads(capsys.readouterr().out)["class"] == "identity"
     assert run(["dilatation", "--help"]) == 0
     assert "bit_length(mu + 1) at most 917504" in " ".join(
@@ -707,7 +706,7 @@ def test_lcs_table_prints_traces_beyond_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
     k, word, length, trace = captured.out.split("\n")[13].split(",")[:4]
     assert (k, length) == ("13", "8192")
-    assert word == str(words.nested_commutator(13))
+    assert word == words.nested_commutator(13)
     assert limit == 0 or len(trace) > limit
     expected = rep.evaluate(words.nested_commutator(13), 64).trace()
     assert _int_beyond_limit(trace) == expected
@@ -720,7 +719,7 @@ def test_dilatation_prints_endpoints_beyond_digit_limit(capsys):
                                        "--precision-bits", "16384"])
     assert code == 0
     assert sys.get_int_max_str_digits() == limit
-    report = rep.dilatation(Word("ab"), 64, 16384)
+    report = rep.dilatation("ab", 64, 16384)
     for key, iv in (("lambda", report.dilatation_interval),
                     ("log_lambda", report.log_dilatation_interval)):
         for text, end in zip(payload[key], (iv.lo, iv.hi)):

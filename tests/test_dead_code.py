@@ -11,14 +11,16 @@ SOURCES = sorted(ROOT.glob("src/multitwist/*.py"))
 
 # deleted with the benchmark change (ROADMAP item 2): perfbench/tracing.py
 # patches these, so they stay until the tracer stops naming them.  The
-# quadratic module, intervals.sqrt, sqrt_fraction and cbrt and
-# bounds.m_of_k and filling_intersection_lower are already stubs that
-# raise; the tests check the enumerator through enumerate_classes
+# quadratic module, intervals.sqrt, sqrt_fraction and cbrt,
+# bounds.m_of_k and filling_intersection_lower, and words.Word, whose
+# __post_init__ the tracer counts for words.Word.constructed, are already
+# stubs that raise; the tests check the enumerator through
+# enumerate_classes
 PINNED_MODULES = {"quadratic"}
 PINNED = {("bounds", "m_of_k"), ("bounds", "filling_intersection_lower"),
           ("intervals", "sqrt"),
           ("intervals", "sqrt_fraction"), ("intervals", "cbrt"),
-          ("search", "enumerate_classes")}
+          ("search", "enumerate_classes"), ("words", "Word")}
 TRACER = ROOT / "perfbench" / "tracing.py"
 
 

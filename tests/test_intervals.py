@@ -5,9 +5,11 @@ are checked against Fraction and decimal_str, and decimal_str against
 str()."""
 
 import hashlib
+import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -23,7 +25,8 @@ from hypothesis import strategies as st
 import multitwist
 from multitwist import bounds, intervals, rep
 from multitwist.intervals import Interval, PrecisionError
-from multitwist.words import Word
+
+from test_payload_digests import ARGVS, DIGESTS, digest
 
 BITS = (1, 64, 1024, 12288, 16384)
 EXAMPLES = {1: 60, 64: 60, 1024: 30, 12288: 6, 16384: 3}
@@ -434,6 +437,29 @@ def test_ln2_bracket_against_mpmath(w):
         assert err <= 2
 
 
+# sha256 of "lo hi" for log(x, 700) of 5/4, 7/4 and the Torelli root,
+# computed when log still took ln 2 at e = 0
+E0_LOG_DIGESTS = ["579c8955a2372aa2", "53f3b015ef68d9cb", "df93d3a1fafa969f"]
+
+
+def test_log_in_one_to_two_makes_no_ln2_call():
+    # at e = 0, e ln 2 and |e| times its error are both 0, so a log of an
+    # argument in [1, 2) needs no ln 2, and no endpoint moves without it
+    intervals._ln2.cache_clear()
+    logs = [intervals.log(x, 700)
+            for x in (Interval.point(Fraction(5, 4)),
+                      Interval.point(Fraction(7, 4)),
+                      bounds.torelli_cubic_root())]
+    info = intervals._ln2.cache_info()
+    assert info.hits + info.misses == 0
+    assert [hashlib.sha256(f"{iv.lo} {iv.hi}".encode()).hexdigest()[:16]
+            for iv in logs] == E0_LOG_DIGESTS
+    expected = json.loads(DIGESTS.read_text())
+    for argv in ARGVS:
+        if argv[:1] == ["bounds"]:
+            assert digest(argv) == expected[shlex.join(argv)], argv
+
+
 def _relative_width(iv: Interval) -> Fraction:
     return (iv.hi - iv.lo) / max(Fraction(1), abs(iv.lo), abs(iv.hi))
 
@@ -455,7 +481,7 @@ def test_out_of_domain_raises_value_error(fn, x):
 
 
 def test_high_precision_endpoints_parse_under_digit_limit():
-    report = rep.dilatation(Word("ab"), 64, precision_bits=12288)
+    report = rep.dilatation("ab", 64, precision_bits=12288)
     payload = report.to_json_dict()
     for text in payload["lambda"] + payload["log_lambda"]:
         Fraction(text)
@@ -623,7 +649,7 @@ def test_endpoint_strs_of_non_dyadic_fractions(lo, hi):
                                   pytest.param(None, id="torelli_lower")))
 def test_certified_intervals_print_from_one_conversion(bits, monkeypatch):
     report = (bounds.torelli_lower() if bits is None
-              else rep.dilatation(Word("ab"), 64, precision_bits=bits))
+              else rep.dilatation("ab", 64, precision_bits=bits))
     expected = report.to_json_dict()
 
     def refuse(_x):

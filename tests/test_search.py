@@ -12,20 +12,44 @@ import pytest
 from multitwist import rep, search, verify, words
 from multitwist.search import (enumerate_classes, lcs_csv, lcs_table,
                                min_dilatation_search, orbit_representative)
-from multitwist.words import Word
 
 from free_words import cyclically_reduced_strings, letter_product
 
+_SWAP = str.maketrans("abAB", "baBA")
+
+
+def _orbit(s: str) -> set:
+    """The rotations of s, its inverse, its swap and its swapped inverse,
+    built here rather than by the search module."""
+    inverse = s[::-1].swapcase()
+    return {v[i:] + v[:i]
+            for v in (s, inverse, s.translate(_SWAP), inverse.translate(_SWAP))
+            for i in range(max(len(s), 1))}
+
 
 def test_enumerate_length_one():
-    assert [w.letters for w in enumerate_classes(1)] == ["a"]
+    assert list(enumerate_classes(1)) == ["a"]
 
 
 def test_enumerate_length_two():
-    reps = [w.letters for w in enumerate_classes(2)]
+    reps = list(enumerate_classes(2))
     assert reps == ["a", "aa", "ab", "aB"]
     # aB is NOT in the ab orbit: check definitionally
-    assert orbit_representative(Word("aB")) != orbit_representative(Word("ab"))
+    assert orbit_representative("aB") != orbit_representative("ab")
+
+
+def test_orbit_representative_is_the_least_of_the_orbit():
+    # the oracle of the enumeration tests, against its definition: the
+    # least of _orbit's strings, compared letter by letter in the order
+    # a < b < A < B by their positions in "abAB"
+    def key(w):
+        return ["abAB".index(c) for c in w]
+
+    for n in range(1, 7):
+        for s in cyclically_reduced_strings(n):
+            assert orbit_representative(s) == min(_orbit(s), key=key), s
+    assert [orbit_representative(s) for s in ("b", "B", "BA", "BAB")] == \
+        ["a", "a", "ab", "aab"]
 
 
 def _brute_force_orbit_count(length: int) -> int:
@@ -34,14 +58,7 @@ def _brute_force_orbit_count(length: int) -> int:
     count = 0
     pool = set(cyclically_reduced_strings(length))
     while pool:
-        s = pool.pop()
-        w = Word(s)
-        orbit = set()
-        for base in (w, w.inverse()):
-            for variant in (base, base.swap_generators()):
-                for rot in variant.rotations():
-                    orbit.add(rot.letters)
-        pool -= orbit
+        pool -= _orbit(pool.pop())
         count += 1
     return count
 
@@ -52,11 +69,10 @@ def test_enumerate_count_matches_brute_force():
 
 
 def test_enumerate_reps_are_canonical():
-    for w in enumerate_classes(8):
-        s = w.letters
+    for s in enumerate_classes(8):
         assert s.startswith("a")
         assert len(s) < 2 or s[0] != s[-1].swapcase()  # cyclically reduced
-        assert orbit_representative(w) == w
+        assert orbit_representative(s) == s
 
 
 def test_enumerate_matches_definitional_pipeline():
@@ -64,15 +80,15 @@ def test_enumerate_matches_definitional_pipeline():
     expected = set()
     for length in range(1, 9):
         for s in cyclically_reduced_strings(length):
-            expected.add(orbit_representative(Word(s)).letters)
+            expected.add(orbit_representative(s))
         # the Burnside count against the definitional one, length by length
         assert search._class_count(length) == len(expected)
-    assert [w.letters for w in enumerate_classes(8)] == \
+    assert list(enumerate_classes(8)) == \
         sorted(expected, key=search._word_key)
 
 
 def test_enumerate_keys_strictly_increase():
-    keys = [search._word_key(w.letters) for w in enumerate_classes(11)]
+    keys = [search._word_key(w) for w in enumerate_classes(11)]
     assert len(keys) == CLASS_COUNTS[10]
     assert all(x < y for x, y in zip(keys, keys[1:]))
 
@@ -113,18 +129,18 @@ def test_class_count_by_burnside():
 
 def test_no_run_longer_than_leading_run():
     for w in enumerate_classes(10):
-        runs = [len(list(group)) for _, group in itertools.groupby(w.letters)]
-        assert w.letters[0] == "a"
+        runs = [len(list(group)) for _, group in itertools.groupby(w)]
+        assert w[0] == "a"
         assert max(runs) <= runs[0], w
 
 
 def test_search_examples():
     r2 = min_dilatation_search(2, 64)
-    assert str(r2.all_minima[0]) == "ab"
+    assert r2.all_minima[0] == "ab"
     assert abs(r2.minimum.trace) == 62
 
     r16 = min_dilatation_search(2, 16)
-    assert str(r16.all_minima[0]) == "ab"
+    assert r16.all_minima[0] == "ab"
     assert abs(r16.minimum.trace) == 14
     iv = r16.minimum.log_dilatation_interval
     assert float(iv.lo) < 2.63392 < float(iv.hi) or \
@@ -141,7 +157,7 @@ def test_search_preconditions():
 def test_small_mu_minimum():
     # at mu = 1 the ab class is elliptic (trace 1); aB wins with trace 3
     r = min_dilatation_search(2, 1)
-    assert str(r.all_minima[0]) == "aB"
+    assert r.all_minima[0] == "aB"
     assert abs(r.minimum.trace) == 3
 
 
@@ -155,7 +171,7 @@ def test_minimum_is_at_most_trace_of_aB():
             report = min_dilatation_search(max_length, mu)
             t = abs(report.minimum.trace)
             assert t <= mu + 2, (mu, max_length)
-            assert (Word("aB") in report.all_minima) == (t == mu + 2)
+            assert ("aB" in report.all_minima) == (t == mu + 2)
             if t == mu + 2:
                 at_bound.add((mu, max_length))
     assert at_bound == {(mu, n) for mu in (1, 2, 4) for n in (2, 3, 4)} | \
@@ -216,7 +232,7 @@ def test_dedup_soundness_small():
         best = None
         for length in range(1, max_length + 1):
             for s in cyclically_reduced_strings(length):
-                m = rep.evaluate(Word(s), mu)
+                m = rep.evaluate(s, mu)
                 if rep.classify(m) != rep.HYPERBOLIC:
                     continue
                 t = abs(m.trace())
@@ -248,7 +264,7 @@ def _minima_by_length(words_by_length, mu):
                 continue
             if best is None or t < best:
                 best, found = t, []
-            found.append(w.letters)
+            found.append(w)
         out.append((best, found))
     return out
 
@@ -258,8 +274,7 @@ def test_all_minima_match_no_dedup_oracle():
     # oracle's minima, one per class, sorted by key must give it back;
     # mu = 1 has many ties, so it exercises the orbit test on them
     counts = [_brute_force_orbit_count(n) for n in range(1, 11)]
-    words_by_length = [[Word(s) for s in cyclically_reduced_strings(n)]
-                       for n in range(1, 11)]
+    words_by_length = [cyclically_reduced_strings(n) for n in range(1, 11)]
     representative = {}
     reports = {}
     for mu in (1, 2, 3, 4, 5, 9, 16, 64):
@@ -272,18 +287,17 @@ def test_all_minima_match_no_dedup_oracle():
                 if b == best:
                     for s in found:
                         if s not in representative:
-                            representative[s] = \
-                                orbit_representative(Word(s)).letters
+                            representative[s] = orbit_representative(s)
                         expected.add(representative[s])
             report = min_dilatation_search(max_length, mu)
             assert abs(report.minimum.trace) == best, (mu, max_length)
             assert report.minimum.word == report.all_minima[0]
-            assert [w.letters for w in report.all_minima] == \
+            assert list(report.all_minima) == \
                 sorted(expected, key=search._word_key), (mu, max_length)
             assert report.classes_examined == sum(counts[:max_length])
             reports[mu, max_length] = report.all_minima
     # key order is not length order here
-    assert [w.letters for w in reports[4, 8]] == ["aab", "aB"]
+    assert list(reports[4, 8]) == ["aab", "aB"]
     assert len(reports[1, 8]) == 24
     assert len({len(w) for w in reports[1, 8]}) > 1
 
@@ -298,7 +312,7 @@ def test_lcs_table_rows():
     table = lcs_table(4, 64)
     assert [row.depth for row in table] == [1, 2, 3, 4]
     assert [len(row.word) for row in table] == [2, 4, 8, 16]
-    assert str(table[0].word) == "ab"
+    assert table[0].word == "ab"
     assert table[1].trace == 4098
     for row in table:
         assert row.log_dilatation.lo > 0
@@ -308,7 +322,7 @@ def test_lcs_table_rows():
 
 def test_lcs_table_k1_matches_dilatation():
     row = lcs_table(1, 64)[0]
-    direct = rep.dilatation(Word("ab"), 64)
+    direct = rep.dilatation("ab", 64)
     assert row.trace == direct.trace
     iv = row.log_dilatation
     assert iv.overlaps(direct.log_dilatation_interval)
@@ -510,7 +524,7 @@ def test_search_from_mu_five_enumerates_nothing(monkeypatch):
     for mu in (5, 6, 7, 64, 2 ** 64 - 1, 2 ** 64, int("9" * 4300)):
         for max_length in (2, 3, 17):
             report = min_dilatation_search(max_length, mu)
-            assert report.all_minima == (Word("ab"),)
+            assert report.all_minima == ("ab",)
             assert report.minimum.trace == 2 - mu
             assert report.classes_examined == \
                 search._class_count(max_length)
@@ -522,7 +536,7 @@ def test_search_at_mu_four_enumerates():
     # below mu = 5 the lemma fails: aab and aB tie at |trace| 6
     report = min_dilatation_search(8, 4)
     assert abs(report.minimum.trace) == 6
-    assert [str(w) for w in report.all_minima] == ["aab", "aB"]
+    assert list(report.all_minima) == ["aab", "aB"]
 
 
 def _least_necklace_trace(max_length, mu):

@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multitwist import families, rep, verify
-from multitwist.words import Word
+from multitwist import families, rep, verify, words
 
 VERIFY_SOURCE = Path(verify.__file__).read_text()
 
@@ -48,11 +47,11 @@ def _cyclically_reduced(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_cyclically_reduced_words_are_closed(n):
     # the premise of property-suite's lookup: every key it reads exists
-    words = _cyclically_reduced(n)
-    for s in words:
-        assert _inverse(s) in words, s
-        assert _swap(s) in words, s
-        assert set(_rotations(s)) <= words, s
+    reduced = _cyclically_reduced(n)
+    for s in reduced:
+        assert _inverse(s) in reduced, s
+        assert _swap(s) in reduced, s
+        assert set(_rotations(s)) <= reduced, s
 
 
 # Each mutant changes the trace of a set of words closed under the other
@@ -75,7 +74,7 @@ def test_property_suite_catches_one_broken_invariance(broken, monkeypatch):
 
     def mutant(w, mu):
         # ab has trace 2 - mu and det 1; the mutated words have 2 - 2 mu
-        return evaluate(Word("ab") if w.letters in mutated else w, mu)
+        return evaluate("ab" if w in mutated else w, mu)
 
     monkeypatch.setattr(rep, "evaluate", mutant)
     with pytest.raises(AssertionError):
@@ -87,8 +86,8 @@ def test_property_suite_round_trips_every_reduced_word(target, monkeypatch):
     # the first parse of the reduced target is the suite's parse of that
     # string and is right; every later one returns a longer word, which
     # only the round trip of the target can see
-    parse = Word.parse
-    assert parse(target).letters == target
+    parse = words.parse_word
+    assert parse(target) == target
     calls = []
 
     def mutant(s):
@@ -98,7 +97,7 @@ def test_property_suite_round_trips_every_reduced_word(target, monkeypatch):
                 return parse("a" * (len(target) + 1))
         return parse(s)
 
-    monkeypatch.setattr(Word, "parse", staticmethod(mutant))
+    monkeypatch.setattr(words, "parse_word", mutant)
     with pytest.raises(AssertionError):
         verify.check_property_spot_suite()
     assert len(calls) > 1
