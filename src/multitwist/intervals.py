@@ -1,5 +1,5 @@
 """Closed intervals with exact endpoints, certified roots of int
-polynomials, and certified log.
+polynomials, and the certified log of an interval from k / 2^j.
 
 An Interval is a validated pair of Fraction endpoints with no arithmetic
 of its own: each caller writes the endpoints of its formula from the
@@ -8,17 +8,17 @@ x^2 - t x + 1 (each dilatation, and 2 + sqrt(3)) to a grid 2^-bits in
 closed form, by one exact isqrt or none.  root takes any other root of
 an int polynomial (the Torelli cubic's) there by Newton's method and
 certifies it by an exact sign check in ints (Yap, "Fundamental Problems
-of Algorithmic Algebra", 2000).  log, in integer fixed point, reduces
-its argument by r square roots (Brent, J. ACM 23, 1976): up to 512
-bits, about bits^(1/3) / 3 of them by isqrt at the working precision;
-above, bits.bit_length() + 1 of them by isqrt at no more than 512 bits,
-lifted to the working precision by Newton's method for the inverse
-root, which takes products only (Brent and Zimmermann, "Modern Computer
-Arithmetic", 2010, 4.2.3), each level's first squaring at half the
-width.  It then sums the atanh series by rectangular splitting (Smith,
-Math. Comp. 52, 1989; Brent and Zimmermann 4.4.3), with one small
-division per term and the even powers by squaring, counting every
-rounding in ulps.
+of Algorithmic Algebra", 2000).  log takes a lower endpoint k / 2^j,
+as every caller's is, to integer fixed point by a shift, and reduces it
+by r square roots (Brent, J. ACM 23, 1976): up to 512 bits, about
+bits^(1/3) / 3 of them by isqrt at the working precision; above,
+bits.bit_length() + 1 of them by isqrt at no more than 512 bits, lifted
+to the working precision by Newton's method for the inverse root, which
+takes products only (Brent and Zimmermann, "Modern Computer Arithmetic",
+2010, 4.2.3), each level's first squaring at half the width.  It then
+sums the atanh series by rectangular splitting (Smith, Math. Comp. 52,
+1989; Brent and Zimmermann 4.4.3), with one small division per term and
+the even powers by squaring, counting every rounding in ulps.
 
 Endpoints k / 2^j are built in lowest terms without a gcd.  A pair goes
 over a common denominator to check its order and relative width: the
@@ -398,9 +398,9 @@ def _inverse_root(z: int, w: int, roots: int, start: int) -> int:
 
 def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
                start: int) -> tuple[int, int]:
-    """(low, err) with low <= ln(p/q) * 2^w <= low + err, where
-    p/q = 2^e * y and 1 <= y < 2, and the square roots are taken at
-    start (at w, or lifted by _inverse_root from start < w).
+    """(low, err) with low <= ln(p/q) * 2^w <= low + err, where q is a
+    power of two, p/q = 2^e * y and 1 <= y < 2, and the square roots are
+    taken at start (at w, or lifted by _inverse_root from start < w).
 
     ln(y) = 2^roots * 2 atanh(t) for t = (v - 1)/(v + 1) < 1/3 and
     v = y^(1/2^roots); s stands for t * 2^w, and is low by less than
@@ -414,14 +414,9 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
     plus |e| times _ln2's 2.
     """
     one = 1 << w
-    shift = w - e
-    if q & (q - 1) == 0:
-        # q = 2^k: the floor below is a shift
-        shift -= q.bit_length() - 1
-        z = p << shift if shift >= 0 else p >> -shift
-    else:
-        z = (p << shift) // q if shift >= 0 else p // (q << -shift)
-    # z = floor(y * 2^w)
+    # z = floor(y * 2^w) = floor(p * 2^(w - e) / q), a shift as q = 2^k
+    shift = w - e - q.bit_length() + 1
+    z = p << shift if shift >= 0 else p >> -shift
     lifted = start < w
     if lifted:
         # t = (1 - x*)/(1 + x*) for x* = 1/v, and x - x* 2^w lies in
@@ -502,7 +497,8 @@ def _log_fixed(p: int, q: int, e: int, w: int, roots: int, block: int,
 
 
 def log(x: Interval, bits: int) -> Interval:
-    """Enclosure of the natural log; x must be strictly positive.
+    """Enclosure of the natural log; x.lo must be a positive k / 2^j,
+    else ValueError is raised.
 
     log(x.lo) is enclosed once; the upper endpoint adds x.width / x.lo
     rounded up, as log b - log a <= (b - a)/a.  Endpoints are k / 2^w
@@ -512,10 +508,10 @@ def log(x: Interval, bits: int) -> Interval:
     if x.lo <= 0:
         raise ValueError("log requires a strictly positive interval")
     p, q = x.lo.numerator, x.lo.denominator
-    # x.lo = 2^e * y with 1 <= y < 2
+    if q & (q - 1):
+        raise ValueError("log requires a lower endpoint k / 2^j")
+    # x.lo = 2^e * y with 1 <= y < 2: p has e + j + 1 bits for q = 2^j
     e = p.bit_length() - q.bit_length()
-    if (p << max(-e, 0)) < (q << max(e, 0)):
-        e -= 1
     w, roots, block, start = _log_precision(bits, e)
     low, err = _log_fixed(p, q, e, w, roots, block, start)
     if err >= 1 << (w - bits):

@@ -171,6 +171,16 @@ def test_johnson_tau_subcommand(capsys):
     assert code == 1
 
 
+def test_johnson_tau_refuses_pairs_that_are_not_isotropic(capsys):
+    # omega(u_i, v_j) = delta_ij holds, but omega(x2, x3 + y2) = 1
+    code = run(["johnson-tau", "--genus", "3", "--pairs", "x2,y2;x3+y2,y3",
+                "--a", "x1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: pair (0, 1) not isotropic\n"
+
+
 def test_tau_cc_subcommand(capsys):
     code, payload = _run_json(capsys, ["tau-cc", "--genus", "3"])
     assert code == 0

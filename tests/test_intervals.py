@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multitwist
-from multitwist import bounds, intervals, rep
+from multitwist import bounds, cli, intervals, rep
 from multitwist.intervals import Interval, PrecisionError
 
 from test_payload_digests import ARGVS, DIGESTS, digest
@@ -51,14 +51,15 @@ def _mp_encloses(iv: Interval, fn, lo: Fraction, hi: Fraction,
     return iv.lo - slack <= a and b <= iv.hi + slack
 
 
-below_one = st.builds(lambda p, q: Fraction(p, p + q),
-                      st.integers(1, 10 ** 30), st.integers(1, 10 ** 30))
+# log takes lower endpoints k / 2^j only, so every strategy is dyadic
+below_one = st.builds(lambda k: Fraction(k, 2 ** 100),
+                      st.integers(1, 2 ** 100 - 1))
 near_power_of_two = st.builds(
     lambda k, sign, m: Fraction(2) ** k * (1 + Fraction(sign, 2 ** m)),
     st.integers(-80, 80), st.sampled_from((-1, 1)), st.integers(1, 300))
-around_2_3000 = st.builds(lambda d, q: Fraction(2 ** 3000 + d, q),
+around_2_3000 = st.builds(lambda d, j: Fraction(2 ** 3000 + d, 2 ** j),
                           st.integers(-10 ** 20, 10 ** 20),
-                          st.integers(1, 10 ** 6))
+                          st.integers(0, 20))
 positive = st.one_of(below_one, st.just(Fraction(1)), near_power_of_two,
                      around_2_3000)
 
@@ -111,8 +112,8 @@ def test_log_endpoints_up_to_512_bits_are_pinned():
         for bits in range(1, 513):
             iv = intervals.log(x, bits)
             h.update(f"{iv.lo} {iv.hi}\n".encode())
-    assert h.hexdigest() == ("6a19703c16d086c748bdef2d03c21e6a"
-                             "cf7f6e62fe4543b0afa1f7fd261cadde")
+    assert h.hexdigest() == ("f5fb22bf12cd2f52e393231bbe0e1037"
+                             "892dd573f4347bf34d79b8309dbb67c8")
 
 
 def test_log_endpoints_above_512_bits_are_pinned():
@@ -123,8 +124,8 @@ def test_log_endpoints_above_512_bits_are_pinned():
         for bits in (*range(513, 2049, 31), 4096, 12288):
             iv = intervals.log(x, bits)
             h.update(f"{iv.lo} {iv.hi}\n".encode())
-    assert h.hexdigest() == ("7f06f3058fcbdc97afe955860adab4e2"
-                             "7bf95f9fe4577e5491baf3eda62cf824")
+    assert h.hexdigest() == ("709183f6ae625635e2c61ff257b5ccb6"
+                             "1f8dad5a5c495c619cb287b58ea1bb76")
 
 
 def test_log_error_count_is_the_proved_one():
@@ -145,14 +146,15 @@ def test_log_error_count_is_the_proved_one():
 
 SWEEP_BITS = range(1, 301)
 # y = x / 2^e in the middle of [1, 2), just below 2 and just above 1; a
-# large and a small exponent; and a wide interval
+# large exponent, with y's bits those of 5/3, and a small one; and a wide
+# interval from about 1/3
 SWEEP_X = (Interval.point(Fraction(3, 2)),
            Interval.point(Fraction(2 ** 61 - 1, 2 ** 60)),
-           Interval(Fraction(10 ** 40 + 7, 10 ** 40),
-                    Fraction(10 ** 40 + 9, 10 ** 40)),
-           Interval.point(Fraction(5 * 2 ** 900, 3)),
+           Interval(Fraction(2 ** 133 + 7, 2 ** 133),
+                    Fraction(2 ** 133 + 9, 2 ** 133)),
+           Interval.point(Fraction((5 << 900) // 3)),
            Interval(Fraction(7, 2 ** 500), Fraction(11, 2 ** 500)),
-           Interval(Fraction(1, 3), Fraction(3)))
+           Interval(Fraction((1 << 64) // 3, 1 << 64), Fraction(3)))
 
 
 def test_log_sweep_covers_switches_of_the_precision_rule():
@@ -201,8 +203,6 @@ def _log_fixed_encloses(x: Fraction, bits: int):
     precision, root count and block size that log uses for bits."""
     p, q = x.numerator, x.denominator
     e = p.bit_length() - q.bit_length()
-    if x < Fraction(2) ** e:
-        e -= 1
     assert 1 <= x / Fraction(2) ** e < 2
     w, roots, block, start = intervals._log_precision(bits, e)
     low, err = intervals._log_fixed(p, q, e, w, roots, block, start)
@@ -213,11 +213,12 @@ def _log_fixed_encloses(x: Fraction, bits: int):
     assert low - slack <= scaled <= low + err + slack, (x, bits)
 
 
-# y = x / 2^e in the middle of [1, 2), just above 1 and just below 2; q
-# not a power of two; a large and a small exponent
+# y = x / 2^e in the middle of [1, 2), just above 1 by an ulp of 2^-300,
+# just below 2, and just above 1 by 7 ulps of 2^-133; a large and a small
+# exponent
 LOG_FIXED_X = (Fraction(3, 2), Fraction(2 ** 300 + 1, 2 ** 300),
-               Fraction(2 ** 61 - 1, 2 ** 60), Fraction(10 ** 40 + 7, 10 ** 40),
-               Fraction(5 * 2 ** 900, 3), Fraction(7, 2 ** 500))
+               Fraction(2 ** 61 - 1, 2 ** 60), Fraction(2 ** 133 + 7, 2 ** 133),
+               Fraction((5 << 900) // 3), Fraction(7, 2 ** 500))
 
 
 def test_log_fixed_contract_bits_1_to_300():
@@ -238,15 +239,15 @@ def test_log_fixed_contract_at_random_bits_above_512():
     rng = random.Random(512)
     for bits in sorted(rng.sample(range(512, 16385), 6)):
         w = intervals._log_precision(bits, 0)[0]
-        # 1, one ulp of 2^-w either side of [1, 2), a random y over a
-        # denominator that is not a power of two, and a large and a
-        # small exponent
+        # 1, one ulp of 2^-w either side of [1, 2), a random y with 65
+        # bits more than w, so that its fixed point floors, and a large
+        # and a small exponent
         for x in (Fraction(1), 1 + Fraction(1, 2 ** w),
                   2 - Fraction(1, 2 ** w),
-                  Fraction((3 ** 41 << bits) + rng.getrandbits(bits),
-                           3 ** 41 << bits),
-                  Fraction(rng.getrandbits(bits) | 1, 3 ** 41),
-                  Fraction(5 * 2 ** 4000, 3), Fraction(7, 2 ** 1000)):
+                  Fraction((1 << w + 65) + rng.getrandbits(w + 65),
+                           1 << w + 65),
+                  Fraction(rng.getrandbits(bits) | 1, 1 << 65),
+                  Fraction((5 << 4000) // 3), Fraction(7, 2 ** 1000)):
             _log_fixed_encloses(x, bits)
 
 
@@ -334,19 +335,19 @@ def test_log_fixed_above_512_bits_against_the_per_term_series():
     rng = random.Random(40)
     cases = []
     for bits in sorted(rng.sample(range(513, 16385), 20)):
-        q = 3 ** 41 << bits
-        cases.append((q + rng.randrange(q), q, bits))
+        # y has 65 bits more than w, so its fixed point floors
+        cut = intervals._log_precision(bits, 0)[0] + 65
+        x = Fraction((1 << cut) + rng.getrandbits(cut), 1 << cut)
+        cases.append((x.numerator, x.denominator, bits))
     for bits in sorted(random.Random(512).sample(range(512, 16385), 6)):
         if bits > 512:
             w = intervals._log_precision(bits, 0)[0]
             for x in (Fraction(1), 1 + Fraction(1, 2 ** w),
-                      2 - Fraction(1, 2 ** w), Fraction(5 * 2 ** 4000, 3),
+                      2 - Fraction(1, 2 ** w), Fraction((5 << 4000) // 3),
                       Fraction(7, 2 ** 1000)):
                 cases.append((x.numerator, x.denominator, bits))
     for p, q, bits in cases:
         e = p.bit_length() - q.bit_length()
-        if Fraction(p, q) < Fraction(2) ** e:
-            e -= 1
         w, roots, block, start = intervals._log_precision(bits, e)
         assert start < w
         low, err = intervals._log_fixed(p, q, e, w, roots, block, start)
@@ -478,6 +479,52 @@ def test_hyperbolic_dilatation_meets_width_over_sweep(trace):
 def test_out_of_domain_raises_value_error(fn, x):
     with pytest.raises(ValueError):
         fn(x, 64)
+
+
+@pytest.mark.parametrize("x", [
+    Interval.point(Fraction(1, 3)),
+    Interval.point(Fraction(10 ** 40 + 7, 10 ** 40)),
+    Interval(Fraction(1, 3), Fraction(3))])
+def test_log_refuses_a_lower_endpoint_that_is_not_dyadic(x):
+    # a shift to fixed point would floor such an endpoint wrong
+    with pytest.raises(ValueError, match=r"lower endpoint k / 2\^j"):
+        intervals.log(x, 60)
+    # a non-positive endpoint keeps its own message
+    with pytest.raises(ValueError, match="strictly positive"):
+        intervals.log(Interval(-x.lo, x.hi), 60)
+
+
+def _log_fixed_with_err(monkeypatch, bits: int, less: int):
+    """Patch _log_fixed to return err = 2^(w - bits) - less."""
+    log_fixed = intervals._log_fixed
+
+    def patched(p, q, e, w, roots, block, start):
+        low, _ = log_fixed(p, q, e, w, roots, block, start)
+        return low, (1 << (w - bits)) - less
+
+    monkeypatch.setattr(intervals, "_log_fixed", patched)
+
+
+def test_log_refuses_an_error_count_of_2_to_the_minus_bits(monkeypatch):
+    # the guard is the only check of the count _log_fixed returns; one
+    # less passes and stays within 2^-bits
+    x = Interval.point(Fraction(3, 2))
+    for bits in (60, 700):
+        _log_fixed_with_err(monkeypatch, bits, 1)
+        assert intervals.log(x, bits).width < Fraction(1, 2 ** bits)
+        _log_fixed_with_err(monkeypatch, bits, 0)
+        with pytest.raises(PrecisionError, match="log error count"):
+            intervals.log(x, bits)
+
+
+def test_dilatation_exits_1_on_a_log_error_count_too_large(monkeypatch,
+                                                           capsys):
+    # dilatation's default 60 bits ask log for 68
+    _log_fixed_with_err(monkeypatch, 68, 0)
+    assert cli.run(["dilatation", "--word", "ab", "--mu", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: log error count")
 
 
 def test_high_precision_endpoints_parse_under_digit_limit():

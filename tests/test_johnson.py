@@ -149,9 +149,15 @@ def test_omega_wedge_basis_g2():
 
 def test_omega_wedge_rows_signs_by_inversions():
     # omega ^ e = sum of x_i ^ y_i ^ e; each entry is the sign of the sort
-    # of (x_i, y_i, e), counted here by its inversions
+    # of (x_i, y_i, e), counted here by its inversions.  _EchelonLattice
+    # takes the rows as they are: each must lead with 1, and no two may
+    # share a triple
     for g in (2, 3, 4, 5, 17, 64):
-        for e, row in enumerate(johnson._omega_wedge_rows(g)):
+        rows = johnson._omega_wedge_rows(g)
+        assert all(row[0][1] == 1 for row in rows)
+        triples = [t for row in rows for t, _ in row]
+        assert len(set(triples)) == len(triples) == 2 * g * (g - 1)
+        for e, row in enumerate(rows):
             expected = {}
             for i in range(g):
                 t = (2 * i, 2 * i + 1, e)
@@ -198,15 +204,6 @@ def test_reduce_is_idempotent_and_compares_equal():
     g = 3
     out = tau_bounding_pair(g, [(_x(2, g), _y(2, g))], _x(1, g)).reduce()
     assert out.reduce() == out
-
-
-def test_lattice_refuses_rows_outside_the_closed_form():
-    with pytest.raises(ValueError):
-        johnson._EchelonLattice([[(0, 1), (2, -1)], [(1, 1), (2, 1)]])
-    with pytest.raises(ValueError):
-        johnson._EchelonLattice([[(0, 2), (1, 1)]])
-    with pytest.raises(ValueError):
-        johnson._EchelonLattice([[(0, -1), (1, 3)]])
 
 
 def test_coset_equal_examples():
@@ -267,11 +264,11 @@ def test_tau_rejects_non_symplectic():
     with pytest.raises(NotSymplecticError):
         # y1 pairs with a = x1
         tau_bounding_pair(g, [(_y(1, g), _x(2, g))], _x(1, g))
-    with pytest.raises(NotSymplecticError):
-        # two pairs that are not mutually isotropic
+    with pytest.raises(NotSymplecticError,
+                       match=r"pair \(0, 1\) not isotropic"):
+        # omega(u_i, v_j) = delta_ij holds, but omega(x2, x3 + y2) = 1
         tau_bounding_pair(g, [(_x(2, g), _y(2, g)),
-                              (HomologyClass.parse("x2+x3", g),
-                               HomologyClass.parse("y3+y2", g))],
+                              (HomologyClass.parse("x3+y2", g), _y(3, g))],
                           _x(1, g))
 
 

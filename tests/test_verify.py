@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multitwist import families, rep, verify, words
+from multitwist import bounds, families, rep, verify, words
 
 VERIFY_SOURCE = Path(verify.__file__).read_text()
 
@@ -117,6 +117,22 @@ def test_pf_certificates_catch_one_wrong_size(mu, monkeypatch):
             patch.setattr(families, "pf_eigenvalue", mutant)
             with pytest.raises(AssertionError):
                 verify.check_pf_certificates()
+
+
+def test_curve_complex_catches_a_missed_hypothesis_violation(monkeypatch):
+    # lambda = 1 breaks tau_cc_upper's hypothesis lambda > 1; a bound that
+    # returns instead of raising leaves the check's else branch to see it
+    tau_cc_upper = bounds.tau_cc_upper
+
+    def mutant(g, log_lambda):
+        try:
+            return tau_cc_upper(g, log_lambda)
+        except bounds.HypothesisViolation:
+            return None
+
+    monkeypatch.setattr(bounds, "tau_cc_upper", mutant)
+    with pytest.raises(AssertionError, match="hypothesis violation"):
+        verify.check_curve_complex()
 
 
 _CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
