@@ -68,31 +68,16 @@ def check_pf_certificates():
             assert families.pf_eigenvalue(prod).value == mu, (mu, g)
 
 
-def _bisect_cubic(precision_bits: int) -> Interval:
-    """Bisection of [1, 2] down to width 2^-(precision_bits + 2), on the
-    int grid m / 2^e with e = precision_bits + 2: every midpoint lies on
-    it, and x = m / 2^e has x^3 + 2x^2 + x - 6 < 0 exactly when
-    ((m + 2^(e+1)) m + 4^e) m - 6 * 8^e < 0.  The oracle of
-    bounds.torelli_cubic_root."""
-    e = precision_bits + 2
-    one = 1 << e
-    lo, hi = one, 2 * one
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        if ((mid + 2 * one) * mid + one * one) * mid < 6 * one ** 3:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(Fraction(lo, one), Fraction(hi, one))
-
-
 def check_torelli_lower():
-    # true root 1.21877658...; the bracket digits follow the bisection
-    # oracle (the 5-digit rounding 1.21878 printed elsewhere is above it)
+    # true root 1.21877658... (the 5-digit rounding 1.21878 printed
+    # elsewhere is above it)
     root = bounds.torelli_cubic_root(precision_bits=60)
-    assert root == _bisect_cubic(60), "Newton and bisection disagree"
     assert root.width <= Fraction(1, 10 ** 9)
     assert _within(root, "1.21877", "1.21878"), root.as_floats()
+    # f = x^3 + 2x^2 + x - 6 increases on (1, 2), which holds the bracket,
+    # so f(lo) <= 0 < f(hi) puts the root in it
+    at_lo, at_hi = (((x + 2) * x + 1) * x for x in (root.lo, root.hi))
+    assert at_lo <= 6 < at_hi, "no sign change"
     # r^2 < 2 puts log r below case 1, log sqrt(2)
     assert root.hi ** 2 < 2
     result = bounds.torelli_lower()
@@ -105,8 +90,10 @@ def check_johnson_congruence():
     assert _within(j.value, "0.6931", "0.6932")
     s32 = bounds.surgery_lower(3, 2)
     assert _within(s32.value, "0.20273", "0.20274"), s32.value.as_floats()
+    # level 3 is the Torelli bound, as congruence_lower's docstring proves
     c3 = bounds.congruence_lower(3)
-    assert c3.value.lo > Fraction("0.197")
+    assert c3.value == bounds.torelli_lower().value
+    assert c3.binding_case == "case2_cubic"
     # r^2 < 3/2 puts log r below case 1, surgery(3,2) = log(3/2)/2
     assert bounds.torelli_cubic_root(60).hi ** 2 < Fraction(3, 2)
 
@@ -196,7 +183,7 @@ def check_minimality():
 def check_lcs_table():
     # rep.evaluate shares no code with the closed-form traces of lcs_table,
     # nor parse_word's reduction of the literal commutator with its
-    # closed-form words
+    # closed-form words; each row's log is rep's log of the evaluated trace
     table = search.lcs_table(8, 64)
     assert table[0].word == "ab"
     for prev, row in zip(table, table[1:]):
@@ -204,32 +191,25 @@ def check_lcs_table():
         assert row.word == words.parse_word(u + "b" + u[::-1].swapcase() + "B")
     for row in table:
         assert len(row.word) == 2 ** row.depth
-        assert row.trace == rep.evaluate(row.word, 64).trace(), row.depth
+        r = rep.dilatation(row.word, 64)
+        assert row.trace == r.trace, row.depth
+        assert row.log_dilatation == r.log_dilatation_interval, row.depth
         assert row.log_dilatation.lo > 0
     assert table[1].trace == 4098
-
-
-def _rational_rank(vectors) -> int:
-    """Rank over Q, by Gaussian elimination in Fractions."""
-    rows, rank = [[Fraction(x) for x in v] for v in vectors], 0
-    while rows:
-        row = rows.pop()
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is not None:
-            rank += 1
-            rows = [[a - r[c] / row[c] * b for a, b in zip(r, row)]
-                    if r[c] else r for r in rows]
-    return rank
 
 
 def check_johnson_tau():
     assert johnson.lantern_check(3)
     assert johnson.lantern_check(4)
     for g in (2, 3, 4):
+        # 2g vectors with pairwise disjoint supports, each with an entry 1:
+        # x -> sum of x_c v, c the index of v's entry 1, is the identity on
+        # their span, so they span a direct summand of rank 2g
         basis = johnson.omega_wedge_basis(g)
-        rank = _rational_rank(basis)
-        assert rank == 2 * g, g
-        assert johnson.quotient_rank(g) == len(basis[0]) - rank, g
+        supports = [{c for c, x in enumerate(v) if x} for v in basis]
+        assert len(basis) == 2 * g and all(1 in v for v in basis), g
+        assert sum(map(len, supports)) == len(set().union(*supports)), g
+        assert johnson.quotient_rank(g) == len(basis[0]) - 2 * g, g
     # basis independence at g = 3: a symplectic change of basis of the
     # complement of a = x1 gives the same coset
     g = 3
@@ -329,8 +309,8 @@ CHECKS = [
      check_braid_upper),
     ("pf-certificates", "PF eigenvalue exactly 64 (torelli) / 16 (braid), "
                         "g up to 64", check_pf_certificates),
-    ("torelli-lower", "cubic root 1.21877..., log > .197, Newton's bracket "
-                      "equals bisection's", check_torelli_lower),
+    ("torelli-lower", "cubic root 1.21877..., log > .197, sign change at "
+                      "the bracket's ends", check_torelli_lower),
     ("johnson-congruence", "log 2 = .693...; surgery(3,2) = .20273...; "
                            "level 3 > .197", check_johnson_congruence),
     ("brunnian", "brunnian = punctured surgery = log(p/4), p in 5..100",

@@ -5,7 +5,7 @@ from math import log
 import mpmath
 import pytest
 
-from multitwist import bounds, intervals, verify
+from multitwist import bounds, intervals
 from multitwist.bounds import HypothesisViolation
 from multitwist.intervals import Interval
 
@@ -54,9 +54,18 @@ def test_cubic_root_defining_property():
 
 
 def test_cubic_root_equals_bisection():
-    # Newton's bracket is the bisection oracle's at every precision
-    for bits in range(1, 130):
-        assert bounds.torelli_cubic_root(bits) == verify._bisect_cubic(bits), bits
+    # Newton's bracket is bisection's at every precision: bisection of
+    # [1, 2] in Fractions has width 2^-(bits + 2) after bits + 2 halvings
+    lo, hi = Fraction(1), Fraction(2)
+    for halvings in range(1, 203):
+        mid = (lo + hi) / 2
+        if _cubic(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        bits = halvings - 2
+        if bits >= 1:
+            assert bounds.torelli_cubic_root(bits) == Interval(lo, hi), bits
 
 
 def test_torelli_lower():
@@ -263,19 +272,6 @@ def test_interval_endpoints_are_exact():
                                Fraction(2 ** 100 + 1, 3 ** 50), Fraction(5)])
 def test_decimal_str_matches_str(x):
     assert intervals.decimal_str(x) == str(x)
-
-
-def test_int_bisection_matches_fraction_bisection():
-    for bits in range(1, 201):
-        lo, hi = Fraction(1), Fraction(2)
-        while hi - lo > Fraction(1, 2 ** (bits + 2)):
-            mid = (lo + hi) / 2
-            if _cubic(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        iv = verify._bisect_cubic(bits)
-        assert (iv.lo, iv.hi) == (lo, hi), bits
 
 
 # the relative width allowed to a BoundResult

@@ -1,6 +1,7 @@
 """The verify-paper checks evaluate each word once per mu and certify each
 distinct family matrix once; these tests show that the shared work still
-catches what a check per word and per genus caught."""
+catches what a check per word and per genus caught, and that each row's
+certificate refuses a mutant of what the row checks."""
 
 import ast
 import dataclasses
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from multitwist import bounds, families, rep, verify, words
+from multitwist import (bounds, families, johnson, rep, search, verify,
+                        words)
+from multitwist.intervals import Interval
 
 VERIFY_SOURCE = Path(verify.__file__).read_text()
 
@@ -133,6 +136,64 @@ def test_curve_complex_catches_a_missed_hypothesis_violation(monkeypatch):
     monkeypatch.setattr(bounds, "tau_cc_upper", mutant)
     with pytest.raises(AssertionError, match="hypothesis violation"):
         verify.check_curve_complex()
+
+
+def test_torelli_lower_refuses_a_bracket_one_step_up(monkeypatch):
+    # [k + 1, k + 2] / 2^62 is still inside (1.21877, 1.21878), so only
+    # the sign change sees that it misses the root
+    cubic_root = bounds.torelli_cubic_root
+
+    def mutant(precision_bits):
+        root = cubic_root(precision_bits)
+        return Interval(root.hi, 2 * root.hi - root.lo)
+
+    monkeypatch.setattr(bounds, "torelli_cubic_root", mutant)
+    with pytest.raises(AssertionError, match="no sign change"):
+        verify.check_torelli_lower()
+
+
+@pytest.mark.parametrize("mutate", [
+    # a doubled generator keeps the rank 2g, but its span is no summand
+    lambda basis: [tuple(2 * x for x in basis[0]), *basis[1:]],
+    # the first generator twice: rank 2g - 1
+    lambda basis: [basis[0], *basis[:-1]],
+], ids=["doubled", "repeated"])
+def test_johnson_tau_refuses_a_generator_set_that_is_no_summand(
+        mutate, monkeypatch):
+    omega_wedge_basis = johnson.omega_wedge_basis
+    monkeypatch.setattr(johnson, "omega_wedge_basis",
+                        lambda g: mutate(omega_wedge_basis(g)))
+    with pytest.raises(AssertionError):
+        verify.check_johnson_tau()
+
+
+def test_johnson_congruence_refuses_log_2_at_level_3(monkeypatch):
+    # log 2 is above .197, but no proof makes it the level-3 bound
+    congruence_lower = bounds.congruence_lower
+
+    def mutant(r):
+        base = congruence_lower(r)
+        return dataclasses.replace(base, value=bounds.surgery_lower(4).value)
+
+    monkeypatch.setattr(bounds, "congruence_lower", mutant)
+    with pytest.raises(AssertionError):
+        verify.check_johnson_congruence()
+
+
+def test_lcs_table_refuses_a_shifted_log(monkeypatch):
+    # row 8's log moved up by 1 keeps its trace and stays positive
+    lcs_table = search.lcs_table
+
+    def mutant(k_max, mu):
+        table = lcs_table(k_max, mu)
+        log = table[7].log_dilatation
+        table[7] = dataclasses.replace(
+            table[7], log_dilatation=Interval(log.lo + 1, log.hi + 1))
+        return table
+
+    monkeypatch.setattr(search, "lcs_table", mutant)
+    with pytest.raises(AssertionError):
+        verify.check_lcs_table()
 
 
 _CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
